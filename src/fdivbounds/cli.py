@@ -53,6 +53,7 @@ COMMAND_OPERATIONS = {
     "entropy-bound": (
         "power_loss",
         "entropy_risk_bound",
+        "entropy_bound_grid",
         "optimize_entropy_bound",
         "builtin_profile",
         "profile_from_table",
@@ -309,22 +310,20 @@ def _cmd_entropy_bound(args) -> int:
     eta_grid = _parse_grid(args.eta_grid)
     eps_grid = _parse_grid(args.eps_grid)
     l = args.exponent
-    report = entropy_bounds.optimize_entropy_bound(
-        args.kind, profile, loss, eta_grid, eps_grid, l=l
-    )
     if args.format == "csv":
-        rows = []
-        for eta in eta_grid:
-            for eps in eps_grid:
-                try:
-                    val = entropy_bounds.entropy_risk_bound(
-                        args.kind, profile, loss, float(eta), float(eps), l=l
-                    )
-                except ValueError:
-                    continue
-                rows.append([float(eta), float(eps), val])
+        etas, epss, bounds = entropy_bounds.entropy_bound_grid(
+            args.kind, profile, loss, eta_grid, eps_grid, l=l
+        )
+        rows = [
+            [eta, eps, val]
+            for eta, row in zip(etas.tolist(), bounds.tolist())
+            for eps, val in zip(epss.tolist(), row)
+        ]
         _emit_csv(["eta", "eps", "bound"], rows)
     else:
+        report = entropy_bounds.optimize_entropy_bound(
+            args.kind, profile, loss, eta_grid, eps_grid, l=l
+        )
         _emit(report.to_json())
     return 0
 
@@ -522,7 +521,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OSError, RuntimeError, KeyError) as exc:
+    except (ValueError, OverflowError, OSError, RuntimeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -49,7 +49,21 @@ class LossSpec:
             raise ValueError(f"loss {self.name!r} takes negative values")
 
     def __call__(self, x: float) -> float:
-        return float(self.fn(x))
+        return _finite("loss", self.fn, x)
+
+
+def _finite(what: str, fn: Callable, *args) -> float:
+    """float(fn(*args)); a value past the float range, or NaN, raises
+    ValueError as a count below 1 does, so a grid skips the point.  The
+    message is built only on failure: this runs once per grid value."""
+    try:
+        value = float(fn(*args))
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        call = f"{what}({', '.join(map(repr, args))})"
+        raise ValueError(f"{call} = {value!r}, outside the float range")
+    return value
 
 
 def power_loss(exponent: float = 2.0) -> LossSpec:
@@ -67,7 +81,9 @@ class EntropyProfile:
     ``packing_lower`` maps eta to N(eta) >= 1 on (0, eta_max];
     ``covering_upper`` maps eps to M(eps) >= 1 where ``covering_valid``
     holds.  ``kind`` records which divergence the covering is measured in.
-    ``defaulted`` lists constants that silently fell back to 1.0.
+    ``defaulted`` lists constants that silently fell back to 1.0.  A count
+    that is not a finite float (such as an ``exp`` past 709.78) raises
+    ValueError.
     """
 
     packing_lower: Callable[[float], float]
@@ -81,12 +97,74 @@ class EntropyProfile:
     def packing(self, eta: float) -> float:
         if not 0.0 < eta <= self.eta_max:
             raise ValueError(f"eta={eta!r} outside (0, {self.eta_max}]")
-        return float(self.packing_lower(eta))
+        return _finite("packing count N", self.packing_lower, eta)
 
     def covering(self, eps: float) -> float:
-        if eps <= 0.0 or not self.covering_valid(eps):
+        try:
+            valid = eps > 0.0 and self.covering_valid(eps)
+        except OverflowError:  # eps**2 in a validity test, far outside it
+            valid = False
+        if not valid:
             raise ValueError(f"eps={eps!r} outside the covering validity range")
-        return float(self.covering_upper(eps))
+        return _finite("covering count M", self.covering_upper, eps)
+
+
+def _check_kind(kind: str, l: Optional[float]) -> None:
+    if kind not in ENTROPY_KINDS:
+        raise ValueError(f"unknown kind {kind!r}; choose from {ENTROPY_KINDS}")
+    if kind == "power_l" and (l is None or l <= 1.0 or l == 2.0):
+        raise ValueError("power_l kind needs l > 1, l != 2")
+
+
+def _packing_part(kind: str, n: float, l: Optional[float]) -> float:
+    """The part of star that depends on eta alone: log N (kl), N (chi2) or
+    N^(l-1) (power_l)."""
+    if n < 1.0:
+        raise ValueError("profile produced a count below 1")
+    if kind == "kl":
+        if n <= 1.0:
+            raise ValueError("kl kind needs N(eta) > 1")
+        return math.log(n)
+    if kind == "chi2":
+        return n
+    return _finite("pow", pow, n, l - 1.0)
+
+
+def _covering_part(kind: str, m: float, eps: float, l: Optional[float]) -> float:
+    """The part of star that depends on eps alone: log 2 + log M + eps^2
+    (kl), (1 + eps^2) M (chi2) or (1 + eps^2) M^(l-1) (power_l)."""
+    if m < 1.0:
+        raise ValueError("profile produced a count below 1")
+    eps_sq = _finite("pow", pow, eps, 2)
+    if kind == "kl":
+        return math.log(2.0) + math.log(m) + eps_sq
+    if kind == "chi2":
+        return (1.0 + eps_sq) * m
+    return (1.0 + eps_sq) * _finite("pow", pow, m, l - 1.0)
+
+
+def _star(kind: str, packing_part, covering_part, l: Optional[float]):
+    """star from its two parts, elementwise, so the parts may be arrays that
+    broadcast to a grid.  Only + - * / sqrt and the final power act here,
+    and np.float_power calls the C library's pow for each element as
+    Python's ** does (np.power may use a vectorised pow that differs in the
+    last bit), so grid values equal scalar ones bit for bit."""
+    if kind == "kl":
+        return covering_part / packing_part
+    if kind == "chi2":
+        return 1.0 / packing_part + np.sqrt(covering_part / packing_part)
+    return np.float_power(1.0 / packing_part + covering_part / packing_part, 1.0 / l)
+
+
+def _point(
+    kind: str, profile: EntropyProfile, eta: float, eps: float, l: Optional[float]
+) -> tuple[float, float, float]:
+    """(N(eta), M(eps), 1 - star) at one grid point."""
+    _check_kind(kind, l)
+    n = profile.packing(eta)
+    m = profile.covering(eps)
+    star = _star(kind, _packing_part(kind, n, l), _covering_part(kind, m, eps, l), l)
+    return n, m, 1.0 - float(star)
 
 
 def entropy_risk_bound(
@@ -103,27 +181,11 @@ def entropy_risk_bound(
         kl       (log 2 + log M + eps^2) / log N        (needs N > 1)
         chi2     1/N + sqrt((1 + eps^2) M / N)
         power_l  ((1 + (1 + eps^2) M^(l-1)) / N^(l-1))^(1/l)
+
+    Raises ValueError outside the profile validity, for a count below 1,
+    and for a count, power or loss value past the float range.
     """
-    n = profile.packing(eta)
-    m = profile.covering(eps)
-    if n < 1.0 or m < 1.0:
-        raise ValueError("profile produced a count below 1")
-    if kind == "kl":
-        if n <= 1.0:
-            raise ValueError("kl kind needs N(eta) > 1")
-        star = (math.log(2.0) + math.log(m) + eps**2) / math.log(n)
-    elif kind == "chi2":
-        star = 1.0 / n + math.sqrt((1.0 + eps**2) * m / n)
-    elif kind == "power_l":
-        if l is None or l <= 1.0 or l == 2.0:
-            raise ValueError("power_l kind needs l > 1, l != 2")
-        star = (
-            1.0 / n ** (l - 1.0)
-            + (1.0 + eps**2) * m ** (l - 1.0) / n ** (l - 1.0)
-        ) ** (1.0 / l)
-    else:
-        raise ValueError(f"unknown kind {kind!r}; choose from {ENTROPY_KINDS}")
-    return loss(eta / 2.0) * max(0.0, 1.0 - star)
+    return loss(eta / 2.0) * max(0.0, _point(kind, profile, eta, eps, l)[2])
 
 
 def entropy_bound_factor(
@@ -135,23 +197,54 @@ def entropy_bound_factor(
 ) -> float:
     """The unclamped parenthetical factor (1 - star); negative means the
     grid point is vacuous.  Useful for diagnosing rate behavior."""
-    n = profile.packing(eta)
-    m = profile.covering(eps)
-    if kind == "kl":
-        if n <= 1.0:
-            raise ValueError("kl kind needs N(eta) > 1")
-        return 1.0 - (math.log(2.0) + math.log(m) + eps**2) / math.log(n)
-    if kind == "chi2":
-        return 1.0 - (1.0 / n + math.sqrt((1.0 + eps**2) * m / n))
-    if kind == "power_l":
-        if l is None or l <= 1.0 or l == 2.0:
-            raise ValueError("power_l kind needs l > 1, l != 2")
-        star = (
-            1.0 / n ** (l - 1.0)
-            + (1.0 + eps**2) * m ** (l - 1.0) / n ** (l - 1.0)
-        ) ** (1.0 / l)
-        return 1.0 - star
-    raise ValueError(f"unknown kind {kind!r}; choose from {ENTROPY_KINDS}")
+    return _point(kind, profile, eta, eps, l)[2]
+
+
+def entropy_bound_grid(
+    kind: str,
+    profile: EntropyProfile,
+    loss: LossSpec,
+    eta_grid,
+    eps_grid,
+    l: Optional[float] = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`entropy_risk_bound` at every pair of the two grids.
+
+    N(eta), loss(eta/2) and M(eps) are computed once per grid value by the
+    same scalar calls as the point bound; only the star and the clamp are
+    formed over the whole grid, with the same floating-point operations, so
+    every value equals the point bound bit for bit.  Whether the bound is
+    defined at (eta, eps) depends on each coordinate alone, so a value where
+    the point bound raises ValueError drops its whole row or column.
+
+    Returns ``(etas, epss, bounds)``: the grid values where the bound is
+    defined, in input order with duplicates kept, and ``bounds[i, j]`` at
+    ``(etas[i], epss[j])``.  Raises ValueError when no point is defined.
+    """
+    _check_kind(kind, l)
+    rows = []
+    for eta in eta_grid:
+        eta = float(eta)
+        try:
+            part = _packing_part(kind, profile.packing(eta), l)
+            rows.append((eta, loss(eta / 2.0), part))
+        except ValueError:
+            continue
+    cols = []
+    for eps in eps_grid:
+        eps = float(eps)
+        try:
+            cols.append((eps, _covering_part(kind, profile.covering(eps), eps, l)))
+        except ValueError:
+            continue
+    if not rows or not cols:
+        raise ValueError("no grid point lies inside the profile validity region")
+    etas, losses, packing_part = (np.array(col) for col in zip(*rows))
+    epss, covering_part = (np.array(col) for col in zip(*cols))
+    # a quotient past the float range is inf without a warning, as in Python
+    with np.errstate(over="ignore"):
+        factor = 1.0 - _star(kind, packing_part[:, None], covering_part[None, :], l)
+    return etas, epss, losses[:, None] * np.where(factor > 0.0, factor, 0.0)
 
 
 def optimize_entropy_bound(
@@ -164,36 +257,49 @@ def optimize_entropy_bound(
 ) -> BoundReport:
     """Grid supremum of :func:`entropy_risk_bound`.
 
-    Grid points outside the profile validity are skipped; ties break to the
-    smallest (eta, eps) so reports are deterministic.
+    The grid is evaluated per axis by :func:`entropy_bound_grid` on the
+    sorted eta and eps values: each count and loss once per grid value, the
+    star once over the whole grid as arrays.
+
+    Skipped points.  A point where :func:`entropy_risk_bound` raises
+    ValueError is skipped and not counted in ``feasible_grid_points``: one
+    outside the profile validity, one with a count below 1, kl points with
+    N <= 1, and points where a count, a power or a loss value leaves the
+    float range (the support_function profile's exp past 709.78, M^(l-1)
+    past 1.8e308 in the power_l kind).  Skipping only drops candidates, so
+    the bound stays valid.
+
+    NaN.  A NaN count or loss is skipped like an overflow, so every
+    remaining value is a number and a NaN never wins.
+
+    Ties.  The witness is the first maximum in row-major order over
+    (sorted eta, sorted eps), which is what a scan with a strict ``>``
+    picks: ties break to the smallest eta, then the smallest eps, so
+    reports are deterministic.
+
+    The reported ``lower_bound``, ``packing``, ``covering`` and ``factor``
+    are recomputed at the witness by the point bound, so they are exactly
+    the numbers it gives there.
     """
-    best = -1.0
-    witness = None
-    feasible = 0
-    for eta in sorted(float(e) for e in eta_grid):
-        if not 0.0 < eta <= profile.eta_max:
-            continue
-        for eps in sorted(float(e) for e in eps_grid):
-            if eps <= 0.0 or not profile.covering_valid(eps):
-                continue
-            try:
-                value = entropy_risk_bound(kind, profile, loss, eta, eps, l=l)
-            except ValueError:
-                continue
-            feasible += 1
-            if value > best:
-                best = value
-                witness = (eta, eps)
-    if feasible == 0:
-        raise ValueError("no grid point lies inside the profile validity region")
-    vacuous = best <= 0.0
+    etas, epss, bounds = entropy_bound_grid(
+        kind,
+        profile,
+        loss,
+        sorted(float(e) for e in eta_grid),
+        sorted(float(e) for e in eps_grid),
+        l=l,
+    )
+    i, j = np.unravel_index(np.argmax(bounds), bounds.shape)
+    eta, eps = float(etas[i]), float(epss[j])
+    n, m, factor = _point(kind, profile, eta, eps, l)
+    best = loss(eta / 2.0) * max(0.0, factor)
     inter = {
-        "eta": witness[0],
-        "eps": witness[1],
-        "packing": profile.packing(witness[0]),
-        "covering": profile.covering(witness[1]),
-        "factor": entropy_bound_factor(kind, profile, witness[0], witness[1], l=l),
-        "feasible_grid_points": feasible,
+        "eta": eta,
+        "eps": eps,
+        "packing": n,
+        "covering": m,
+        "factor": factor,
+        "feasible_grid_points": bounds.size,
     }
     notes = ()
     if profile.defaulted:
@@ -205,7 +311,7 @@ def optimize_entropy_bound(
         lower_bound=max(best, 0.0),
         inputs={"kind": kind, "loss": loss.name, "l": l, **profile.constants},
         intermediates=inter,
-        vacuous=vacuous,
+        vacuous=best <= 0.0,
         notes=notes,
     )
 
@@ -425,8 +531,10 @@ def profile_from_table(
     cover = sorted((float(a), float(b)) for a, b in covering)
     if not pack or not cover:
         raise ValueError("packing and covering tables must be nonempty")
-    if any(a <= 0 or b < 1 for a, b in pack) or any(a <= 0 or b < 1 for a, b in cover):
-        raise ValueError("table entries need positive radii and counts >= 1")
+    if not all(0 < a < math.inf and 1 <= b < math.inf for a, b in pack + cover):
+        raise ValueError(
+            "table entries need finite positive radii and finite counts >= 1"
+        )
     px = np.log([a for a, _ in pack])
     py = np.log([b for _, b in pack])
     cx = np.log([a for a, _ in cover])

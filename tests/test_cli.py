@@ -206,6 +206,99 @@ class TestSubcommands:
         assert lines[0] == "eta,eps,bound"
         assert len(lines) == 5
 
+    @pytest.mark.parametrize("kind", ["kl", "chi2", "power_l"])
+    def test_entropy_bound_csv_matches_point_loop(self, files, capsys, kind):
+        """CSV rows come in input order, duplicates kept and undefined points
+        skipped, each byte for byte the point bound's value."""
+        etas = [0.1, 0.02, 0.1, 5.0, 0.003, 0.5]
+        epss = [0.5, 0.2, 0.2, 3.0, 0.05, 1.0]
+        code, out = run_cli(
+            capsys,
+            "entropy-bound",
+            "--kind",
+            kind,
+            "--exponent",
+            "3",
+            "--model",
+            "custom",
+            "--profile",
+            str(files["profile"]),
+            "--eta-grid",
+            ",".join(map(repr, etas)),
+            "--eps-grid",
+            ",".join(map(repr, epss)),
+            "--format",
+            "csv",
+        )
+        assert code == 0
+        table = json.loads(files["profile"].read_text())
+        prof = fdivbounds.profile_from_table(table["packing"], table["covering"])
+        loss = fdivbounds.power_loss(2.0)
+        expected = ["eta,eps,bound"]
+        for eta in etas:
+            for eps in epss:
+                try:
+                    val = fdivbounds.entropy_risk_bound(
+                        kind, prof, loss, eta, eps, l=3.0
+                    )
+                except ValueError:
+                    continue
+                expected.append(f"{eta!r},{eps!r},{val!r}")
+        assert out.splitlines() == expected
+        assert len(expected) == 1 + 5 * 4
+
+    @pytest.mark.parametrize(
+        "argv,axis,overflowing,finite",
+        [
+            (
+                [
+                    "--kind", "chi2", "--model", "support_function", "--params",
+                    "c_prime=1,c_dprime=1,gamma=1,sigma=1,eta0=0.5,eps0=1,n=100,d=3",
+                    "--eps-grid", "1",
+                ],
+                "--eta-grid", "0.0001", "0.1",
+            ),
+            (
+                [
+                    "--kind", "power_l", "--exponent", "40", "--model",
+                    "gaussian_ball", "--params", "gamma=1,sigma=1,d=10",
+                    "--eta-grid", "0.9",
+                ],
+                "--eps-grid", "0.5", "1.0",
+            ),
+        ],
+    )
+    def test_entropy_bound_overflow_exit_codes(
+        self, capsys, argv, axis, overflowing, finite
+    ):
+        """A count (support_function's exp) or a power (M^(l-1)) past the
+        float range skips its point: with only such points the command
+        fails with exit code 1 and a message, not a traceback; with one
+        finite point beside them it succeeds."""
+        code = main(["entropy-bound", *argv, axis, overflowing])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        code, out = run_cli(
+            capsys, "entropy-bound", *argv, axis, f"{overflowing},{finite}"
+        )
+        assert code == 0
+        assert json.loads(out)["intermediates"]["feasible_grid_points"] == 1
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_entropy_bound_rejects_non_finite_table(self, capsys, tmp_path, bad):
+        path = tmp_path / "table.json"
+        table = {
+            "packing": [[0.1, bad], [1.0, 2.0]],
+            "covering": [[0.1, 4.0], [1.0, 2.0]],
+        }
+        path.write_text(json.dumps(table))
+        code = main(
+            ["entropy-bound", "--kind", "chi2", "--model", "custom",
+             "--profile", str(path)]
+        )
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
+
     def test_vg(self, capsys):
         code, out = run_cli(capsys, "vg", "--k", "16", "--seed", "7")
         assert code == 0
@@ -250,6 +343,14 @@ class TestSubcommands:
         with pytest.raises(SystemExit) as err:
             main(["divergence", "--gen"])
         assert err.value.code == 2
+
+    def test_overflow_exit_code(self, capsys):
+        code = main(
+            ["divergence", "--model", "uniform_scale", "--theta0", "1",
+             "--theta1", "1000", "--n", "1000"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_computation_error_exit_code(self, files, capsys, tmp_path):
         bad = tmp_path / "bad.json"

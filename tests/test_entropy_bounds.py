@@ -11,6 +11,7 @@ from fdivbounds.entropy_bounds import (
     analytic_divergence,
     builtin_profile,
     entropy_bound_factor,
+    entropy_bound_grid,
     entropy_risk_bound,
     optimize_entropy_bound,
     power_loss,
@@ -129,6 +130,189 @@ class TestGridOptimization:
         assert rep.lower_bound == pytest.approx(oracle, abs=1e-12)
         assert rep.lower_bound == pytest.approx(1.5130826e-3, abs=1e-8)
         assert rep.lower_bound > 0 and not rep.vacuous
+
+
+def reference_optimum(kind, profile, loss, eta_grid, eps_grid, l=None):
+    """The per-point scan the grid optimizer replaced: (best, witness,
+    feasible) from one entropy_risk_bound call per (eta, eps)."""
+    best, witness, feasible = -1.0, None, 0
+    for eta in sorted(float(e) for e in eta_grid):
+        for eps in sorted(float(e) for e in eps_grid):
+            try:
+                value = entropy_risk_bound(kind, profile, loss, eta, eps, l=l)
+            except ValueError:
+                continue
+            feasible += 1
+            if value > best:
+                best, witness = value, (eta, eps)
+    return best, witness, feasible
+
+
+_MESSY_RNG = np.random.default_rng(17)
+# unsorted, with duplicates, zero, a negative value, NaN and points past every
+# profile's validity region on both axes; eta = 1 and 10 are eta_max of
+# gaussian_1d and gaussian_ball, where N = 1; eps = 1e200 has a square past
+# the float range
+MESSY_ETAS = np.concatenate(
+    [
+        _MESSY_RNG.permutation(np.geomspace(1e-4, 20.0, 36)),
+        [0.5, 0.5, 1.0, 10.0, 0.0, -1.0, np.nan],
+    ]
+)
+MESSY_EPSS = np.concatenate(
+    [
+        _MESSY_RNG.permutation(np.geomspace(1e-3, 50.0, 36)),
+        [0.7, 0.7, 0.0, -1.0, 1e200],
+    ]
+)
+GRID_PROFILES = {
+    "gaussian_1d": {"c1": 1.0, "c2": 1.0, "eta0": 2.0, "eps0": 1.0, "n": 100.0},
+    "uniform_scale": {"c1": 1.0, "c3": 1.0, "eta0": 1.0, "eps0": 1.0, "n": 25.0},
+    "uniform_shift": {"c1": 1.0, "c2": 1.0, "eta0": 1.0, "eps0": 2.0, "n": 25.0},
+    "gaussian_ball": {"gamma": 10.0, "sigma": 1.0, "d": 2},
+    "support_function": {
+        "c_prime": 1.0,
+        "c_dprime": 1.0,
+        "gamma": 1.0,
+        "sigma": 1.0,
+        "eta0": 0.5,
+        "eps0": 1.0,
+        "n": 100.0,
+        "d": 3.0,
+    },
+    "table": None,
+}
+GRID_KINDS = (("kl", None), ("chi2", None), ("power_l", 3.0), ("power_l", 1.5))
+
+
+def grid_profile(model, kind):
+    if model == "table":
+        return profile_from_table(
+            [[0.01, 1000.0], [0.1, 120.0], [1.0, 10.0]],
+            [[0.1, 4.0], [0.5, 3.0], [1.0, 2.0]],
+        )
+    profile_kind = "kl" if kind == "kl" and model == "gaussian_1d" else "chi2"
+    return builtin_profile(model, kind=profile_kind, **GRID_PROFILES[model])
+
+
+class TestGridEvaluation:
+    @pytest.mark.parametrize("kind,l", GRID_KINDS)
+    @pytest.mark.parametrize("model", sorted(GRID_PROFILES))
+    def test_optimizer_matches_scalar_reference_loop(self, model, kind, l):
+        """Per-axis evaluation picks the scan's bound, witness and feasible
+        count, and every grid value is the point bound bit for bit.  The
+        grids hold points outside validity, kl rows with N = 1, overflowing
+        counts (support_function), duplicates and unsorted input."""
+        prof = grid_profile(model, kind)
+        loss = power_loss(2.0)
+        best, witness, feasible = reference_optimum(
+            kind, prof, loss, MESSY_ETAS, MESSY_EPSS, l=l
+        )
+        rep = optimize_entropy_bound(kind, prof, loss, MESSY_ETAS, MESSY_EPSS, l=l)
+        assert 0 < feasible < MESSY_ETAS.size * MESSY_EPSS.size
+        assert rep.intermediates["feasible_grid_points"] == feasible
+        assert (rep.intermediates["eta"], rep.intermediates["eps"]) == witness
+        assert rep.lower_bound == max(best, 0.0)
+        assert rep.vacuous == (best <= 0.0)
+        etas, epss, bounds = entropy_bound_grid(
+            kind, prof, loss, MESSY_ETAS, MESSY_EPSS, l=l
+        )
+        assert bounds.size == feasible
+        for eta, row in zip(etas.tolist(), bounds.tolist()):
+            for eps, value in zip(epss.tolist(), row):
+                assert value == entropy_risk_bound(kind, prof, loss, eta, eps, l=l)
+
+    @pytest.mark.parametrize("kind,l", GRID_KINDS)
+    def test_exact_tie_breaks_to_smallest_pair(self, kind, l):
+        prof = constant_profile(100.0, 2.0)
+        flat = LossSpec(lambda x: 1.0, name="flat")
+        etas, epss = [0.5, 0.2, 0.9, 0.2], [0.3, 0.1, 0.7]
+        best, witness, feasible = reference_optimum(kind, prof, flat, etas, epss, l=l)
+        rep = optimize_entropy_bound(kind, prof, flat, etas, epss, l=l)
+        assert witness == (0.2, 0.1)
+        assert (rep.intermediates["eta"], rep.intermediates["eps"]) == witness
+        assert rep.intermediates["feasible_grid_points"] == feasible == 12
+        assert rep.lower_bound == best
+
+    def test_point_bound_matches_written_formulas(self):
+        """The one star formula gives, bit for bit, the three formulas of
+        the entropy_risk_bound docstring written out with Python floats."""
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = float(np.exp(rng.uniform(0.01, 30.0)))
+            m = float(np.exp(rng.uniform(0.0, 30.0)))
+            eps = float(rng.uniform(0.01, 3.0))
+            l = float(rng.choice([1.5, 3.0, 7.0]))
+            prof = constant_profile(n, m)
+            stars = {
+                "kl": (math.log(2.0) + math.log(m) + eps**2) / math.log(n),
+                "chi2": 1.0 / n + math.sqrt((1.0 + eps**2) * m / n),
+                "power_l": (
+                    1.0 / n ** (l - 1.0)
+                    + (1.0 + eps**2) * m ** (l - 1.0) / n ** (l - 1.0)
+                )
+                ** (1.0 / l),
+            }
+            for kind, star in stars.items():
+                assert entropy_bound_factor(kind, prof, 1.0, eps, l=l) == 1.0 - star
+                assert entropy_risk_bound(
+                    kind, prof, TENTH_LOSS, 1.0, eps, l=l
+                ) == 0.1 * max(0.0, 1.0 - star)
+
+    def test_counts_evaluated_once_per_axis_value(self):
+        """On a 256 x 256 grid the counts run once per valid grid value and
+        once more at the witness, not once per point."""
+        calls = {"packing": 0, "covering": 0}
+
+        def packing(eta):
+            calls["packing"] += 1
+            return (10.0 / eta) ** 2
+
+        def covering(eps):
+            calls["covering"] += 1
+            return (30.0 / math.sqrt(math.log1p(eps**2))) ** 2
+
+        prof = EntropyProfile(
+            packing_lower=packing,
+            eta_max=10.0,
+            covering_upper=covering,
+            covering_valid=lambda eps: math.log1p(eps**2) <= 100.0,
+            kind="chi2",
+        )
+        etas = np.geomspace(1e-3, 100.0, 256)
+        epss = np.geomspace(1e-3, 1e30, 256)
+        valid_etas = int(np.sum(etas <= 10.0))
+        valid_epss = sum(math.log1p(e**2) <= 100.0 for e in epss.tolist())
+        assert 0 < valid_etas < 256 and 0 < valid_epss < 256
+        rep = optimize_entropy_bound("chi2", prof, power_loss(2.0), etas, epss)
+        assert calls == {"packing": valid_etas + 1, "covering": valid_epss + 1}
+        assert rep.intermediates["feasible_grid_points"] == valid_etas * valid_epss
+        assert rep.lower_bound > 0
+
+    def test_support_function_count_overflow_is_skipped(self):
+        """exp((gamma/eta)^((d-1)/2)) leaves the float range at eta = 1e-4,
+        d = 3: a ValueError at the point, a skipped row in the grid."""
+        prof = grid_profile("support_function", "chi2")
+        with pytest.raises(ValueError, match="float range"):
+            prof.packing(1e-4)
+        with pytest.raises(ValueError, match="float range"):
+            entropy_risk_bound("chi2", prof, power_loss(2.0), 1e-4, 1.0)
+        rep = optimize_entropy_bound("chi2", prof, power_loss(2.0), [1e-4, 0.1], [1.0])
+        assert rep.intermediates["feasible_grid_points"] == 1
+        assert rep.intermediates["eta"] == 0.1
+
+    def test_power_l_covering_power_overflow_is_skipped(self):
+        """M(eps)^(l-1) leaves the float range for gaussian_ball d = 10,
+        l = 40 at eps = 0.5, while eps = 1 stays finite."""
+        prof = builtin_profile("gaussian_ball", gamma=1.0, sigma=1.0, d=10)
+        loss = power_loss(2.0)
+        with pytest.raises(ValueError, match="float range"):
+            entropy_risk_bound("power_l", prof, loss, 0.9, 0.5, l=40.0)
+        rep = optimize_entropy_bound("power_l", prof, loss, [0.9], [0.5, 1.0], l=40.0)
+        assert rep.intermediates["feasible_grid_points"] == 1
+        assert rep.intermediates["eps"] == 1.0
+        with pytest.raises(ValueError, match="validity"):
+            optimize_entropy_bound("power_l", prof, loss, [0.9], [0.5], l=40.0)
 
 
 class TestAnalyticDivergences:
@@ -259,6 +443,22 @@ class TestBuiltinProfiles:
         assert mid == pytest.approx(math.sqrt(1000.0), rel=1e-9)
         assert prof.covering_valid(0.5)
         assert not prof.covering_valid(2.0)
+
+    @pytest.mark.parametrize(
+        "packing,covering",
+        [
+            ([[0.1, math.nan], [1.0, 2.0]], [[0.1, 4.0], [1.0, 2.0]]),
+            ([[0.1, math.inf], [1.0, 2.0]], [[0.1, 4.0], [1.0, 2.0]]),
+            ([[math.nan, 100.0], [1.0, 2.0]], [[0.1, 4.0], [1.0, 2.0]]),
+            ([[0.1, 100.0], [math.inf, 2.0]], [[0.1, 4.0], [1.0, 2.0]]),
+            ([[0.1, 100.0], [1.0, 2.0]], [[0.1, 4.0], [1.0, -math.inf]]),
+            ([[0.1, 100.0], [1.0, 2.0]], [[-math.inf, 4.0], [1.0, 2.0]]),
+            ([[0.1, 100.0], [1.0, 2.0]], [[0.1, math.nan], [1.0, 2.0]]),
+        ],
+    )
+    def test_table_profile_rejects_non_finite_entries(self, packing, covering):
+        with pytest.raises(ValueError, match="finite"):
+            profile_from_table(packing, covering)
 
     def test_schedule_exponents(self):
         s1 = support_function_schedule(100, 2, 1.0, 1.0, 1.0, 1.0)
