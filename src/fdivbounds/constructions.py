@@ -185,13 +185,12 @@ def varshamov_gilbert_code(k: int, seed: int = 0) -> BinaryCode:
 
 @lru_cache(maxsize=None)
 def default_delta(alpha: float) -> int:
-    """Smallest integer exceeding 2 sum_j j^(-alpha-1) + 1; this makes every
-    family matrix strictly diagonally dominant, hence positive definite."""
+    """Smallest integer exceeding 2 zeta(alpha + 1) + 1, where
+    zeta(alpha + 1) = sum_j j^(-alpha-1); this makes every family matrix
+    strictly diagonally dominant, hence positive definite."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    j = np.arange(1, 10**6 + 1, dtype=float)
-    tail = 2.0 * float((j ** -(alpha + 1.0)).sum()) + 1.0
-    return int(math.floor(tail)) + 1
+    return int(math.floor(2.0 * float(special.zeta(alpha + 1.0)) + 1.0)) + 1
 
 
 @dataclass(frozen=True, eq=False)

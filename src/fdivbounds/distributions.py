@@ -25,6 +25,8 @@ def _as_vector(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-d vector")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} has a non-finite entry")
     return arr
 
 

@@ -158,36 +158,34 @@ def default_generators() -> tuple[DivergenceGenerator, ...]:
 def eval_divergence(
     gen: DivergenceGenerator, p: DiscreteDistribution, q: DiscreteDistribution
 ) -> float:
-    """D_f(P||Q) = sum_x q(x) f(p(x)/q(x)) under counting measure.
+    """D_f(P||Q) = sum_x q(x) f(p(x)/q(x)) under counting measure, with the
+    conventions of :func:`divergence_matrix`."""
+    return float(divergence_matrix(gen, p.pmf[None], q.pmf[None])[0, 0])
 
-    Conventions: a point with q = 0 and p = 0 contributes nothing; q = 0
-    with p > 0 makes the divergence +inf; p = 0 with q > 0 contributes
-    q * f(0+).  Tiny negative totals (floating-point Jensen slack) are
-    clamped to 0.
+
+def divergence_matrix(gen: DivergenceGenerator, pmat, qmat) -> np.ndarray:
+    """D_f(P_i||Q_j) = sum_x q_j(x) f(p_i(x)/q_j(x)) for every row P_i of
+    ``pmat`` (N x S) and every row Q_j of ``qmat`` (M x S), as an N x M array.
+
+    The rows need not be normalized.  Conventions: a point with q = 0 and
+    p = 0 contributes nothing; q = 0 with p > 0 makes the divergence +inf;
+    p = 0 with q > 0 contributes q * f(0+).  Tiny negative totals
+    (floating-point Jensen slack) are clamped to 0.  Each pair is reduced by
+    one dot product of the q row with its row of f-values.
     """
-    if p.support_size != q.support_size:
+    p = np.asarray(pmat, dtype=float)[:, None, :]
+    q = np.asarray(qmat, dtype=float)[None, :, :]
+    if p.shape[2] != q.shape[2]:
         raise ValueError("support size mismatch")
-    return _divergence_raw(gen, p.pmf, q.pmf)
-
-
-def _divergence_raw(gen: DivergenceGenerator, p: np.ndarray, q: np.ndarray) -> float:
-    if np.any((q == 0.0) & (p > 0.0)):
-        return math.inf
+    p, q = np.broadcast_arrays(p, q)
     live = q > 0.0
-    qv = q[live]
-    pv = p[live]
-    pos = pv > 0.0
-    total = 0.0
-    if np.any(pos):
-        vals = gen.f(pv[pos] / qv[pos])
-        total += float(np.dot(qv[pos], vals))
-    zero_mass = float(qv[~pos].sum())
-    if zero_mass > 0.0:
-        if math.isinf(gen.f_at_zero):
-            return math.inf
-        total += zero_mass * gen.f_at_zero
-    if -VALUE_TOL <= total < 0.0:
-        return 0.0
+    pos = live & (p > 0.0)
+    vals = np.zeros(p.shape)
+    vals[pos] = gen.f(p[pos] / q[pos])
+    vals[live & ~pos] = gen.f_at_zero
+    total = (q[..., None, :] @ vals[..., :, None])[..., 0, 0]
+    total[np.any(~live & (p > 0.0), axis=2)] = math.inf
+    total[(-VALUE_TOL <= total) & (total < 0.0)] = 0.0
     return total
 
 

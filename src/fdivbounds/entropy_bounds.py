@@ -109,11 +109,17 @@ class EntropyProfile:
         return _finite("covering count M", self.covering_upper, eps)
 
 
-def _check_kind(kind: str, l: Optional[float]) -> None:
+def _check_kind(kind: str, profile: EntropyProfile, l: Optional[float]) -> None:
     if kind not in ENTROPY_KINDS:
         raise ValueError(f"unknown kind {kind!r}; choose from {ENTROPY_KINDS}")
     if kind == "power_l" and (l is None or l <= 1.0 or l == 2.0):
         raise ValueError("power_l kind needs l > 1, l != 2")
+    if profile.kind == "kl" and kind != "kl":
+        # chi2 >= KL, so a KL covering at radius eps undercounts the chi2 one
+        raise ValueError(
+            f"a profile of kind 'kl' cannot back the {kind!r} kind: its "
+            "covering is measured in KL, not chi2"
+        )
 
 
 def _packing_part(kind: str, n: float, l: Optional[float]) -> float:
@@ -160,7 +166,7 @@ def _point(
     kind: str, profile: EntropyProfile, eta: float, eps: float, l: Optional[float]
 ) -> tuple[float, float, float]:
     """(N(eta), M(eps), 1 - star) at one grid point."""
-    _check_kind(kind, l)
+    _check_kind(kind, profile, l)
     n = profile.packing(eta)
     m = profile.covering(eps)
     star = _star(kind, _packing_part(kind, n, l), _covering_part(kind, m, eps, l), l)
@@ -221,7 +227,7 @@ def entropy_bound_grid(
     defined, in input order with duplicates kept, and ``bounds[i, j]`` at
     ``(etas[i], epss[j])``.  Raises ValueError when no point is defined.
     """
-    _check_kind(kind, l)
+    _check_kind(kind, profile, l)
     rows = []
     for eta in eta_grid:
         eta = float(eta)
@@ -350,6 +356,18 @@ def analytic_divergence(
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
+    try:
+        return _analytic_divergence(model, theta0, theta1, n, sigma)
+    except OverflowError:
+        raise ValueError(
+            f"{model} at theta0={theta0!r}, theta1={theta1!r}, n={n}: "
+            "chi2 leaves the float range"
+        ) from None
+
+
+def _analytic_divergence(
+    model: str, theta0: float, theta1: float, n: int, sigma: float
+) -> AnalyticDivergence:
     if model == "gaussian_location":
         if sigma <= 0:
             raise ValueError("sigma must be positive")

@@ -5,8 +5,10 @@ uniform mixture; chi-squared and the power family minimize at a normalized
 power mean of the densities; Hellinger at the squared sum of root densities).
 A Frank-Wolfe solver with exact line search and a duality-gap certificate
 covers differentiable generators in general, and the total-variation case is
-a linear program solved exactly.  Covering families give upper bounds that
-need no optimization at all.
+solved exactly by sorting each point's member masses (a fractional knapsack
+over the breakpoints).  Covering families give upper bounds that need no
+optimization at all.  Every divergence sum is evaluated by
+:func:`.divergences.divergence_matrix`.
 """
 
 from __future__ import annotations
@@ -16,15 +18,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_matrix
 
 from .distributions import DiscreteDistribution, Ensemble, uniform_mixture
-from .divergences import (
-    DivergenceGenerator,
-    builtin_generator,
-    eval_divergence,
-)
+from .divergences import DivergenceGenerator, builtin_generator, divergence_matrix
 
 CLOSED_FORM_GENERATORS = ("kl", "chi2", "hellinger_half", "hellinger_sq", "power:l")
 COVERING_KINDS = ("kl", "chi2", "power_l", "hellinger_sq")
@@ -72,6 +68,10 @@ class CoveringFamily:
     def size(self) -> int:
         return len(self.candidates)
 
+    def pmf_matrix(self) -> np.ndarray:
+        """Candidate densities stacked as an (M, support_size) matrix."""
+        return np.stack([c.pmf for c in self.candidates])
+
 
 # ---------------------------------------------------------------------------
 # Closed forms
@@ -95,8 +95,7 @@ def informativity_closed_form(gen_name: str, ens: Ensemble) -> InformativityResu
     n = ens.size
     if gen_name == "kl":
         mix = uniform_mixture(ens)
-        gen = builtin_generator("kl")
-        value = sum(eval_divergence(gen, m, mix) for m in ens.members) / n
+        value = _objective(builtin_generator("kl"), pmat, mix.pmf)
         return InformativityResult(value, mix, "closed_form")
     if gen_name == "chi2":
         gen_name = "power:2"
@@ -125,54 +124,31 @@ def informativity_closed_form(gen_name: str, ens: Ensemble) -> InformativityResu
 
 
 def informativity_tv_exact(ens: Ensemble) -> InformativityResult:
-    """inf_Q (1/N) sum_theta TV(P_theta, Q) as an exact linear program.
+    """inf_Q (1/N) sum_theta TV(P_theta, Q), solved exactly by a sort.
 
-    Variables are q plus one slack per (member, point); the optimum is
-    attained at a full-support-on-union q, where the f-divergence form and
-    the plain total variation agree.
+    The objective separates over points: sum_x phi_x(q_x) with
+    phi_x(v) = (1/(2N)) sum_theta |p_theta(x) - v|, piecewise linear and
+    convex.  Between the k-th and (k+1)-th smallest member masses at x
+    (the 0-th is 0) phi_x has slope (2k - N)/(2N), so filling the unit
+    budget segment by segment in slope order (a fractional knapsack over
+    the sorted breakpoints) is optimal.  The slope depends on k alone, so
+    that order is k-major.  Every point's largest mass is a breakpoint and
+    those sum to at least 1, so the budget runs out before any point
+    passes its largest mass.  The value is the objective at the returned
+    minimizer, in the plain total-variation form: the minimizer may put no
+    mass on a point where some member has mass.
     """
     pmat = ens.pmf_matrix()
-    n, s = pmat.shape
-    # variables: [q_0..q_{s-1}, e_{theta,x}...] with e >= |p - q| / (2N)
-    num_e = n * s
-    cost = np.concatenate([np.zeros(s), np.full(num_e, 1.0 / (2.0 * n))])
-    rows, cols, vals, rhs = [], [], [], []
-    r = 0
-    for theta in range(n):
-        for x in range(s):
-            e_col = s + theta * s + x
-            # p - q <= e
-            rows += [r, r]
-            cols += [x, e_col]
-            vals += [-1.0, -1.0]
-            rhs.append(-pmat[theta, x])
-            r += 1
-            # q - p <= e
-            rows += [r, r]
-            cols += [x, e_col]
-            vals += [1.0, -1.0]
-            rhs.append(pmat[theta, x])
-            r += 1
-    a_ub = coo_matrix((vals, (rows, cols)), shape=(r, s + num_e))
-    a_eq = coo_matrix(
-        (np.ones(s), (np.zeros(s, dtype=int), np.arange(s))), shape=(1, s + num_e)
-    )
-    bounds = [(0.0, None)] * (s + num_e)
-    res = linprog(
-        cost,
-        A_ub=a_ub,
-        b_ub=np.array(rhs),
-        A_eq=a_eq,
-        b_eq=np.array([1.0]),
-        bounds=bounds,
-        method="highs",
-    )
-    if res.status != 0:
-        raise RuntimeError(f"total-variation informativity LP failed: {res.message}")
-    q = np.clip(res.x[:s], 0.0, None)
-    q = q / q.sum()
-    minimizer = DiscreteDistribution(q)
-    return InformativityResult(max(float(res.fun), 0.0), minimizer, "lp")
+    n = ens.size
+    lengths = np.diff(np.sort(pmat, axis=0), axis=0, prepend=0.0).ravel()
+    filled = np.cumsum(lengths)
+    cut = int(np.searchsorted(filled, 1.0))
+    take = np.where(np.arange(lengths.size) < cut, lengths, 0.0)
+    if cut < lengths.size:  # else rounding left the largest masses short of 1
+        take[cut] = 1.0 - (filled[cut - 1] if cut else 0.0)
+    q = take.reshape(pmat.shape).sum(axis=0)
+    value = float(np.abs(pmat - q).sum()) / (2.0 * n)
+    return InformativityResult(value, DiscreteDistribution(q), "sorted_breakpoints")
 
 
 # ---------------------------------------------------------------------------
@@ -181,22 +157,7 @@ def informativity_tv_exact(ens: Ensemble) -> InformativityResult:
 
 
 def _objective(gen: DivergenceGenerator, pmat: np.ndarray, q: np.ndarray) -> float:
-    n = pmat.shape[0]
-    total = 0.0
-    pos_q = q > 0.0
-    for theta in range(n):
-        p = pmat[theta]
-        if np.any(p[~pos_q] > 0.0):
-            return math.inf
-        live = pos_q & (p > 0.0)
-        term = float(np.dot(q[live], gen.f(p[live] / q[live])))
-        dead_mass = float(q[pos_q & (p == 0.0)].sum())
-        if dead_mass > 0.0:
-            if math.isinf(gen.f_at_zero):
-                return math.inf
-            term += dead_mass * gen.f_at_zero
-        total += term
-    return total / n
+    return float(divergence_matrix(gen, pmat, q[None]).sum()) / pmat.shape[0]
 
 
 def _gradient(gen: DivergenceGenerator, pmat: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -247,7 +208,7 @@ def informativity_numeric(
     f(0+) further restrict it to the common support.  Starts from the
     uniform mixture and stops once the linear-minimization duality gap
     falls below ``tol``.  Total variation has no derivative and is routed
-    to the exact linear program instead.
+    to the exact sorted-breakpoint solver instead.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -353,13 +314,11 @@ def simple_upper_chain(
     """Three nested upper bounds on the informativity: the mean divergence
     to the uniform mixture, the mean pairwise divergence (diagonal included),
     and the max pairwise divergence.  +inf entries are legitimate."""
-    mix = uniform_mixture(ens)
+    pmat = ens.pmf_matrix()
     n = ens.size
-    to_mixture = sum(eval_divergence(gen, m, mix) for m in ens.members) / n
-    pairwise = np.empty((n, n))
-    for i, p in enumerate(ens.members):
-        for j, q in enumerate(ens.members):
-            pairwise[i, j] = eval_divergence(gen, p, q) if i != j else 0.0
+    to_mixture = _objective(gen, pmat, uniform_mixture(ens).pmf)
+    pairwise = divergence_matrix(gen, pmat, pmat)
+    np.fill_diagonal(pairwise, 0.0)
     pair_avg = float(pairwise.sum()) / (n * n)
     pair_max = float(pairwise.max())
     return to_mixture, pair_avg, pair_max
@@ -369,14 +328,10 @@ def covering_approx_error(
     gen: DivergenceGenerator, ens: Ensemble, fam: CoveringFamily
 ) -> tuple[float, tuple[int, ...]]:
     """max_theta min_alpha D_f(P_theta||Q_alpha) and the argmin assignment."""
-    errors = []
-    assignment = []
-    for member in ens.members:
-        divs = [eval_divergence(gen, member, c) for c in fam.candidates]
-        best = int(np.argmin(divs))
-        assignment.append(best)
-        errors.append(divs[best])
-    return max(errors), tuple(assignment)
+    divs = divergence_matrix(gen, ens.pmf_matrix(), fam.pmf_matrix())
+    best = np.argmin(divs, axis=1)
+    errors = divs[np.arange(ens.size), best]
+    return float(errors.max()), tuple(int(j) for j in best)
 
 
 def covering_upper_bound(
@@ -399,23 +354,8 @@ def covering_upper_bound(
         _, assignment = covering_approx_error(gen, ens, fam)
     m = fam.size
     n = ens.size
-    total = 0.0
-    for theta, member in enumerate(ens.members):
-        qj = fam.candidates[assignment[theta]].pmf
-        p = member.pmf
-        if np.any((qj == 0.0) & (p > 0.0)):
-            return math.inf
-        live = qj > 0.0
-        qv = qj[live] / m
-        ratio = p[live] / qv
-        pos = ratio > 0.0
-        term = float(np.dot(qv[pos], gen.f(ratio[pos])))
-        dead = float(qv[~pos].sum())
-        if dead > 0.0:
-            if math.isinf(gen.f_at_zero):
-                return math.inf
-            term += dead * gen.f_at_zero
-        total += term
+    divs = divergence_matrix(gen, ens.pmf_matrix(), fam.pmf_matrix() / m)
+    total = float(divs[np.arange(n), list(assignment)].sum())
     tail = (1.0 - 1.0 / m) * gen.f_at_zero
     if math.isinf(tail):
         return math.inf if m > 1 else total / n

@@ -352,6 +352,26 @@ class TestSubcommands:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "model,theta0,theta1", [("uniform_scale", "1", "1000"), ("uniform_shift", "1000", "0")]
+    )
+    def test_analytic_overflow_names_inputs(self, capsys, model, theta0, theta1):
+        code = main(
+            ["divergence", "--model", model, "--theta0", theta0,
+             "--theta1", theta1, "--n", "1000"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert model in err and "n=1000" in err
+        assert "chi2 leaves the float range" in err
+
+    def test_non_finite_pmf_file_exit_code(self, files, capsys, tmp_path):
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps({"pmf": [0.5, 0.5, float("nan")]}))
+        code = main(["divergence", "--gen", "kl", str(bad), str(files["q"])])
+        assert code == 1
+        assert "non-finite" in capsys.readouterr().err
+
     def test_computation_error_exit_code(self, files, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"pmf": [0.5, 0.6]}))

@@ -91,6 +91,16 @@ class TestCovarianceFamily:
         with pytest.raises(ValueError, match="decay class"):
             build_cov_family(8, 4, 1.0, 0.5)
 
+    def test_default_delta_is_exact(self):
+        import mpmath
+
+        # smallest integer above 2 zeta(1.05) + 1 = 42.15...
+        assert default_delta(0.05) == 43
+        assert default_delta(1.0) == 5
+        for alpha in np.linspace(0.05, 3.0, 400):
+            tail = 2 * mpmath.zeta(mpmath.mpf(float(alpha)) + 1) + 1
+            assert default_delta(float(alpha)) == int(mpmath.floor(tail)) + 1
+
     def test_shape_constraint(self):
         with pytest.raises(ValueError, match="2k <= p"):
             build_cov_family(5, 3, 1.0, 4.0)

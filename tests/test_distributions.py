@@ -37,6 +37,13 @@ class TestDiscreteDistribution:
         with pytest.raises(ValueError):
             DiscreteDistribution(np.array([0.5, 0.5 + 5e-9]))
 
+    @pytest.mark.parametrize(
+        "pmf", [[np.nan, 1.0], [0.5, 0.5, np.nan], [np.inf, 0.5], [0.5, -np.inf, 0.5]]
+    )
+    def test_non_finite_entry_rejected(self, pmf):
+        with pytest.raises(ValueError, match="non-finite"):
+            DiscreteDistribution(np.array(pmf))
+
     def test_pmf_is_immutable(self):
         dist = DiscreteDistribution(np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
@@ -68,6 +75,13 @@ class TestEnsemble:
             Ensemble(members=(a, b), prior=np.array([0.5, 0.6]))
         with pytest.raises(ValueError):
             Ensemble(members=(a, b), prior=np.array([1.0]))
+
+    @pytest.mark.parametrize("prior", [[np.nan, 1.0], [np.inf, 0.0]])
+    def test_non_finite_prior_rejected(self, prior):
+        a = DiscreteDistribution(np.array([1.0, 0.0]))
+        b = DiscreteDistribution(np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="non-finite"):
+            Ensemble(members=(a, b), prior=np.array(prior))
 
     def test_uniform_mixture(self):
         a = DiscreteDistribution(np.array([1.0, 0.0]))

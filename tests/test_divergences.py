@@ -8,6 +8,7 @@ from fdivbounds.divergences import (
     DivergenceGenerator,
     builtin_generator,
     default_generators,
+    divergence_matrix,
     eval_divergence,
     squared_hellinger,
     total_variation,
@@ -203,3 +204,86 @@ class TestClassicalPairInequalities:
             assert lhs >= rhs - 1e-12
             h = math.sqrt(squared_hellinger(p1, p2))
             assert v <= h * math.sqrt(1.0 - h * h / 4.0) + 1e-12
+
+
+def pair_loop(gen, pmat, qmat):
+    """D_f for every row pair, one pair at a time: the conventions written
+    out, and each pair reduced by a dot product of the q row with its row of
+    f-values (masked points hold 0.0)."""
+    out = np.empty((len(pmat), len(qmat)))
+    for i, p in enumerate(pmat):
+        for j, q in enumerate(qmat):
+            if np.any((q == 0.0) & (p > 0.0)):
+                out[i, j] = math.inf
+                continue
+            both = (p > 0.0) & (q > 0.0)
+            vals = np.zeros(p.size)
+            vals[both] = gen.f(p[both] / q[both])
+            vals[(p == 0.0) & (q > 0.0)] = gen.f_at_zero
+            total = float(np.dot(q, vals))
+            out[i, j] = 0.0 if -1e-12 <= total < 0.0 else total
+    return out
+
+
+class TestDivergenceMatrix:
+    @pytest.mark.parametrize("gen", default_generators(), ids=lambda g: g.name)
+    def test_dense_rows_bit_equal_to_pair_loop(self, gen):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            s = int(rng.integers(2, 129))
+            pmat = rng.dirichlet(np.ones(s), size=int(rng.integers(1, 9)))
+            qmat = rng.dirichlet(np.ones(s), size=int(rng.integers(1, 9)))
+            got = divergence_matrix(gen, pmat, qmat)
+            assert got.shape == (len(pmat), len(qmat))
+            assert np.array_equal(got, pair_loop(gen, pmat, qmat))
+            for i, p in enumerate(pmat):
+                for j, q in enumerate(qmat):
+                    one = eval_divergence(gen, DiscreteDistribution(p), DiscreteDistribution(q))
+                    assert one == got[i, j]
+
+    @pytest.mark.parametrize("gen", default_generators(), ids=lambda g: g.name)
+    def test_boundary_conventions(self, gen):
+        pmat = np.array(
+            [
+                [0.0, 0.5, 0.5],  # p = 0 where q > 0: q * f(0+)
+                [0.2, 0.0, 0.8],  # p > 0 where the third q row is 0: +inf
+                [0.0, 0.0, 1.0],  # p = q = 0 at the first point: no term
+            ]
+        )
+        qmat = np.array([[0.25, 0.25, 0.5], [0.0, 0.5, 0.5], [0.5, 0.5, 0.0]])
+        got = divergence_matrix(gen, pmat, qmat)
+        assert np.array_equal(got, pair_loop(gen, pmat, qmat))
+        assert math.isinf(got[1, 1]) and math.isinf(got[1, 2]) and math.isinf(got[2, 2])
+        if math.isinf(gen.f_at_zero):  # reverse_kl: any p = 0 < q is infinite
+            assert math.isinf(got[0, 0]) and math.isinf(got[2, 0])
+        else:
+            dead = 0.25 * gen.f_at_zero
+            live = 0.25 * float(gen.f(np.array([2.0]))[0]) + 0.5 * float(gen.f(np.array([1.0]))[0])
+            assert got[0, 0] == pytest.approx(max(dead + live, 0.0), abs=1e-15)
+        # a point where both vanish contributes nothing: same as dropping it
+        dropped = divergence_matrix(gen, pmat[:1, 1:], qmat[1:2, 1:])
+        assert got[0, 1] == pytest.approx(dropped[0, 0], abs=1e-15)
+
+    @pytest.mark.parametrize("gen", default_generators(), ids=lambda g: g.name)
+    def test_jensen_slack_clamped(self, gen):
+        rng = np.random.default_rng(22)
+        clamped = 0
+        for _ in range(200):
+            s = int(rng.integers(2, 33))
+            p = rng.dirichlet(np.ones(s))
+            q = p * (1.0 + 1e-9 * rng.standard_normal(s))
+            q /= q.sum()
+            raw = float(np.dot(q, gen.f(p / q)))
+            got = divergence_matrix(gen, p[None], q[None])[0, 0]
+            assert got >= 0.0
+            if -1e-12 <= raw < 0.0:
+                clamped += 1
+                assert got == 0.0
+            else:
+                assert got == raw
+        if gen.name not in ("tv", "hellinger_sq"):  # their f is nonnegative
+            assert clamped > 0
+
+    def test_support_mismatch(self):
+        with pytest.raises(ValueError, match="support"):
+            divergence_matrix(builtin_generator("kl"), np.ones((2, 3)) / 3, np.ones((1, 2)) / 2)

@@ -315,6 +315,41 @@ class TestGridEvaluation:
             optimize_entropy_bound("power_l", prof, loss, [0.9], [0.5], l=40.0)
 
 
+class TestProfileKindGuard:
+    """A covering measured in KL undercounts the chi2 covering (chi2 >= KL),
+    so it cannot back the chi2 or power_l bounds."""
+
+    KL_PROFILE = builtin_profile(
+        "gaussian_1d", kind="kl", c1=1.0, c2=1.0, eta0=1.0, eps0=1.0, n=100.0
+    )
+    ETAS = np.geomspace(1e-3, 1.0, 64)
+    EPSS = np.geomspace(1e-3, 1.0, 64)
+
+    @pytest.mark.parametrize("kind,l", [("chi2", None), ("power_l", 3.0)])
+    def test_kl_profile_rejected_by_every_entry_point(self, kind, l):
+        loss = power_loss(2.0)
+        calls = (
+            lambda: entropy_risk_bound(kind, self.KL_PROFILE, loss, 0.1, 0.5, l=l),
+            lambda: entropy_bound_grid(kind, self.KL_PROFILE, loss, self.ETAS, self.EPSS, l=l),
+            lambda: optimize_entropy_bound(kind, self.KL_PROFILE, loss, self.ETAS, self.EPSS, l=l),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=f"kind 'kl' cannot back the '{kind}' kind"):
+                call()
+
+    def test_matching_and_chi2_profiles_still_accepted(self):
+        loss = power_loss(2.0)
+        chi2_profile = builtin_profile(
+            "gaussian_1d", kind="chi2", c1=1.0, c2=1.0, eta0=1.0, eps0=1.0, n=100.0
+        )
+        chi2 = optimize_entropy_bound("chi2", chi2_profile, loss, self.ETAS, self.EPSS)
+        # the KL-measured profile used to report 4.40e-5 here
+        assert chi2.lower_bound == pytest.approx(3.2837e-5, rel=1e-4)
+        for profile in (self.KL_PROFILE, chi2_profile):
+            report = optimize_entropy_bound("kl", profile, loss, self.ETAS, self.EPSS)
+            assert report.intermediates["feasible_grid_points"] > 0
+
+
 class TestAnalyticDivergences:
     def test_gaussian_location(self):
         res = analytic_divergence("gaussian_location", 1.0, 0.0, 2)
@@ -332,6 +367,16 @@ class TestAnalyticDivergences:
         assert res.kl == pytest.approx(2.0 * math.log(1.5), abs=1e-12)
         with pytest.raises(ValueError):
             analytic_divergence("uniform_shift", 0.0, 0.25, 2)
+
+    @pytest.mark.parametrize(
+        "model,theta0,theta1", [("uniform_scale", 1.0, 1000.0), ("uniform_shift", 1000.0, 0.0)]
+    )
+    def test_chi2_past_float_range_raises_value_error(self, model, theta0, theta1):
+        with pytest.raises(ValueError, match="chi2 leaves the float range") as err:
+            analytic_divergence(model, theta0, theta1, 1000)
+        message = str(err.value)
+        assert model in message and "n=1000" in message
+        assert repr(theta0) in message and repr(theta1) in message
 
     @pytest.mark.parametrize("model", ["gaussian_location", "uniform_scale", "uniform_shift"])
     def test_coincident_parameters(self, model):

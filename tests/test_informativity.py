@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from fdivbounds.distributions import DiscreteDistribution, Ensemble
-from fdivbounds.divergences import builtin_generator, eval_divergence
+from fdivbounds.divergences import builtin_generator, eval_divergence, total_variation
 from fdivbounds.informativity import (
     CoveringFamily,
     covering_approx_error,
@@ -115,7 +116,7 @@ class TestNumericSolver:
 
     def test_tv_routes_to_exact_lp(self):
         res = informativity_numeric(builtin_generator("tv"), SINGULAR_PAIR)
-        assert res.method == "lp"
+        assert res.method == "sorted_breakpoints"
         assert res.value == pytest.approx(0.5, abs=1e-9)
 
     def test_tv_lp_against_fine_grid(self):
@@ -126,6 +127,64 @@ class TestNumericSolver:
             oracle = grid_informativity(builtin_generator("tv"), ens, step=1e-3)
             assert lp.value <= oracle + 1e-9
             assert lp.value == pytest.approx(oracle, abs=2e-3)
+
+
+def tv_objective(pmat, q):
+    """(1/N) sum_theta TV(P_theta, Q) in the plain total-variation form."""
+    return float(np.abs(pmat - q).sum()) / (2.0 * pmat.shape[0])
+
+
+def tv_lp(pmat):
+    """The total-variation informativity as a linear program: variables q
+    and one slack e >= |p_theta(x) - q_x| per (member, point)."""
+    n, s = pmat.shape
+    eye = np.eye(s)
+    slack = -np.eye(n * s)
+    q_part = np.tile(eye, (n, 1))
+    a_ub = np.block([[-q_part, slack], [q_part, slack]])
+    b_ub = np.concatenate([-pmat.ravel(), pmat.ravel()])
+    cost = np.concatenate([np.zeros(s), np.full(n * s, 1.0 / (2.0 * n))])
+    a_eq = np.concatenate([np.ones(s), np.zeros(n * s)])[None]
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0], method="highs")
+    assert res.status == 0
+    return res.fun, res.x[:s]
+
+
+class TestTvSortedBreakpoints:
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_against_linear_program(self, sparse):
+        rng = np.random.default_rng(31 + sparse)
+        for _ in range(40):
+            n = int(rng.integers(2, 7))
+            s = int(rng.integers(2, 21))
+            pmat = rng.dirichlet(np.ones(s), size=n)
+            if sparse:
+                for i in range(0, n, 2):
+                    pmat[i, rng.choice(s, size=max(1, s // 3), replace=False)] = 0.0
+                    pmat[i] /= pmat[i].sum()
+            ens = Ensemble(members=tuple(DiscreteDistribution(r) for r in pmat))
+            res = informativity_tv_exact(ens)
+            lp_value, lp_q = tv_lp(pmat)
+            assert res.value == pytest.approx(lp_value, abs=1e-9)
+            assert res.value <= tv_objective(pmat, lp_q) + 1e-15
+            assert res.value == tv_objective(pmat, res.minimizer.pmf)
+            assert res.method == "sorted_breakpoints"
+
+    @pytest.mark.parametrize("pmf", [[0.2, 0.0, 0.8], [0.7, 0.2, 0.1]])
+    def test_identical_members_give_zero(self, pmf):
+        # the cumulative sum of [0.7, 0.2, 0.1] falls 1.1e-16 short of 1
+        member = DiscreteDistribution(np.array(pmf))
+        res = informativity_tv_exact(Ensemble(members=(member, member, member)))
+        assert res.value == 0.0
+        assert np.array_equal(res.minimizer.pmf, member.pmf)
+
+    def test_two_members_value_is_half_their_distance(self):
+        # N = 2: any q between the pair is optimal, value TV(P1, P2) / 2
+        rng = np.random.default_rng(33)
+        for _ in range(20):
+            p1, p2 = (DiscreteDistribution(rng.dirichlet(np.ones(6))) for _ in range(2))
+            res = informativity_tv_exact(Ensemble(members=(p1, p2)))
+            assert res.value == pytest.approx(total_variation(p1, p2) / 2.0, abs=1e-15)
 
 
 class TestSimpleUpperChain:
