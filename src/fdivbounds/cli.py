@@ -96,6 +96,13 @@ def _emit_csv(header: list[str], rows: list[list]) -> None:
         print(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text.strip()!r}")
+    return value
+
+
 def _parse_stats(text: str) -> dict:
     out = {}
     for item in text.split(","):
@@ -104,7 +111,7 @@ def _parse_stats(text: str) -> dict:
         key, _, value = item.partition("=")
         if not _:
             raise ValueError(f"malformed stats entry {item!r}; use key=value")
-        out[key.strip()] = float(value)
+        out[key.strip()] = _finite_float(value)
     return out
 
 
@@ -112,8 +119,8 @@ def _parse_grid(text: str) -> np.ndarray:
     """Comma list of floats, or ``logspace:lo:hi:count``."""
     if text.startswith("logspace:"):
         _, lo, hi, count = text.split(":")
-        return np.geomspace(float(lo), float(hi), int(count))
-    return np.array([float(v) for v in text.split(",")])
+        return np.geomspace(_finite_float(lo), _finite_float(hi), int(count))
+    return np.array([_finite_float(v) for v in text.split(",")])
 
 
 # ---------------------------------------------------------------------------

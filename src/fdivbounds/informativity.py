@@ -2,12 +2,14 @@
 
 Closed forms exist for the standard generators (the KL minimizer is the
 uniform mixture; chi-squared and the power family minimize at a normalized
-power mean of the densities; Hellinger at the squared sum of root densities).
-A Frank-Wolfe solver with exact line search and a duality-gap certificate
-covers differentiable generators in general, and the total-variation case is
-solved exactly by sorting each point's member masses (a fractional knapsack
-over the breakpoints).  Covering families give upper bounds that need no
-optimization at all.  Every divergence sum is evaluated by
+power mean of the densities; Hellinger at the squared sum of root densities;
+reverse KL at the normalized geometric mean).  The objective separates over
+points, so differentiable generators in general are solved through their
+KKT conditions (one scalar equation per point and a bisection on the
+multiplier, certified by the Lagrangian dual), and the total-variation case
+is solved exactly by sorting each point's member masses (a fractional
+knapsack over the breakpoints).  Covering families give upper bounds that
+need no optimization at all.  Every divergence sum is evaluated by
 :func:`.divergences.divergence_matrix`.
 """
 
@@ -20,9 +22,17 @@ from typing import Optional
 import numpy as np
 
 from .distributions import DiscreteDistribution, Ensemble, uniform_mixture
-from .divergences import DivergenceGenerator, builtin_generator, divergence_matrix
+from .divergences import (
+    VALUE_TOL,
+    DivergenceGenerator,
+    apply_generator,
+    builtin_generator,
+    divergence_matrix,
+)
 
-CLOSED_FORM_GENERATORS = ("kl", "chi2", "hellinger_half", "hellinger_sq", "power:l")
+CLOSED_FORM_GENERATORS = (
+    "kl", "chi2", "hellinger_half", "hellinger_sq", "reverse_kl", "power:l"
+)
 COVERING_KINDS = ("kl", "chi2", "power_l", "hellinger_sq")
 
 
@@ -79,8 +89,8 @@ class CoveringFamily:
 
 
 def informativity_closed_form(gen_name: str, ens: Ensemble) -> InformativityResult:
-    """Exact minimizer and value for kl, chi2, hellinger_half, hellinger_sq
-    and power:l generators.
+    """Exact minimizer and value for kl, chi2, hellinger_half, hellinger_sq,
+    reverse_kl and power:l generators.
 
     kl: the minimizer is the uniform mixture and the value is the mean KL
     to it.  power:l (chi2 is l=2): the first-order condition on the simplex
@@ -90,6 +100,10 @@ def informativity_closed_form(gen_name: str, ens: Ensemble) -> InformativityResu
     S = sum_x (sum_theta p_theta(x)^l)^(1/l).  hellinger: Cauchy-Schwarz
     gives the minimizer proportional to (sum_theta sqrt p_theta)^2 and value
     1 - sqrt(sum u^2)/N (halved Hellinger; doubled for the squared form).
+    reverse_kl: the objective is (1/N) sum_theta KL(Q||P_theta), minimized
+    by the normalized geometric mean g = prod_theta p_theta^(1/N) on the
+    common support, with value -log sum_x g(x); +inf when the members share
+    no support point.
     """
     pmat = ens.pmf_matrix()
     n = ens.size
@@ -97,6 +111,15 @@ def informativity_closed_form(gen_name: str, ens: Ensemble) -> InformativityResu
         mix = uniform_mixture(ens)
         value = _objective(builtin_generator("kl"), pmat, mix.pmf)
         return InformativityResult(value, mix, "closed_form")
+    if gen_name == "reverse_kl":
+        common = np.all(pmat > 0.0, axis=0)
+        if not np.any(common):
+            return InformativityResult(math.inf, None, "closed_form")
+        geo = np.zeros(pmat.shape[1])
+        geo[common] = np.exp(np.log(pmat[:, common]).mean(axis=0))
+        total = float(geo.sum())
+        minimizer = DiscreteDistribution(geo / total)
+        return InformativityResult(max(-math.log(total), 0.0), minimizer, "closed_form")
     if gen_name == "chi2":
         gen_name = "power:2"
     if gen_name.startswith("power:"):
@@ -160,58 +183,48 @@ def _objective(gen: DivergenceGenerator, pmat: np.ndarray, q: np.ndarray) -> flo
     return float(divergence_matrix(gen, pmat, q[None]).sum()) / pmat.shape[0]
 
 
-def _gradient(gen: DivergenceGenerator, pmat: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """d/dq_x of the average divergence; h(t) = f(t) - t f'(t) per member.
+def _h(gen: DivergenceGenerator, t: np.ndarray) -> np.ndarray:
+    """h(t) = f(t) - t f'(t), the slope of v -> v f(p/v) at t = p/v.
 
-    h is non-increasing in t (h' = -t f''), so an overflowing h at a huge
-    density ratio means the coordinate is starving: -inf is its honest value.
-    Coordinates with q = 0 get the same treatment through t = +inf.
+    h(0) is f(0+), and h is non-increasing in t (h' = -t f'').
     """
-    n, s = pmat.shape
-    grad = np.zeros(s)
-    for theta in range(n):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            t = np.where(q > 0.0, pmat[theta] / np.where(q > 0.0, q, 1.0), np.inf)
-            t = np.where((q == 0.0) & (pmat[theta] == 0.0), 0.0, t)
-            pos = t > 0.0
-            h = np.full(s, gen.f_at_zero)
-            h[pos] = gen.f(t[pos]) - t[pos] * gen.derivative(t[pos])
-        h[np.isnan(h)] = -math.inf
-        grad += h
-    return grad / n
-
-
-def _coordinate_slope(gen: DivergenceGenerator, pcol: np.ndarray, v: float) -> float:
-    """The single-coordinate gradient sum_theta h(p_theta/v) (without 1/N)."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = pcol / v if v > 0.0 else np.where(pcol > 0.0, np.inf, 0.0)
-        pos = t > 0.0
-        h = np.full(pcol.shape, gen.f_at_zero)
-        h[pos] = gen.f(t[pos]) - t[pos] * gen.derivative(t[pos])
-    h[np.isnan(h)] = -math.inf
-    return float(h.sum())
+    out = np.full(t.shape, gen.f_at_zero)
+    pos = t > 0.0
+    tp = t[pos]
+    out[pos] = gen.f(tp) - tp * gen.derivative(tp)
+    return out
 
 
 def informativity_numeric(
-    gen: DivergenceGenerator,
-    ens: Ensemble,
-    tol: float = 1e-8,
-    max_iter: int = 10**5,
+    gen: DivergenceGenerator, ens: Ensemble, tol: float = 1e-8
 ) -> InformativityResult:
-    """Pairwise Frank-Wolfe minimization of the average divergence over the
-    simplex: each step transfers mass from the worst occupied coordinate to
-    the best one, with an exact line search (only two density ratios move,
-    so the search costs O(N) per probe).
+    """Minimize the average divergence over the simplex through its KKT
+    conditions.
+
+    The objective separates over points, sum_x phi_x(q_x) with
+    phi_x(v) = (1/N) sum_theta v f(p_theta(x)/v), and its slope
+    phi'_x(v) = mean_theta h(p_theta(x)/v) is non-decreasing in v.  Every
+    point with mass at the optimum has phi'_x(q_x) = lambda.  Some point
+    holds at least 1/S of the mass and none more than 1, so lambda lies in
+    [min_x phi'_x(1/S), min_x phi'_x(1)]; it is bisected on the sign of
+    sum_x v_x(lambda) - 1, where each point's root v_x(lambda) comes from a
+    vectorized bisection in log v over [1e-12 max_theta p_theta(x), 1].
+    The floor keeps density ratios at most 1e12: for a generator with
+    finite f'(inf), h at far larger ratios is cancellation noise.
 
     The reference is restricted to the union support of the members (mass
     elsewhere can only increase every term); generators with an infinite
-    f(0+) further restrict it to the common support.  Starts from the
-    uniform mixture and stops once the linear-minimization duality gap
-    falls below ``tol``.  Total variation has no derivative and is routed
-    to the exact sorted-breakpoint solver instead.
+    f(0+) further restrict it to the common support, and the value is +inf
+    when there is none.  ``value`` is the objective at v / sum(v), and
+    ``duality_gap`` is that primal value minus the Lagrangian dual
+    lambda + sum_x min_{0 <= v <= 1} [phi_x(v) - lambda v].  Each point's
+    minimum is bounded from below by the tangent at the top of its root
+    bracket, so the reported gap is never smaller than the true one.  The
+    search stops once the gap is at most ``tol``.  Total variation has no
+    derivative and is routed to the exact sorted-breakpoint solver.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be a positive finite number")
     if gen.name == "tv":
         return informativity_tv_exact(ens)
     if gen.derivative is None:
@@ -223,84 +236,56 @@ def informativity_numeric(
     if math.isinf(gen.f_at_zero):
         support = np.all(pmat_full > 0.0, axis=0)
         if not np.any(support):
-            return InformativityResult(math.inf, None, "pairwise_frank_wolfe")
+            return InformativityResult(math.inf, None, "kkt_bisection")
     else:
         support = np.any(pmat_full > 0.0, axis=0)
     pmat = pmat_full[:, support]
-    start = pmat.mean(axis=0)
-    q = start / start.sum()
-    gap = math.inf
-    best_gap = math.inf
-    since_progress = 0
-    for _ in range(max_iter):
-        grad = _gradient(gen, pmat, q)
-        target = int(np.argmin(grad))
-        occupied = q > 0.0
-        value_dot = float(np.where(occupied, grad * q, 0.0).sum())
-        gap = value_dot - grad[target]
+    s = pmat.shape[1]
+
+    def slope(v: np.ndarray) -> np.ndarray:
+        return _h(gen, pmat / v).mean(axis=0)
+
+    log_floor = np.log(np.maximum(1e-12 * pmat.max(axis=0), np.finfo(float).tiny))
+    lam_lo = float(slope(np.full(s, 1.0 / s)).min())
+    lam_hi = float(slope(np.ones(s)).min())
+    lam = 0.5 * (lam_lo + lam_hi)
+    while True:
+        lo, hi = log_floor, np.zeros(s)
+        # 40 halvings; the tangent bound's slack is second order in the width
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            up = slope(np.exp(mid)) >= lam
+            lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+        v = np.exp(hi)
+        width = v - np.where(lo > log_floor, np.exp(lo), 0.0)
+        excess = np.maximum(slope(v) - lam, 0.0) * width
+        phi = v * apply_generator(gen, pmat / v).mean(axis=0)
+        dual = lam + float((phi - lam * v - excess).sum())
+        q = v / v.sum()
+        value = _objective(gen, pmat, q)
+        gap = value - dual
+        if gap < -VALUE_TOL:
+            raise RuntimeError(f"informativity solver found a negative gap {gap}")
         if gap <= tol:
             break
-        if gap < best_gap * (1.0 - 1e-6):
-            best_gap = gap
-            since_progress = 0
+        if v.sum() > 1.0:
+            lam_hi = lam
         else:
-            since_progress += 1
-            if since_progress > 200:
-                # gap plateau: the requested tolerance sits below what the
-                # coordinate scales can resolve in floating point
-                raise RuntimeError(
-                    f"informativity solver stalled at gap {gap} above tol {tol}"
-                )
-        away_grad = np.where(occupied, grad, -math.inf)
-        away = int(np.argmax(away_grad))
-        if away == target:
-            raise RuntimeError(f"informativity solver stalled at gap {gap}")
-        step = _transfer_line_search(gen, pmat, q, target, away)
-        if step <= 0.0:
-            raise RuntimeError(f"informativity solver stalled at gap {gap}")
-        q[target] += step
-        q[away] -= step
-        if q[away] < 0.0:
-            q[away] = 0.0
-    else:
-        raise RuntimeError(
-            f"informativity solver did not reach gap {tol} in {max_iter} iterations"
-        )
+            lam_lo = lam
+        lam = 0.5 * (lam_lo + lam_hi)
+        if not lam_lo < lam < lam_hi:
+            raise RuntimeError(
+                f"informativity solver's multiplier bracket collapsed at gap "
+                f"{gap} above tol {tol}"
+            )
     full_q = np.zeros(pmat_full.shape[1])
     full_q[support] = q
-    minimizer = DiscreteDistribution(full_q / full_q.sum())
-    value = _objective(gen, pmat, q)
     return InformativityResult(
-        max(value, 0.0), minimizer, "pairwise_frank_wolfe", duality_gap=gap
+        max(value, 0.0),
+        DiscreteDistribution(full_q),
+        "kkt_bisection",
+        duality_gap=max(gap, 0.0),
     )
-
-
-def _transfer_line_search(
-    gen: DivergenceGenerator, pmat: np.ndarray, q: np.ndarray, target: int, away: int
-) -> float:
-    """Exact step for moving mass away -> target, by bisection on the
-    directional derivative (increasing along the segment by convexity)."""
-    budget = float(q[away])
-    p_target = pmat[:, target]
-    p_away = pmat[:, away]
-
-    def dphi(step: float) -> float:
-        gain = _coordinate_slope(gen, p_target, q[target] + step)
-        loss = _coordinate_slope(gen, p_away, budget - step)
-        return gain - loss
-
-    if dphi(0.0) >= 0.0:
-        return 0.0
-    if dphi(budget) <= 0.0:
-        return budget
-    lo, hi = 0.0, budget
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if dphi(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from .distributions import DiscreteDistribution, Ensemble
 from .divergences import (
     DivergenceGenerator,
     _f_scalar,
-    builtin_generator,
     divergence_matrix,
     eval_divergence,
     squared_hellinger,
@@ -215,9 +214,9 @@ def named_bound(family: str, **params) -> BoundReport:
 def named_bound_from_ensemble(family: str, ens: Ensemble, **extra) -> BoundReport:
     """Compute the family's exact ensemble statistic, then the bound.
 
-    Statistics are exact: the KL/chi2/power informativity closed forms, the
-    sorted-breakpoint total-variation informativity, and the average pairwise
-    squared Hellinger distance (diagonal included).
+    Statistics are exact: the KL/chi2/power/reverse-KL informativity closed
+    forms, the sorted-breakpoint total-variation informativity, and the
+    average pairwise squared Hellinger distance (diagonal included).
     """
     from . import informativity as inf_mod
 
@@ -244,7 +243,7 @@ def named_bound_from_ensemble(family: str, ens: Ensemble, **extra) -> BoundRepor
     elif family == "reverse_kl_tv":
         if n != 2:
             raise ValueError("reverse_kl_tv applies to two-member ensembles")
-        res = inf_mod.informativity_numeric(builtin_generator("reverse_kl"), ens)
+        res = inf_mod.informativity_closed_form("reverse_kl", ens)
         report = named_bound("reverse_kl_tv", divergence_sum=2.0 * res.value)
     else:
         raise ValueError(

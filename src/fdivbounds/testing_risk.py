@@ -88,8 +88,8 @@ def minimax_risk(
     solved with HiGHS.  ``tol`` bounds the accepted constraint violation;
     ``max_iter`` caps the solver iterations (non-convergence raises).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be a positive finite number")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
     pmat = ens.pmf_matrix()

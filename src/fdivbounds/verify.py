@@ -431,7 +431,7 @@ def _simplex_grid(s: int, step: float) -> np.ndarray:
 def check_informativity_oracles(
     seed: int, trials: int = 200, grid_stride: int = 5
 ) -> dict:
-    """Closed forms match the iterative solver to 1e-6 (all three standard
+    """Closed forms match the KKT solver to 1e-6 (all three standard
     generators per ensemble) and the grid-search oracle to 2e-3 (one
     generator per ensemble, cycling; every ensemble when grid_stride=1)."""
     rng = np.random.default_rng([seed, 30])

@@ -372,6 +372,53 @@ class TestSubcommands:
         assert code == 1
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["jf", "minimax-risk"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    def test_bad_tol_exit_code(self, files, capsys, command, tol):
+        extra = ["--gen", "chi2"] if command == "jf" else []
+        code = main([command, str(files["ens"]), *extra, "--tol", tol])
+        assert code == 1
+        assert "tol must be a positive finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,finite,bad",
+        [
+            (("bound", "--family", "fano", "--stats"), "N=16,avgKL=1", "N=16,avgKL=nan"),
+            (
+                ("bound", "--family", "implicit", "--gen", "kl", "--stats"),
+                "N=4,sum=1",
+                "N=4,sum=inf",
+            ),
+            (
+                ("entropy-bound", "--kind", "chi2", "--model", "gaussian_ball",
+                 "--params"),
+                "gamma=10,sigma=1,d=2",
+                "gamma=10,sigma=nan,d=2",
+            ),
+            (
+                ("entropy-bound", "--kind", "chi2", "--model", "gaussian_ball",
+                 "--params", "gamma=10,sigma=1,d=2", "--eta-grid"),
+                "0.5,1.0",
+                "0.5,nan",
+            ),
+            (
+                ("entropy-bound", "--kind", "chi2", "--model", "gaussian_ball",
+                 "--params", "gamma=10,sigma=1,d=2", "--eps-grid"),
+                "logspace:0.5:2:4",
+                "logspace:0.5:inf:4",
+            ),
+        ],
+    )
+    def test_non_finite_numbers_exit_code(self, capsys, argv, finite, bad):
+        """NaN or inf in --stats, --params or a grid stops at the parser;
+        NaN once reached stdout as "lower_bound": NaN, which is not JSON."""
+        code, out = run_cli(capsys, *argv, finite)
+        assert code == 0
+        json.loads(out)
+        code = main([*argv, bad])
+        assert code == 1
+        assert "non-finite number" in capsys.readouterr().err
+
     def test_computation_error_exit_code(self, files, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"pmf": [0.5, 0.6]}))

@@ -2,10 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from fdivbounds.distributions import DiscreteDistribution, Ensemble
-from fdivbounds.divergences import builtin_generator, eval_divergence, total_variation
+from fdivbounds.divergences import (
+    GENERATOR_NAMES,
+    DivergenceGenerator,
+    builtin_generator,
+    eval_divergence,
+    total_variation,
+)
 from fdivbounds.informativity import (
     CoveringFamily,
     covering_approx_error,
@@ -26,12 +34,36 @@ SINGULAR_PAIR = Ensemble(
 )
 
 
-def random_ensemble(rng, n_max=4, s_max=4):
+def random_ensemble(rng, n_max=4, s_max=4, sparse=False):
+    """Flat-Dirichlet members; with ``sparse`` every other member is zeroed
+    on a random third of the points."""
     n = int(rng.integers(2, n_max + 1))
     s = int(rng.integers(2, s_max + 1))
-    return Ensemble(
-        members=tuple(DiscreteDistribution(rng.dirichlet(np.ones(s))) for _ in range(n))
-    )
+    pmat = rng.dirichlet(np.ones(s), size=n)
+    if sparse:
+        for i in range(0, n, 2):
+            pmat[i, rng.choice(s, size=max(1, s // 3), replace=False)] = 0.0
+            pmat[i] /= pmat[i].sum()
+    return Ensemble(members=tuple(DiscreteDistribution(r) for r in pmat))
+
+
+#: f(t) = (t - 1)^2 / (t + 1), the triangular discrimination: f'(inf) = 1
+#: is finite, so h(t) = f(t) - t f'(t) tends to -3 and large density ratios
+#: leave only cancellation noise in it
+TRIANGULAR = DivergenceGenerator(
+    name="triangular",
+    f=lambda t: (t - 1.0) ** 2 / (t + 1.0),
+    f_at_zero=1.0,
+    derivative=lambda t: (t - 1.0) * (t + 3.0) / (t + 1.0) ** 2,
+)
+
+#: Jensen-Shannon: f'(inf) = log 2 is finite as well
+JENSEN_SHANNON = DivergenceGenerator(
+    name="jensen_shannon",
+    f=lambda t: t * np.log(t) - (t + 1.0) * np.log((t + 1.0) / 2.0),
+    f_at_zero=math.log(2.0),
+    derivative=lambda t: np.log(2.0 * t / (t + 1.0)),
+)
 
 
 class TestClosedForms:
@@ -50,7 +82,7 @@ class TestClosedForms:
         assert np.allclose(res.minimizer.pmf, [0.5, 0.5])
 
     @pytest.mark.parametrize(
-        "name", ["kl", "chi2", "hellinger_half", "hellinger_sq", "power:3"]
+        "name", ["kl", "chi2", "hellinger_half", "hellinger_sq", "power:3", "reverse_kl"]
     )
     def test_identical_members_give_zero(self, name):
         member = DiscreteDistribution(np.array([0.3, 0.7]))
@@ -62,7 +94,7 @@ class TestClosedForms:
         """The closed-form minimizer's objective value equals the closed-form
         value (consistency of the two formulas)."""
         rng = np.random.default_rng(7)
-        for name in ("kl", "chi2", "hellinger_half", "power:3"):
+        for name in ("kl", "chi2", "hellinger_half", "power:3", "reverse_kl"):
             gen = builtin_generator(name)
             for _ in range(25):
                 ens = random_ensemble(rng)
@@ -80,13 +112,28 @@ class TestClosedForms:
             full = informativity_closed_form("hellinger_sq", ens).value
             assert full == pytest.approx(2.0 * half, abs=1e-12)
 
+    def test_reverse_kl_two_members_is_minus_log_bhattacharyya(self):
+        rng = np.random.default_rng(9)
+        for _ in range(25):
+            p1, p2 = rng.dirichlet(np.ones(6), size=2)
+            ens = Ensemble(members=(DiscreteDistribution(p1), DiscreteDistribution(p2)))
+            res = informativity_closed_form("reverse_kl", ens)
+            bhattacharyya = float(np.sqrt(p1 * p2).sum())
+            assert res.value == pytest.approx(-math.log(bhattacharyya), rel=1e-12)
+
+    def test_reverse_kl_without_common_support_is_infinite(self):
+        res = informativity_closed_form("reverse_kl", SINGULAR_PAIR)
+        assert math.isinf(res.value) and res.minimizer is None
+
     def test_no_closed_form_for_tv(self):
         with pytest.raises(ValueError, match="no closed form"):
             informativity_closed_form("tv", SINGULAR_PAIR)
 
 
 class TestNumericSolver:
-    @pytest.mark.parametrize("name", ["kl", "chi2", "hellinger_half", "power:3"])
+    @pytest.mark.parametrize(
+        "name", ["kl", "chi2", "hellinger_half", "power:3", "reverse_kl", "power:1.5"]
+    )
     def test_matches_closed_forms(self, name):
         rng = np.random.default_rng(10)
         gen = builtin_generator(name)
@@ -96,6 +143,85 @@ class TestNumericSolver:
             res = informativity_numeric(gen, ens, tol=1e-9)
             assert res.value == pytest.approx(closed, abs=1e-6)
             assert res.duality_gap <= 1e-9
+        for t in range(8):
+            ens = random_ensemble(rng, n_max=12, s_max=200, sparse=t % 2 == 1)
+            closed = informativity_closed_form(name, ens).value
+            res = informativity_numeric(gen, ens, tol=1e-9)
+            assert res.value == pytest.approx(closed, rel=1e-12)
+            assert res.duality_gap <= 1e-9
+            assert res.method == "kkt_bisection"
+
+    @pytest.mark.parametrize("gen", [TRIANGULAR, JENSEN_SHANNON], ids=lambda g: g.name)
+    def test_finite_slope_at_infinity_matches_grid_oracle(self, gen):
+        """Generators with finite f'(inf): h is cancellation noise at huge
+        density ratios, which a root bracket reaching far below the member
+        masses would probe."""
+        rng = np.random.default_rng(16)
+        for t in range(12):
+            ens = random_ensemble(rng, n_max=4, s_max=3, sparse=t % 2 == 1)
+            res = informativity_numeric(gen, ens)
+            oracle = grid_informativity(gen, ens, step=1e-3)
+            assert 0.0 <= res.duality_gap <= 1e-8
+            assert res.value - res.duality_gap <= oracle + 1e-12
+            assert res.value == pytest.approx(oracle, abs=2e-3)
+
+    def test_root_below_bracket_floor_keeps_certificate(self):
+        """At the first point the optimal reverse-KL mass is the members'
+        geometric mean, about 7e-151, far below the root bracket's floor of
+        1e-12 times the largest member mass.  That point keeps the floor's
+        mass, and the tangent slack at the floor keeps the dual below the
+        exact value."""
+        ens = Ensemble(
+            members=(
+                DiscreteDistribution(np.array([1e-300, 0.3, 0.3, 0.4])),
+                DiscreteDistribution(np.array([0.5, 0.2, 0.2, 0.1])),
+            )
+        )
+        closed = informativity_closed_form("reverse_kl", ens).value
+        res = informativity_numeric(builtin_generator("reverse_kl"), ens, tol=1e-9)
+        assert res.duality_gap <= 1e-9
+        assert res.value - res.duality_gap <= closed <= res.value
+        assert res.minimizer.pmf[0] == pytest.approx(5e-13, rel=1e-4)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(2, 6).flatmap(
+            lambda n: st.integers(1, 8).flatmap(
+                lambda s: st.lists(
+                    st.lists(
+                        st.floats(0.0, 1.0, allow_subnormal=False),
+                        min_size=s,
+                        max_size=s,
+                    ).filter(lambda w: sum(w) > 0.0),
+                    min_size=n,
+                    max_size=n,
+                )
+            )
+        ),
+        st.sampled_from(
+            [g for g in GENERATOR_NAMES if g not in ("tv", "power:l")]
+            + ["power:3", "power:1.5"]
+        ),
+    )
+    def test_certificate_property(self, weights, name):
+        """The gap is a certificate: 0 <= gap <= tol, and the dual value
+        value - gap never exceeds the exact informativity.  Masses range
+        down to the smallest normal float, with exact zeros; subnormal
+        masses are not drawn."""
+        ens = Ensemble(
+            members=tuple(
+                DiscreteDistribution(np.array(w) / sum(w)) for w in weights
+            )
+        )
+        res = informativity_numeric(builtin_generator(name), ens, tol=1e-8)
+        closed = informativity_closed_form(name, ens).value
+        assert 0.0 <= res.duality_gap <= 1e-8
+        assert res.value - res.duality_gap <= closed + 1e-12
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            informativity_numeric(builtin_generator("chi2"), SINGULAR_PAIR, tol=tol)
 
     def test_identical_members(self):
         member = DiscreteDistribution(np.array([0.3, 0.7]))

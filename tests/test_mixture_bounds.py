@@ -217,6 +217,10 @@ class TestNamedBounds:
             ens = Ensemble(members=(p1, p2))
             rep = named_bound_from_ensemble("reverse_kl_tv", ens)
             assert total_variation(p1, p2) <= rep.lower_bound + 1e-6
+            bhattacharyya = float(np.sqrt(p1.pmf * p2.pmf).sum())
+            assert rep.inputs["divergence_sum"] == pytest.approx(
+                -2.0 * math.log(bhattacharyya), rel=1e-12
+            )
 
 
 class TestTwoPointWitness:

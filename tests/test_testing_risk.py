@@ -104,6 +104,11 @@ class TestMinimaxRisk:
         assert attained == pytest.approx(res.value, abs=1e-12)
         assert res.duality_gap <= 1e-9
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            minimax_risk(TWO_POINT, tol=tol)
+
     def test_identical_members(self):
         ens = ens_of([0.4, 0.6], [0.4, 0.6], [0.4, 0.6])
         assert minimax_risk(ens).value == pytest.approx(2.0 / 3.0, abs=1e-9)
