@@ -342,7 +342,6 @@ def _cmd_covmat_bound(args) -> int:
         p=args.p,
         delta=args.delta,
         delta_report=args.delta_report,
-        seed=args.seed,
     )
     _emit(report.to_json())
     return 0
@@ -373,7 +372,7 @@ def _cmd_cap_packing(args) -> int:
                 [
                     eps,
                     res.n_caps,
-                    res.code.size,
+                    res.code_size,
                     res.log_count,
                     res.cap_dist,
                     res.min_distance,
@@ -498,7 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int)
     sp.add_argument("--delta", type=float)
     sp.add_argument("--delta-report", type=float, default=2.75)
-    sp.add_argument("--seed", type=int, default=seed)
     sp.set_defaults(handler=_cmd_covmat_bound)
 
     sp = sub.add_parser("vg", help="greedy separated binary code")

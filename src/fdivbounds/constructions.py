@@ -1,10 +1,10 @@
 """Combinatorial and geometric constructions behind the applications.
 
-Three independent pieces live here: greedy binary codes with guaranteed size
-and minimum Hamming distance, the off-diagonal-decay covariance family with
-its spectral-separation and KL-vs-Frobenius verifiers plus the full bound
-assembly, and spherical-cap packings of the sphere with the support-function
-distance integral.
+Three independent pieces live here: binary codes (the bounds count them by
+Gilbert-Varshamov; a seeded greedy builder gives witnesses), the
+off-diagonal-decay covariance family with its spectral-separation and
+KL-vs-Frobenius verifiers plus the full bound assembly, and spherical-cap
+packings of the sphere with the support-function distance integral.
 """
 
 from __future__ import annotations
@@ -69,111 +69,85 @@ def verify_code(code: BinaryCode) -> bool:
     return True
 
 
+def _gilbert_varshamov(k: int) -> tuple[int, int]:
+    """(ceil(e^(k/8)), ceil(k/4)): a size and a minimum Hamming distance that
+    some binary code of length k attains; both applications read only these.
+
+    Gilbert's count: add words of {0,1}^k one at a time, each at distance
+    >= r from every word added before.  A word rules out at most
+    V(k, r-1) = sum_{i<r} C(k, i) words, so at least 2^k / V(k, r-1) are
+    added.  For j <= k/2 and lam = j/k, 1 = sum_i C(k,i) lam^i (1-lam)^(k-i)
+    >= V(k, j) lam^j (1-lam)^(k-j), so V(k, j) <= e^(k H(j/k)) with H the
+    entropy in nats, increasing on [0, 1/2].  With r = ceil(k/4),
+    (r-1)/k < 1/4 and, for every k >= 1,
+
+        2^k / V(k, r-1) >= e^((ln 2 - H(1/4)) k) = e^(0.1308 k) > e^(k/8).
+    """
+    if k < 8:
+        raise ValueError("code length must be at least 8")
+    try:
+        size = math.ceil(math.exp(k / 8.0))
+    except OverflowError:
+        raise ValueError(
+            f"code length k={k} puts e^(k/8) past the float range"
+        ) from None
+    return size, math.ceil(k / 4.0)
+
+
 def varshamov_gilbert_code(k: int, seed: int = 0) -> BinaryCode:
     """Greedy code over {0,1}^k: words arrive in seeded-random order and are
     kept when at Hamming distance >= k/4 from everything kept so far; the
     build stops at ceil(exp(k/8)) words.
 
-    Every acceptance re-checks the candidate against all kept words, so the
+    Every acceptance checks the candidate against all kept words, so the
     pairwise property holds by construction; the exact minimum pairwise
-    distance observed during those checks is recorded on the result.  A
-    counting argument guarantees a code of this size exists; if the random
+    distance observed during those checks is recorded on the result.
+    ``_gilbert_varshamov`` shows a code of this size exists; if the random
     order is unlucky within the candidate budget, a retry with a different
-    seed is signalled by RuntimeError.
+    seed is signalled by RuntimeError.  Codes above 2^16 words (k >= 89; the
+    applications never built one past k = 88) are refused with ValueError.
     """
-    if k < 8:
-        raise ValueError("code length must be at least 8")
-    target = math.ceil(math.exp(k / 8.0))
-    needed = k / 4.0
+    target, needed = _gilbert_varshamov(k)
+    if target > 2**16:
+        raise ValueError(
+            f"a code of length k={k} needs {target} words, above the 65536 "
+            "this builder allows"
+        )
     rng = np.random.default_rng(seed)
-    nw = (k + 63) // 64
-    kept_bits = np.zeros((target, k), dtype=np.uint8)
-    kept_packed = np.zeros((target, nw), dtype=np.uint64)
-    count = 0
-    min_dist = k
-    budget = 64 * target + 4096
-    drawn = 0
-    block_size = 4096 if target > 4096 else 1024
+    step = 4096 if target > 4096 else 1024
     if k <= 16:
         order = rng.permutation(1 << k)
-        pool = ((order[:, None] >> np.arange(k)[::-1]) & 1).astype(np.uint8)
-
-        def draw_block():
-            nonlocal drawn
-            block = pool[drawn : drawn + block_size]
-            drawn += block.shape[0]
-            return block if block.shape[0] else None
-
+        blocks = (
+            ((order[start : start + step, None] >> np.arange(k)[::-1]) & 1).astype(np.uint8)
+            for start in range(0, 1 << k, step)
+        )
     else:
-
-        def draw_block():
-            nonlocal drawn
-            size = min(block_size, budget - drawn)
-            if size <= 0:
-                return None
-            drawn += size
-            return rng.integers(0, 2, size=(size, k), dtype=np.uint8)
-
-    # distances via 0/1 float32 matmul: d(u, v) = |u| + |v| - 2 u.v, exact
-    # in float32 for k < 2^24; BLAS keeps the bulk filtering off the heap
-    use_gemm = target > 4096
-    if use_gemm:
-        kept_f32 = np.zeros((target, k), dtype=np.float32)
-        kept_sums = np.zeros(target, dtype=np.float32)
-
-    # block filtering preserves the sequential greedy semantics exactly: a
-    # candidate is accepted iff it clears every word accepted before it,
-    # whether that word predates the block or sits earlier inside it
-    while count < target:
-        block = draw_block()
-        if block is None:
+        # the block sizes cut the seeded stream, so they fix the words drawn
+        budget = 64 * target + 4096
+        blocks = (
+            rng.integers(0, 2, size=(min(step, budget - start), k), dtype=np.uint8)
+            for start in range(0, budget, step)
+        )
+    candidates = (row for block in blocks for row in _pack_rows(block))
+    kept = np.zeros((target, (k + 63) // 64), dtype=np.uint64)
+    count = 0
+    min_dist = k
+    for row in candidates:
+        if count:
+            nearest = int(np.bitwise_count(kept[:count] ^ row).sum(axis=1).min())
+            if nearest < needed:
+                continue
+            min_dist = min(min_dist, nearest)
+        kept[count] = row
+        count += 1
+        if count == target:
             break
-        packed = _pack_rows(block)
-        mins = np.full(block.shape[0], k + 1, dtype=np.int64)
-        if use_gemm and count:
-            b32 = block.astype(np.float32)
-            b_sums = b32.sum(axis=1)
-            for start in range(0, count, 8192):
-                stop = min(start + 8192, count)
-                prod = b32 @ kept_f32[start:stop].T
-                prod *= -2.0
-                prod += kept_sums[None, start:stop]
-                dists = prod.min(axis=1)
-                dists += b_sums
-                np.minimum(mins, dists.astype(np.int64), out=mins)
-        elif count:
-            for start in range(0, count, 4096):
-                sub = kept_packed[start : min(start + 4096, count)]
-                dists = np.bitwise_count(packed[:, None, :] ^ sub[None, :, :]).sum(
-                    axis=2, dtype=np.int64
-                )
-                np.minimum(mins, dists.min(axis=1), out=mins)
-        block_start = count
-        for i in np.nonzero(mins >= needed)[0]:
-            if count >= target:
-                break
-            nearest = int(mins[i])
-            if count > block_start:
-                intra = np.bitwise_count(
-                    kept_packed[block_start:count] ^ packed[i]
-                ).sum(axis=1)
-                nearest = min(nearest, int(intra.min()))
-                if nearest < needed:
-                    continue
-            if count:
-                min_dist = min(min_dist, nearest)
-            kept_bits[count] = block[i]
-            kept_packed[count] = packed[i]
-            if use_gemm:
-                kept_f32[count] = block[i]
-                kept_sums[count] = float(block[i].sum())
-            count += 1
     if count < target:
         raise RuntimeError(
             f"greedy code build found {count} of {target} words within the "
             f"candidate budget; retry with another seed"
         )
-    words = kept_bits[:target].copy()
+    words = np.unpackbits(kept.view(np.uint8), axis=1)[:, :k]
     words.setflags(write=False)
     return BinaryCode(length=k, words=words, min_distance=int(min_dist))
 
@@ -357,14 +331,18 @@ def covariance_minimax_bound(
     off-diagonal decay, assembled end to end.
 
     Chooses k = ceil(4 * delta_report * n^(1/(2 alpha + 1))) and the
-    truncation window k - m = round(n^(1/(2 alpha + 1))), builds the greedy
-    code over {0,1}^k, and combines: the guaranteed spectral separation
-    eta = S_k sqrt(ups_min/k) between code members, the log-count Fano step,
-    and the covering step over the 2^(k-m+1) truncation candidates whose
-    approximation error is dominated by c_u * tail_sum (c_u a uniform
-    quadratic-form constant from the Gershgorin eigenvalue interval, valid
-    for every tau simultaneously).  Every quantity in the chain is exact;
-    nothing is sampled beyond the seeded code order.
+    truncation window k - m = round(n^(1/(2 alpha + 1))), takes a code over
+    {0,1}^k of ceil(e^(k/8)) words at minimum distance ups_min = ceil(k/4),
+    which the Gilbert-Varshamov count guarantees (``_gilbert_varshamov``),
+    and combines: the guaranteed spectral separation eta = S_k sqrt(ups_min/k)
+    between code members, the log-count Fano step, and the covering step over
+    the 2^(k-m+1) truncation candidates whose approximation error is
+    dominated by c_u * tail_sum (c_u a uniform quadratic-form constant from
+    the Gershgorin eigenvalue interval, valid for every tau simultaneously).
+    Every quantity in the chain is exact and nothing is sampled.  ``seed``
+    does nothing: no code is built, and the keyword stays only so that
+    callers that pass it keep working.  A k whose e^(k/8) leaves the float
+    range raises ValueError before the p x p family is allocated.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -376,14 +354,14 @@ def covariance_minimax_bound(
     if k <= km:
         raise ValueError("delta_report too small: truncation window swallows k")
     m = k - km
+    code_size, code_min_distance = _gilbert_varshamov(k)
     if p is None:
         p = 2 * k
     if p < 2 * k:
         raise ValueError(f"p={p} is below 2k={2 * k} for these parameters")
     fam = build_cov_family(p, k, alpha, delta)
-    code = varshamov_gilbert_code(k, seed=seed)
     s_k = fam.harmonic_tail()
-    eta = s_k * math.sqrt(code.min_distance / k)
+    eta = s_k * math.sqrt(code_min_distance / k)
     lam_floor, lam_ceil = fam.gershgorin_interval()
     if lam_floor <= 0:
         raise ValueError(
@@ -395,7 +373,7 @@ def covariance_minimax_bound(
     tail = 2.0 * float((rows**2).sum())
     approx_error = n * c_u * tail
     avg_kl_bound = (km + 1) * math.log(2.0) + approx_error
-    log_count = math.log(code.size)
+    log_count = math.log(code_size)
     rbar = 1.0 - (math.log(2.0) + avg_kl_bound) / log_count
     value = (eta / 2.0) * max(0.0, rbar)
     return BoundReport(
@@ -407,14 +385,13 @@ def covariance_minimax_bound(
             "p": p,
             "delta": fam.delta,
             "delta_report": delta_report,
-            "seed": seed,
         },
         intermediates={
             "k": k,
             "m": m,
             "window": km,
-            "code_size": code.size,
-            "code_min_distance": code.min_distance,
+            "code_size": code_size,
+            "code_min_distance": code_min_distance,
             "harmonic_tail": s_k,
             "eta": eta,
             "lambda_floor": lam_floor,
@@ -574,7 +551,9 @@ def _farthest_point_selection(mesh: np.ndarray, threshold: float) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class SupportPackingResult:
     """A packing of convex bodies obtained by cutting code-selected caps off
-    the unit ball, with its certified size and separation."""
+    the unit ball, with its certified size and separation.  code_size and
+    code_min_distance are those of the Gilbert-Varshamov code over
+    {0,1}^n_caps that indexes the bodies."""
 
     log_count: float
     min_distance: float
@@ -582,7 +561,8 @@ class SupportPackingResult:
     cap_dist: float
     claim_ratio: float
     points: np.ndarray
-    code: BinaryCode
+    code_size: int
+    code_min_distance: int
     geometry: CapGeometry
 
     def to_json(self) -> dict:
@@ -592,8 +572,8 @@ class SupportPackingResult:
             "n_caps": self.n_caps,
             "cap_distance": self.cap_dist,
             "claim_ratio": self.claim_ratio,
-            "code_size": self.code.size,
-            "code_min_distance": self.code.min_distance,
+            "code_size": self.code_size,
+            "code_min_distance": self.code_min_distance,
             "epsilon": self.geometry.epsilon,
         }
 
@@ -607,10 +587,13 @@ def support_packing_bound(
 
         delta_p(body_tau, body_tau')^p = hamming(tau, tau') * cap_dist^p.
 
-    Returns the exact log-size of the code (>= N/8) and the exact minimum
-    pairwise distance (code min distance)^(1/p) * cap_dist.  claim_ratio is
+    The code is one of ceil(e^(N/8)) words at minimum distance ceil(N/4),
+    which the Gilbert-Varshamov count guarantees (``_gilbert_varshamov``);
+    none is built, and ``varshamov_gilbert_code(n_caps, seed)`` gives a
+    witness.  Returns the log-size of that code (>= N/8) and the minimum
+    pairwise distance ceil(N/4)^(1/p) * cap_dist.  claim_ratio is
     cap_dist^p / (eps^p eps^((d-1)/2)), the per-cap distance normalized by
-    its small-epsilon scale.
+    its small-epsilon scale.  seed places the caps.
     """
     points = sphere_packing_points(d, epsilon, seed=seed)
     n_caps = points.shape[0]
@@ -619,18 +602,19 @@ def support_packing_bound(
             f"only {n_caps} caps fit at epsilon={epsilon}; the code layer "
             "needs at least 8"
         )
-    code = varshamov_gilbert_code(n_caps, seed=seed)
+    code_size, code_min_distance = _gilbert_varshamov(n_caps)
     geom = cap_geometry(epsilon, d, p)
     capd = cap_distance(geom)
-    min_distance = code.min_distance ** (1.0 / p) * capd
+    min_distance = code_min_distance ** (1.0 / p) * capd
     ratio = capd**p / (epsilon**p * epsilon ** ((d - 1) / 2.0))
     return SupportPackingResult(
-        log_count=math.log(code.size),
+        log_count=math.log(code_size),
         min_distance=min_distance,
         n_caps=n_caps,
         cap_dist=capd,
         claim_ratio=ratio,
         points=points,
-        code=code,
+        code_size=code_size,
+        code_min_distance=code_min_distance,
         geometry=geom,
     )

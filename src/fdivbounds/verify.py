@@ -739,6 +739,20 @@ def _greedy_packing(pts: np.ndarray, radius: float) -> list:
 # ---------------------------------------------------------------------------
 
 
+def check_gilbert_varshamov_count(seed: int = 0) -> dict:
+    """For every k in 1..400 Gilbert's exact count
+    ceil(2^k / sum_{i<ceil(k/4)} C(k, i)) reaches ceil(e^(k/8)), the code
+    size the estimation bounds read."""
+    del seed
+    short = [
+        k
+        for k in range(1, 401)
+        if -(-(1 << k) // sum(math.comb(k, i) for i in range(math.ceil(k / 4.0))))
+        < math.ceil(math.exp(k / 8.0))
+    ]
+    return _record("gilbert_varshamov_count", not short, k_max=400, short_at=short)
+
+
 def check_code_invariants(seed: int) -> dict:
     ok = True
     details = {}
@@ -831,8 +845,9 @@ def check_support_packing(seed: int) -> dict:
     res = cons.support_packing_bound(2, 1.0, 0.01, seed=seed)
     ok = res.n_caps == 22
     ok = ok and res.log_count >= res.n_caps / 8.0 - 1e-12
-    # additivity: recompute each pairwise distance from per-cap contributions
-    code = res.code
+    # additivity: recompute a witness code's distances from per-cap terms
+    code = cons.varshamov_gilbert_code(res.n_caps, seed=seed)
+    ok = ok and code.size >= res.code_size
     packed_dists = []
     for i in range(code.size):
         for j in range(i + 1, code.size):
@@ -852,7 +867,7 @@ def check_support_packing(seed: int) -> dict:
         "support_packing",
         ok,
         n_caps=res.n_caps,
-        code_size=res.code.size,
+        code_size=res.code_size,
         additivity_error=additivity,
         claim_ratios=[float(r) for r in ratios],
     )
@@ -941,6 +956,7 @@ def _suite_entropy(seed: int, trials=None) -> list:
 
 def _suite_constructions(seed: int, trials=None) -> list:
     return [
+        check_gilbert_varshamov_count(),
         check_code_invariants(seed),
         check_spectral_separation(seed, min(_scaled(trials, 100), 100)),
         check_kl_frobenius(seed, min(_scaled(trials, 60), 100)),

@@ -275,8 +275,9 @@ def test_criterion_10_covariance_pipeline():
 def test_criterion_11_cap_packing_pipeline():
     """d=2, p=1, eps in {0.005, 0.01, 0.02}: the cap distance matches its
     closed form to 1e-9, the sin(beta) floor holds, the packing yields
-    log|W| >= N/8 with exhaustively verified pairwise distances, and the
-    per-cap distance normalized by eps^p eps^((d-1)/2) stays bounded below."""
+    log|W| >= N/8 with pairwise distances verified exhaustively on a witness
+    code, and the per-cap distance normalized by eps^p eps^((d-1)/2) stays
+    bounded below."""
     worst_closed = 0.0
     ratios = []
     ok = True
@@ -288,10 +289,12 @@ def test_criterion_11_cap_packing_pipeline():
         assert math.sin(geom.beta_angle) >= math.sqrt(eps) / (2 * math.sqrt(2)) - 1e-12
         res = cons.support_packing_bound(2, 1.0, eps, seed=0)
         ok = ok and res.log_count >= res.n_caps / 8.0 - 1e-12
-        words = res.code.words
+        code = cons.varshamov_gilbert_code(res.n_caps, seed=0)
+        ok = ok and code.size >= res.code_size
+        words = code.words
         floor = (res.n_caps / 4.0) * capd
-        for i in range(res.code.size):
-            for j in range(i + 1, res.code.size):
+        for i in range(code.size):
+            for j in range(i + 1, code.size):
                 ups = cons.hamming_distance(words[i], words[j])
                 dist = ups * capd  # additivity over disjoint caps, p = 1
                 ok = ok and dist >= floor - 1e-12 and dist >= res.min_distance - 1e-12

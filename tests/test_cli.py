@@ -309,7 +309,7 @@ class TestSubcommands:
 
     def test_covmat_bound(self, capsys):
         code, out = run_cli(
-            capsys, "covmat-bound", "--n", "64", "--alpha", "1", "--seed", "0"
+            capsys, "covmat-bound", "--n", "64", "--alpha", "1"
         )
         assert code == 0
         payload = json.loads(out)
@@ -418,6 +418,21 @@ class TestSubcommands:
         code = main([*argv, bad])
         assert code == 1
         assert "non-finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,k",
+        [
+            (("vg", "--k", "89"), 89),
+            (("vg", "--k", "200"), 200),
+            (("covmat-bound", "--n", "200000000", "--alpha", "1"), 6433),
+        ],
+    )
+    def test_code_size_guards_exit_code(self, capsys, argv, k):
+        """Codes too large to build, or with e^(k/8) past the float range,
+        stop with exit 1 before anything is allocated."""
+        code = main(list(argv))
+        assert code == 1
+        assert f"k={k}" in capsys.readouterr().err
 
     def test_computation_error_exit_code(self, files, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -18,6 +18,7 @@ from fdivbounds.constructions import (
     varshamov_gilbert_code,
     verify_code,
 )
+from fdivbounds import constructions as cons
 
 
 class TestBinaryCodes:
@@ -52,6 +53,13 @@ class TestBinaryCodes:
         with pytest.raises(ValueError):
             varshamov_gilbert_code(7)
 
+    def test_largest_pipeline_length_allowed_longer_refused(self):
+        assert math.ceil(math.exp(88 / 8.0)) <= 2**16
+        with pytest.raises(ValueError, match="k=89"):
+            varshamov_gilbert_code(89)
+        with pytest.raises(ValueError, match="k=200"):
+            varshamov_gilbert_code(200)
+
     def test_exhaustive_distance_check_by_independent_loop(self):
         code = varshamov_gilbert_code(16, seed=3)
         words = code.words
@@ -62,6 +70,24 @@ class TestBinaryCodes:
         )
         assert observed == code.min_distance
         assert observed >= 4
+
+
+class TestGilbertVarshamovCount:
+    def test_exact_count_reaches_size_for_every_length(self):
+        """Gilbert's count ceil(2^k / V(k, ceil(k/4) - 1)), in exact integers,
+        is at least ceil(e^(k/8)) for every k up to 400."""
+        for k in range(1, 401):
+            size = math.ceil(math.exp(k / 8.0))
+            distance = math.ceil(k / 4.0)
+            ball = sum(math.comb(k, i) for i in range(distance))
+            assert -(-(2**k) // ball) >= size, k
+            if k >= 8:
+                assert cons._gilbert_varshamov(k) == (size, distance)
+
+    def test_float_range_guard_names_k(self):
+        assert cons._gilbert_varshamov(5678)[1] == 1420
+        with pytest.raises(ValueError, match="k=5679"):
+            cons._gilbert_varshamov(5679)
 
 
 class TestCovarianceFamily:
@@ -267,6 +293,29 @@ class TestCovarianceBound:
         with pytest.raises(ValueError, match="below 2k"):
             covariance_minimax_bound(64, 1.0, p=10)
 
+    def test_code_past_float_range_refused_before_family(self, monkeypatch):
+        def no_family(*args, **kwargs):
+            raise AssertionError("the dense family was built")
+
+        monkeypatch.setattr(cons, "build_cov_family", no_family)
+        with pytest.raises(ValueError, match="k=6433"):
+            covariance_minimax_bound(n=2 * 10**8, alpha=1.0)
+
+    def test_alpha_half_at_256_is_counted(self):
+        """k = 176 used to need a 588 GiB greedy build (MemoryError)."""
+        rep = covariance_minimax_bound(256, 0.5)
+        inter = rep.intermediates
+        assert inter["k"] == 176
+        assert inter["code_size"] == math.ceil(math.exp(176 / 8.0))
+        assert inter["code_min_distance"] == 44
+        assert math.isfinite(rep.lower_bound) and rep.lower_bound > 0.0
+
+    def test_seed_is_inert(self):
+        a = covariance_minimax_bound(64, 1.0, seed=0).to_json()
+        b = covariance_minimax_bound(64, 1.0, seed=5).to_json()
+        assert a == b
+        assert "seed" not in a["inputs"]
+
     def test_approx_error_dominates_sampled_truncation_kls(self):
         """The uniform quadratic-form bound used for the covering error
         really does dominate exact truncation KLs at the pipeline sizes."""
@@ -384,21 +433,23 @@ class TestSupportPacking:
     def test_reference_case(self):
         res = support_packing_bound(2, 1.0, 0.01, seed=0)
         assert res.n_caps == 22
-        assert res.code.size >= math.ceil(math.exp(22 / 8.0))  # 16
+        assert res.code_size >= math.ceil(math.exp(22 / 8.0))  # 16
         assert res.log_count >= 22 / 8.0
         assert res.min_distance == pytest.approx(
-            res.code.min_distance * res.cap_dist, abs=1e-15
+            res.code_min_distance * res.cap_dist, abs=1e-15
         )
-        assert res.code.min_distance >= 22 / 4.0
+        assert res.code_min_distance >= 22 / 4.0
 
     def test_pairwise_distances_from_additivity(self):
-        """Recompute every pairwise distance from per-cap contributions and
-        check the floor (N/4)^(1/p) * cap_dist."""
+        """Recompute every pairwise distance of a witness code from per-cap
+        contributions and check the floor (N/4)^(1/p) * cap_dist."""
         res = support_packing_bound(2, 1.0, 0.02, seed=0)
-        words = res.code.words
+        code = varshamov_gilbert_code(res.n_caps, seed=0)
+        assert code.size >= res.code_size
+        words = code.words
         floor = (res.n_caps / 4.0) * res.cap_dist
-        for i in range(res.code.size):
-            for j in range(i + 1, res.code.size):
+        for i in range(code.size):
+            for j in range(i + 1, code.size):
                 ups = hamming_distance(words[i], words[j])
                 assert ups > 0  # code words never coincide
                 dist_p = ups * res.cap_dist  # p = 1
@@ -416,3 +467,16 @@ class TestSupportPacking:
         # eps = 0.3 fits only 3 caps on the circle: below the code floor
         with pytest.raises(ValueError, match="at least 8"):
             support_packing_bound(2, 1.0, 0.3, seed=0)
+
+    @pytest.mark.parametrize("eps", [0.005, 0.01])
+    def test_three_dimensional_packings_are_counted(self, eps):
+        """d = 3 at eps = 0.005 used to need a 3.56 TiB greedy build and at
+        eps = 0.01 did not finish within 400 s."""
+        res = support_packing_bound(3, 1.0, eps, seed=0)
+        n = res.n_caps
+        assert res.code_size == math.ceil(math.exp(n / 8.0))
+        assert res.code_min_distance == math.ceil(n / 4.0)
+        assert math.isfinite(res.log_count) and math.isfinite(res.min_distance)
+        assert res.min_distance == pytest.approx(
+            res.code_min_distance * res.cap_dist, rel=1e-15
+        )
