@@ -5,9 +5,9 @@ uniform mixture; chi-squared and the power family minimize at a normalized
 power mean of the densities; Hellinger at the squared sum of root densities;
 reverse KL at the normalized geometric mean).  The objective separates over
 points, so differentiable generators in general are solved through their
-KKT conditions (one scalar equation per point and a bisection on the
-multiplier, certified by the Lagrangian dual), and the total-variation case
-is solved exactly by sorting each point's member masses (a fractional
+KKT conditions (one scalar equation per point and a safeguarded secant on
+the multiplier, certified by the Lagrangian dual), and the total-variation
+case is solved exactly by sorting each point's member masses (a fractional
 knapsack over the breakpoints).  Covering families give upper bounds that
 need no optimization at all.  Every divergence sum is evaluated by
 :func:`.divergences.divergence_matrix`.
@@ -42,6 +42,8 @@ class InformativityResult:
     minimizer: Optional[DiscreteDistribution]
     method: str
     duality_gap: float = 0.0
+    #: outer steps on the multiplier; 0 for closed forms and exact solvers
+    iterations: int = 0
 
     def to_json(self) -> dict:
         return {
@@ -183,16 +185,20 @@ def _objective(gen: DivergenceGenerator, pmat: np.ndarray, q: np.ndarray) -> flo
     return float(divergence_matrix(gen, pmat, q[None]).sum()) / pmat.shape[0]
 
 
-def _h(gen: DivergenceGenerator, t: np.ndarray) -> np.ndarray:
+def _h(
+    gen: DivergenceGenerator, t: np.ndarray, zero: Optional[np.ndarray]
+) -> np.ndarray:
     """h(t) = f(t) - t f'(t), the slope of v -> v f(p/v) at t = p/v.
 
-    h(0) is f(0+), and h is non-increasing in t (h' = -t f'').
+    h(0) is f(0+), and h is non-increasing in t (h' = -t f'').  ``zero``
+    marks the cells where t is 0, or is None when there are none; the
+    solver's ratios p/v vanish exactly where p does, so it computes the
+    mask once per solve.
     """
-    out = np.full(t.shape, gen.f_at_zero)
-    pos = t > 0.0
-    tp = t[pos]
-    out[pos] = gen.f(tp) - tp * gen.derivative(tp)
-    return out
+    if zero is None:
+        return gen.f(t) - t * gen.derivative(t)
+    t = np.where(zero, 1.0, t)
+    return np.where(zero, gen.f_at_zero, gen.f(t) - t * gen.derivative(t))
 
 
 def informativity_numeric(
@@ -206,17 +212,25 @@ def informativity_numeric(
     phi'_x(v) = mean_theta h(p_theta(x)/v) is non-decreasing in v.  Every
     point with mass at the optimum has phi'_x(q_x) = lambda.  Some point
     holds at least 1/S of the mass and none more than 1, so lambda lies in
-    [min_x phi'_x(1/S), min_x phi'_x(1)]; it is bisected on the sign of
-    sum_x v_x(lambda) - 1, where each point's root v_x(lambda) comes from a
-    vectorized bisection in log v over [1e-12 max_theta p_theta(x), 1].
-    The floor keeps density ratios at most 1e12: for a generator with
-    finite f'(inf), h at far larger ratios is cancellation noise.
+    [min_x phi'_x(1/S), min_x phi'_x(1)]; it is found as the root of
+    g(lambda) = sum_x v_x(lambda) - 1, which increases with lambda, where
+    each point's root v_x(lambda) comes from a vectorized bisection in
+    log v over [1e-12 max_theta p_theta(x), 1].  The floor keeps density
+    ratios at most 1e12: for a generator with finite f'(inf), h at far
+    larger ratios is cancellation noise.  Each step on lambda replaces the
+    end of the bracket on its side of the root and keeps its g; once both
+    ends hold one, the next lambda is the regula-falsi point, with the
+    Illinois rule (halve the g kept at one end when the other end moves
+    twice in a row) and the midpoint whenever that point is not strictly
+    inside the bracket.  ``iterations`` counts these steps.
 
     The reference is restricted to the union support of the members (mass
     elsewhere can only increase every term); generators with an infinite
     f(0+) further restrict it to the common support, and the value is +inf
-    when there is none.  ``value`` is the objective at v / sum(v), and
-    ``duality_gap`` is that primal value minus the Lagrangian dual
+    when there is none.  With a single point left, its point mass is the
+    only reference, returned with gap 0 and no step.  ``value`` is the
+    objective at v / sum(v), and ``duality_gap`` is that primal value
+    minus the Lagrangian dual
     lambda + sum_x min_{0 <= v <= 1} [phi_x(v) - lambda v].  Each point's
     minimum is bounded from below by the tangent at the top of its root
     bracket, so the reported gap is never smaller than the true one.  The
@@ -240,16 +254,31 @@ def informativity_numeric(
     else:
         support = np.any(pmat_full > 0.0, axis=0)
     pmat = pmat_full[:, support]
-    s = pmat.shape[1]
+    n, s = pmat.shape
+    full_q = np.zeros(pmat_full.shape[1])
+    if s == 1:  # the only reference left is the point mass: nothing to solve
+        full_q[support] = 1.0
+        value = _objective(gen, pmat, np.ones(1))
+        return InformativityResult(
+            max(value, 0.0), DiscreteDistribution(full_q), "kkt_bisection"
+        )
+    zero = pmat == 0.0
+    zero = zero if zero.any() else None
 
     def slope(v: np.ndarray) -> np.ndarray:
-        return _h(gen, pmat / v).mean(axis=0)
+        return _h(gen, pmat / v, zero).sum(axis=0) / n
 
     log_floor = np.log(np.maximum(1e-12 * pmat.max(axis=0), np.finfo(float).tiny))
     lam_lo = float(slope(np.full(s, 1.0 / s)).min())
     lam_hi = float(slope(np.ones(s)).min())
+    # sum_x v_x(lambda) - 1 at each end of the bracket, once a step has
+    # landed there, and the end the last step replaced
+    g_lo = g_hi = None
+    moved = None
     lam = 0.5 * (lam_lo + lam_hi)
+    iterations = 0
     while True:
+        iterations += 1
         lo, hi = log_floor, np.zeros(s)
         # 40 halvings; the tangent bound's slack is second order in the width
         for _ in range(40):
@@ -268,23 +297,34 @@ def informativity_numeric(
             raise RuntimeError(f"informativity solver found a negative gap {gap}")
         if gap <= tol:
             break
-        if v.sum() > 1.0:
-            lam_hi = lam
+        # a positive g puts lambda above the root; halving the g kept at
+        # the end that stays (Illinois) keeps the secant from stalling there
+        g = float(v.sum()) - 1.0
+        if g > 0.0:
+            if moved == "hi" and g_lo is not None:
+                g_lo *= 0.5
+            lam_hi, g_hi, moved = lam, g, "hi"
         else:
-            lam_lo = lam
+            if moved == "lo" and g_hi is not None:
+                g_hi *= 0.5
+            lam_lo, g_lo, moved = lam, g, "lo"
         lam = 0.5 * (lam_lo + lam_hi)
+        if g_lo is not None and g_hi is not None:
+            secant = (lam_lo * g_hi - lam_hi * g_lo) / (g_hi - g_lo)
+            if lam_lo < secant < lam_hi:
+                lam = secant
         if not lam_lo < lam < lam_hi:
             raise RuntimeError(
                 f"informativity solver's multiplier bracket collapsed at gap "
                 f"{gap} above tol {tol}"
             )
-    full_q = np.zeros(pmat_full.shape[1])
     full_q[support] = q
     return InformativityResult(
         max(value, 0.0),
         DiscreteDistribution(full_q),
         "kkt_bisection",
         duality_gap=max(gap, 0.0),
+        iterations=iterations,
     )
 
 

@@ -96,17 +96,16 @@ def minimax_risk(
     n, s = pmat.shape
     # variables: [w_0..w_{n-1}, t_0..t_{s-1}]
     cost = np.concatenate([np.zeros(n), np.ones(s)])
-    rows, cols, vals = [], [], []
-    r = 0
-    for theta in range(n):
-        for x in range(s):
-            rows.append(r)
-            cols.append(theta)
-            vals.append(pmat[theta, x])
-            rows.append(r)
-            cols.append(n + x)
-            vals.append(-1.0)
-            r += 1
+    # row theta*s + x holds w_theta p_theta(x) - t_x, entered as the
+    # interleaved pairs (w_theta, t_x)
+    r = n * s
+    rows = np.repeat(np.arange(r), 2)
+    cols = np.empty(2 * r, dtype=np.intp)
+    cols[0::2] = np.repeat(np.arange(n), s)
+    cols[1::2] = np.tile(n + np.arange(s), n)
+    vals = np.empty(2 * r)
+    vals[0::2] = pmat.ravel()
+    vals[1::2] = -1.0
     a_ub = coo_matrix((vals, (rows, cols)), shape=(r, n + s))
     a_eq = coo_matrix(
         (np.ones(n), (np.zeros(n, dtype=int), np.arange(n))), shape=(1, n + s)

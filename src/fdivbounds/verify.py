@@ -10,6 +10,7 @@ and the acceptance tests (which raise the trial counts).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -415,17 +416,34 @@ def grid_informativity(gen: DivergenceGenerator, ens: Ensemble, step: float = 1e
     return best
 
 
+@functools.lru_cache(maxsize=16)
 def _simplex_grid(s: int, step: float) -> np.ndarray:
+    """The simplex on s points at spacing step; cached per (s, step), so
+    the array is read-only."""
     ticks = int(round(1.0 / step))
     if s == 2:
         a = np.arange(ticks + 1) / ticks
-        return np.column_stack([a, 1.0 - a])
-    pieces = []
-    for first in range(ticks + 1):
-        rest = _simplex_grid(s - 1, step) * ((ticks - first) / ticks)
-        col = np.full((rest.shape[0], 1), first / ticks)
-        pieces.append(np.hstack([col, rest]))
-    return np.vstack(pieces)
+        grid = np.column_stack([a, 1.0 - a])
+    else:
+        pieces = []
+        for first in range(ticks + 1):
+            rest = _simplex_grid(s - 1, step) * ((ticks - first) / ticks)
+            col = np.full((rest.shape[0], 1), first / ticks)
+            pieces.append(np.hstack([col, rest]))
+        grid = np.vstack(pieces)
+    grid.setflags(write=False)
+    return grid
+
+
+def informativity_oracle_ensembles(seed: int, trials: int):
+    """The seeded ensembles of :func:`check_informativity_oracles`: 2 to 4
+    flat-Dirichlet members on 2 to 4 points."""
+    rng = np.random.default_rng([seed, 30])
+    for _ in range(trials):
+        s = int(rng.integers(2, 5))
+        n = int(rng.integers(2, 5))
+        members = tuple(DiscreteDistribution(rng.dirichlet(np.ones(s))) for _ in range(n))
+        yield Ensemble(members=members)
 
 
 def check_informativity_oracles(
@@ -434,15 +452,10 @@ def check_informativity_oracles(
     """Closed forms match the KKT solver to 1e-6 (all three standard
     generators per ensemble) and the grid-search oracle to 2e-3 (one
     generator per ensemble, cycling; every ensemble when grid_stride=1)."""
-    rng = np.random.default_rng([seed, 30])
     names = ("kl", "chi2", "hellinger_half")
     worst_numeric = 0.0
     worst_grid = 0.0
-    for t in range(trials):
-        s = int(rng.integers(2, 5))
-        n = int(rng.integers(2, 5))
-        members = tuple(DiscreteDistribution(rng.dirichlet(np.ones(s))) for _ in range(n))
-        ens = Ensemble(members=members)
+    for t, ens in enumerate(informativity_oracle_ensembles(seed, trials)):
         closed = {}
         for name in names:
             closed[name] = informativity_closed_form(name, ens).value
