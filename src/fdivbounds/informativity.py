@@ -5,8 +5,8 @@ uniform mixture; chi-squared and the power family minimize at a normalized
 power mean of the densities; Hellinger at the squared sum of root densities;
 reverse KL at the normalized geometric mean).  The objective separates over
 points, so differentiable generators in general are solved through their
-KKT conditions (one scalar equation per point and a safeguarded secant on
-the multiplier, certified by the Lagrangian dual), and the total-variation
+KKT conditions (one scalar equation per point and safeguarded Newton steps
+on the multiplier, certified by the Lagrangian dual), and the total-variation
 case is solved exactly by sorting each point's member masses (a fractional
 knapsack over the breakpoints).  Covering families give upper bounds that
 need no optimization at all.  Every divergence sum is evaluated by
@@ -217,12 +217,19 @@ def informativity_numeric(
     each point's root v_x(lambda) comes from a vectorized bisection in
     log v over [1e-12 max_theta p_theta(x), 1].  The floor keeps density
     ratios at most 1e12: for a generator with finite f'(inf), h at far
-    larger ratios is cancellation noise.  Each step on lambda replaces the
-    end of the bracket on its side of the root and keeps its g; once both
-    ends hold one, the next lambda is the regula-falsi point, with the
-    Illinois rule (halve the g kept at one end when the other end moves
-    twice in a row) and the midpoint whenever that point is not strictly
-    inside the bracket.  ``iterations`` counts these steps.
+    larger ratios is cancellation noise.  The bisection stops once the
+    tangent slack the dual subtracts (below) is at most min(tol/2, 1e-12),
+    or after 40 halvings.  The first lambda is sum_x m_x phi'_x(m_x) at
+    the uniform mixture m (the bracket's midpoint when that is not
+    strictly inside it), the optimality condition evaluated at the KL
+    minimizer, so a KL solve takes one step.  Each later step first
+    replaces the end of the lambda bracket on its side of the root, then
+    takes a Newton step on g, with each dv_x/dlambda estimated from the
+    point's final root bracket as the ratio of its v and slope differences
+    (0 while that bracket still reaches down to the floor, and where the
+    slope at 1 is below lambda, so v_x is clamped at 1); the midpoint is
+    taken whenever the Newton point is not strictly inside the bracket.
+    ``iterations`` counts these steps.
 
     The reference is restricted to the union support of the members (mass
     elsewhere can only increase every term); generators with an infinite
@@ -269,25 +276,42 @@ def informativity_numeric(
         return _h(gen, pmat / v, zero).sum(axis=0) / n
 
     log_floor = np.log(np.maximum(1e-12 * pmat.max(axis=0), np.finfo(float).tiny))
+    top_slope = slope(np.ones(s))
     lam_lo = float(slope(np.full(s, 1.0 / s)).min())
-    lam_hi = float(slope(np.ones(s)).min())
-    # sum_x v_x(lambda) - 1 at each end of the bracket, once a step has
-    # landed there, and the end the last step replaced
-    g_lo = g_hi = None
-    moved = None
-    lam = 0.5 * (lam_lo + lam_hi)
+    lam_hi = float(top_slope.min())
+    # every point with mass has phi'_x(q_x) = lambda at the optimum; averaged
+    # under the uniform mixture (the KL minimizer) that identity is exact
+    # for KL and a first guess otherwise
+    mix = pmat.sum(axis=0)
+    mix /= mix.sum()
+    lam = float(mix @ slope(mix))
+    if not lam_lo < lam < lam_hi:
+        lam = 0.5 * (lam_lo + lam_hi)
+    budget = min(0.5 * tol, VALUE_TOL)
     iterations = 0
     while True:
         iterations += 1
+        # each point's root bracket in log v, with v and the slope at both
+        # ends; until the bottom end moves off the floor it holds v = 0, so
+        # the tangent at the top also covers a root below the floor, and
+        # slope -inf, so the point adds no rate to the Newton step
         lo, hi = log_floor, np.zeros(s)
-        # 40 halvings; the tangent bound's slack is second order in the width
+        v_lo, v = np.zeros(s), np.ones(s)
+        s_lo, s_hi = np.full(s, -math.inf), top_slope
         for _ in range(40):
             mid = 0.5 * (lo + hi)
-            up = slope(np.exp(mid)) >= lam
+            v_mid = np.exp(mid)
+            s_mid = slope(v_mid)
+            up = s_mid >= lam
             lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
-        v = np.exp(hi)
-        width = v - np.where(lo > log_floor, np.exp(lo), 0.0)
-        excess = np.maximum(slope(v) - lam, 0.0) * width
+            v_lo, v = np.where(up, v_lo, v_mid), np.where(up, v_mid, v)
+            s_lo, s_hi = np.where(up, s_lo, s_mid), np.where(up, s_mid, s_hi)
+            # the dual subtracts this tangent slack at the top of each
+            # bracket, which falls with the width squared; halve only
+            # while it can still cost the certificate
+            excess = np.maximum(s_hi - lam, 0.0) * (v - v_lo)
+            if excess.sum() <= budget:
+                break
         phi = v * apply_generator(gen, pmat / v).mean(axis=0)
         dual = lam + float((phi - lam * v - excess).sum())
         q = v / v.sum()
@@ -297,22 +321,18 @@ def informativity_numeric(
             raise RuntimeError(f"informativity solver found a negative gap {gap}")
         if gap <= tol:
             break
-        # a positive g puts lambda above the root; halving the g kept at
-        # the end that stays (Illinois) keeps the secant from stalling there
+        # Newton on g(lambda) = sum_x v_x(lambda) - 1, each dv_x/dlambda
+        # read off the point's final root bracket; a point whose slope at 1
+        # is below lambda is clamped at 1 and does not move
         g = float(v.sum()) - 1.0
         if g > 0.0:
-            if moved == "hi" and g_lo is not None:
-                g_lo *= 0.5
-            lam_hi, g_hi, moved = lam, g, "hi"
+            lam_hi = lam
         else:
-            if moved == "lo" and g_hi is not None:
-                g_hi *= 0.5
-            lam_lo, g_lo, moved = lam, g, "lo"
-        lam = 0.5 * (lam_lo + lam_hi)
-        if g_lo is not None and g_hi is not None:
-            secant = (lam_lo * g_hi - lam_hi * g_lo) / (g_hi - g_lo)
-            if lam_lo < secant < lam_hi:
-                lam = secant
+            lam_lo = lam
+        rate = np.divide(v - v_lo, s_hi - s_lo, out=np.zeros(s), where=s_hi >= lam)
+        dg = float(rate.sum())
+        newton = lam - g / dg if dg > 0.0 else lam
+        lam = newton if lam_lo < newton < lam_hi else 0.5 * (lam_lo + lam_hi)
         if not lam_lo < lam < lam_hi:
             raise RuntimeError(
                 f"informativity solver's multiplier bracket collapsed at gap "

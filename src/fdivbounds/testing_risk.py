@@ -85,8 +85,12 @@ def minimax_risk(
 
         min sum_x t_x  s.t.  t_x >= w_theta p_theta(x),  w in the simplex,
 
-    solved with HiGHS.  ``tol`` bounds the accepted constraint violation;
-    ``max_iter`` caps the solver iterations (non-convergence raises).
+    solved with HiGHS under its own default tolerances.  ``tol`` does not
+    reach HiGHS: it is the most the Bayes risk at the LP's prior may sit
+    below the uniform-prior Bayes risk, which the maximum never does.  A
+    smaller shortfall is replaced by the uniform prior, a larger one
+    raises.  ``max_iter`` caps the solver iterations (non-convergence
+    raises).
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be a positive finite number")
