@@ -7,7 +7,9 @@ counting measure on the finite sample space, so every integral is a finite sum.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -30,6 +32,23 @@ def _as_vector(values, name: str) -> np.ndarray:
     return arr
 
 
+def _plain_masses(arr: np.ndarray, total: float) -> bool:
+    """Whether ``arr``, whose sum is ``total``, is a nonempty 1-d vector of
+    non-negative entries with a finite sum.  One sum and one min decide it,
+    so a valid vector skips the checks that name a fault; any other vector
+    runs them in the order shape, non-finite, negative, sum (a finite vector
+    whose sum overflows reaches the last)."""
+    return arr.ndim == 1 and arr.size > 0 and math.isfinite(total) and arr.min() >= 0.0
+
+
+def stack_pmfs(dists: Sequence["DiscreteDistribution"]) -> np.ndarray:
+    """The mass vectors of ``dists`` stacked as a read-only matrix, one row
+    per distribution."""
+    mat = np.stack([d.pmf for d in dists])
+    mat.setflags(write=False)
+    return mat
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteDistribution:
     """Probability mass vector over a finite sample space."""
@@ -37,10 +56,12 @@ class DiscreteDistribution:
     pmf: np.ndarray
 
     def __post_init__(self):
-        arr = _as_vector(self.pmf, "pmf")
-        if np.any(arr < 0):
-            raise ValueError(f"negative probability entry (min {arr.min()!r})")
+        arr = np.array(self.pmf, dtype=float)
         total = float(arr.sum())
+        if not _plain_masses(arr, total):
+            _as_vector(arr, "pmf")
+            if np.any(arr < 0):
+                raise ValueError(f"negative probability entry (min {arr.min()!r})")
         if abs(total - 1.0) > INPUT_TOL:
             raise ValueError(f"pmf sums to {total!r}, not 1")
         arr.setflags(write=False)
@@ -81,13 +102,17 @@ class Ensemble:
             raise ValueError(f"members have mixed support sizes {sorted(sizes)}")
         object.__setattr__(self, "members", members)
         if self.prior is not None:
-            w = _as_vector(self.prior, "prior")
+            w = np.array(self.prior, dtype=float)
+            total = float(w.sum())
+            plain = _plain_masses(w, total)
+            if not plain:
+                _as_vector(w, "prior")
             if w.size != len(members):
                 raise ValueError("prior length does not match member count")
-            if np.any(w < 0):
+            if not plain and np.any(w < 0):
                 raise ValueError("negative prior entry")
-            if abs(float(w.sum()) - 1.0) > INPUT_TOL:
-                raise ValueError(f"prior sums to {float(w.sum())!r}, not 1")
+            if abs(total - 1.0) > INPUT_TOL:
+                raise ValueError(f"prior sums to {total!r}, not 1")
             w.setflags(write=False)
             object.__setattr__(self, "prior", w)
         if self.labels is not None:
@@ -105,14 +130,27 @@ class Ensemble:
         return self.members[0].support_size
 
     def weights(self) -> np.ndarray:
-        """The prior as an array; uniform when no prior was given."""
-        if self.prior is None:
-            return np.full(self.size, 1.0 / self.size)
-        return self.prior
+        """The prior as an array; uniform when no prior was given.  Cached,
+        read-only."""
+        return self._weights
 
     def pmf_matrix(self) -> np.ndarray:
-        """Member densities stacked as an (N, support_size) matrix."""
-        return np.stack([m.pmf for m in self.members])
+        """Member densities stacked as an (N, support_size) matrix.  Cached,
+        read-only."""
+        return self._pmf_matrix
+
+    # built on first use, not in __post_init__: many ensembles never stack
+    @functools.cached_property
+    def _weights(self) -> np.ndarray:
+        if self.prior is not None:
+            return self.prior
+        w = np.full(self.size, 1.0 / self.size)
+        w.setflags(write=False)
+        return w
+
+    @functools.cached_property
+    def _pmf_matrix(self) -> np.ndarray:
+        return stack_pmfs(self.members)
 
     def to_json(self) -> dict:
         obj: dict = {"members": [m.to_json() for m in self.members]}

@@ -177,14 +177,15 @@ def divergence_matrix(gen: DivergenceGenerator, pmat, qmat) -> np.ndarray:
     q = np.asarray(qmat, dtype=float)[None, :, :]
     if p.shape[2] != q.shape[2]:
         raise ValueError("support size mismatch")
-    p, q = np.broadcast_arrays(p, q)
+    shape = (p.shape[0], q.shape[1], p.shape[2])
     live = q > 0.0
-    pos = live & (p > 0.0)
-    vals = np.zeros(p.shape)
-    vals[pos] = gen.f(p[pos] / q[pos])
-    vals[live & ~pos] = gen.f_at_zero
+    ppos = p > 0.0
+    # f(1) = 0 wherever the ratio is not taken; both conventions overwrite it
+    vals = gen.f(np.divide(p, q, out=np.ones(shape), where=live & ppos))
+    np.copyto(vals, gen.f_at_zero, where=live & ~ppos)
+    np.copyto(vals, 0.0, where=~live)
     total = (q[..., None, :] @ vals[..., :, None])[..., 0, 0]
-    total[np.any(~live & (p > 0.0), axis=2)] = math.inf
+    total[(ppos & ~live).any(axis=2)] = math.inf
     total[(-VALUE_TOL <= total) & (total < 0.0)] = 0.0
     return total
 

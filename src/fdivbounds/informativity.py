@@ -15,13 +15,19 @@ need no optimization at all.  Every divergence sum is evaluated by
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, Ensemble, uniform_mixture
+from .distributions import (
+    DiscreteDistribution,
+    Ensemble,
+    stack_pmfs,
+    uniform_mixture,
+)
 from .divergences import (
     VALUE_TOL,
     DivergenceGenerator,
@@ -81,8 +87,13 @@ class CoveringFamily:
         return len(self.candidates)
 
     def pmf_matrix(self) -> np.ndarray:
-        """Candidate densities stacked as an (M, support_size) matrix."""
-        return np.stack([c.pmf for c in self.candidates])
+        """Candidate densities stacked as an (M, support_size) matrix.
+        Cached, read-only."""
+        return self._pmf_matrix
+
+    @functools.cached_property
+    def _pmf_matrix(self) -> np.ndarray:
+        return stack_pmfs(self.candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +122,11 @@ def informativity_closed_form(gen_name: str, ens: Ensemble) -> InformativityResu
     n = ens.size
     if gen_name == "kl":
         mix = uniform_mixture(ens)
-        value = _objective(builtin_generator("kl"), pmat, mix.pmf)
+        # the mixture dominates every member, but averaging can round a
+        # subnormal mass to 0; such a term p log(p/m) <= p log N is below
+        # the float range, so it is dropped rather than read as q = 0 < p
+        kept = np.where(mix.pmf > 0.0, pmat, 0.0)
+        value = _objective(builtin_generator("kl"), kept, mix.pmf)
         return InformativityResult(value, mix, "closed_form")
     if gen_name == "reverse_kl":
         common = np.all(pmat > 0.0, axis=0)

@@ -378,23 +378,9 @@ def grid_informativity(gen: DivergenceGenerator, ens: Ensemble, step: float = 1e
     is exhaustive at the final resolution."""
     pmat = ens.pmf_matrix()
     s = pmat.shape[1]
-
-    def evaluate(qs: np.ndarray) -> np.ndarray:
-        total = np.zeros(qs.shape[0])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for theta in range(pmat.shape[0]):
-                ratio = np.where(qs > 0, pmat[theta] / np.where(qs > 0, qs, 1.0), np.inf)
-                ratio = np.where((qs == 0) & (pmat[theta] == 0), 0.0, ratio)
-                vals = apply_generator(gen, np.where(np.isfinite(ratio), ratio, 1.0))
-                vals = np.where(np.isfinite(ratio), vals, np.inf)
-                term = np.where((qs == 0) & np.isinf(ratio), np.inf, qs * vals)
-                term = np.where(qs == 0, np.where(np.isinf(ratio), np.inf, 0.0), term)
-                total = total + term.sum(axis=1)
-        return total / pmat.shape[0]
-
     coarse = 0.02 if s <= 4 else 0.05
     grid = _simplex_grid(s, coarse)
-    vals = evaluate(grid)
+    vals = _grid_objective(gen, pmat, grid)
     center = grid[int(np.argmin(vals))]
     best = float(vals.min())
     radius = coarse
@@ -407,13 +393,32 @@ def grid_informativity(gen: DivergenceGenerator, ens: Ensemble, step: float = 1e
         last = 1.0 - mesh.sum(axis=1)
         keep = last >= -1e-12
         qs = np.column_stack([mesh[keep], np.clip(last[keep], 0.0, None)])
-        vals = evaluate(qs)
+        vals = _grid_objective(gen, pmat, qs)
         idx = int(np.argmin(vals))
         if vals[idx] < best:
             best = float(vals[idx])
             center = qs[idx]
         radius /= 4.0
     return best
+
+
+def _grid_objective(gen: DivergenceGenerator, pmat: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """(1/N) sum_theta D_f(P_theta||q) for every row q of ``qs``, evaluated
+    apart from :func:`.divergences.divergence_matrix` so that the oracle is
+    independent of it.  One member at a time, so the temporaries stay at
+    the grid's size."""
+    live = qs > 0
+    denom = np.where(live, qs, 1.0)
+    # where q = 0 a member's term is +inf if it has mass there, else 0
+    dead = np.where(pmat > 0, np.inf, 0.0)
+    total = np.zeros(qs.shape[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for theta in range(pmat.shape[0]):
+            ratio = pmat[theta] / denom
+            vals = np.where(ratio == 0, gen.f_at_zero, gen.f(ratio))
+            term = np.where(live, qs * vals, dead[theta])
+            total = total + term.sum(axis=1)
+    return total / pmat.shape[0]
 
 
 @functools.lru_cache(maxsize=16)

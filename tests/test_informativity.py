@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from fdivbounds import informativity
+from fdivbounds import informativity, verify
 from fdivbounds.distributions import DiscreteDistribution, Ensemble
 from fdivbounds.divergences import (
     GENERATOR_NAMES,
     DivergenceGenerator,
+    apply_generator,
     builtin_generator,
     eval_divergence,
     total_variation,
@@ -129,6 +130,21 @@ class TestClosedForms:
     def test_no_closed_form_for_tv(self):
         with pytest.raises(ValueError, match="no closed form"):
             informativity_closed_form("tv", SINGULAR_PAIR)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_kl_subnormal_mass_stays_finite(self):
+        """The mixture dominates every member, so the KL informativity is
+        finite even where averaging rounds a subnormal mass to 0."""
+        ens = Ensemble(
+            members=(
+                DiscreteDistribution(np.array([0.0, 0.0, 0.0, 1.0, 0.0])),
+                DiscreteDistribution(np.array([0.0, 0.0, 0.0, 1.0, 5e-324])),
+            )
+        )
+        closed = informativity_closed_form("kl", ens).value
+        numeric = informativity_numeric(builtin_generator("kl"), ens, tol=1e-9).value
+        assert math.isfinite(closed)
+        assert closed == pytest.approx(numeric, abs=1e-12)
 
 
 class TestNumericSolver:
@@ -525,3 +541,43 @@ class TestCoveringBounds:
             )
         with pytest.raises(ValueError):
             covering_specialization("kl", 0, 0.0)
+
+
+def _masked_grid_objective(gen, pmat, qs):
+    """The grid oracle's objective in its first, fully masked form: every
+    boundary case (q = 0 with or without mass, p = 0, an infinite ratio)
+    selected by its own mask."""
+    total = np.zeros(qs.shape[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for theta in range(pmat.shape[0]):
+            ratio = np.where(qs > 0, pmat[theta] / np.where(qs > 0, qs, 1.0), np.inf)
+            ratio = np.where((qs == 0) & (pmat[theta] == 0), 0.0, ratio)
+            vals = apply_generator(gen, np.where(np.isfinite(ratio), ratio, 1.0))
+            vals = np.where(np.isfinite(ratio), vals, np.inf)
+            term = np.where((qs == 0) & np.isinf(ratio), np.inf, qs * vals)
+            term = np.where(qs == 0, np.where(np.isinf(ratio), np.inf, 0.0), term)
+            total = total + term.sum(axis=1)
+    return total / pmat.shape[0]
+
+
+class TestGridOracle:
+    @pytest.mark.parametrize("name", ["kl", "chi2", "hellinger_half", "reverse_kl"])
+    def test_bit_equal_to_masked_reference(self, name, monkeypatch):
+        """The oracle's objective and its whole search give the masked
+        form's values bit for bit, on 2-4 x 2-4 ensembles, half of them
+        with zero masses."""
+        gen = builtin_generator(name)
+        rng = np.random.default_rng(11)
+        ensembles = [random_ensemble(rng, sparse=t % 2 == 1) for t in range(8)]
+        found = [grid_informativity(gen, ens, step=1e-3) for ens in ensembles]
+        for ens in ensembles:
+            pmat = ens.pmf_matrix()
+            qs = verify._simplex_grid(pmat.shape[1], 0.02)
+            assert np.array_equal(
+                verify._grid_objective(gen, pmat, qs),
+                _masked_grid_objective(gen, pmat, qs),
+                equal_nan=True,
+            )
+        monkeypatch.setattr(verify, "_grid_objective", _masked_grid_objective)
+        reference = [grid_informativity(gen, ens, step=1e-3) for ens in ensembles]
+        assert [v.hex() for v in found] == [v.hex() for v in reference]
