@@ -8,6 +8,7 @@ absolute-continuity convention).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -27,9 +28,12 @@ _CONVEXITY_GRID = np.linspace(0.0, 16.0, 33)
 class DivergenceGenerator:
     """Convex generator f: [0, inf) -> R with f(1) = 0.
 
-    ``f`` and ``derivative`` must accept numpy arrays of strictly positive
-    floats; the value at 0 is always taken from ``f_at_zero`` so f itself is
-    never evaluated there.
+    ``f``, ``derivative`` and ``h`` must accept numpy arrays of strictly
+    positive floats; the value at 0 is always taken from ``f_at_zero`` so f
+    itself is never evaluated there.  ``h`` is h(t) = f(t) - t f'(t) in
+    closed form, the intercept of the tangent at t that the informativity
+    solver reads; without it the solver derives h from ``f`` and
+    ``derivative``, which overflows where f' does at tiny t.
     """
 
     name: str
@@ -37,6 +41,7 @@ class DivergenceGenerator:
     f_at_zero: float
     derivative: Optional[Callable[[np.ndarray], np.ndarray]] = None
     strictly_convex: bool = True
+    h: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if float(self.f(np.array([1.0]))[0]) != 0.0:
@@ -81,7 +86,10 @@ def _f_scalar(gen: DivergenceGenerator, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=32)
 def _make_power(exponent: float) -> DivergenceGenerator:
+    """The power generator x^l - 1, built and convexity-checked once per
+    exponent; generators are immutable, so every caller shares it."""
     if not exponent > 1.0:
         raise ValueError("power generator needs exponent > 1")
     return DivergenceGenerator(
@@ -89,6 +97,7 @@ def _make_power(exponent: float) -> DivergenceGenerator:
         f=lambda x: x**exponent - 1.0,
         f_at_zero=-1.0,
         derivative=lambda x: exponent * x ** (exponent - 1.0),
+        h=lambda x: (1.0 - exponent) * x**exponent - 1.0,
     )
 
 
@@ -98,24 +107,28 @@ _FIXED_GENERATORS = {
         f=lambda x: x * np.log(x),
         f_at_zero=0.0,
         derivative=lambda x: np.log(x) + 1.0,
+        h=lambda x: -x,
     ),
     "chi2": DivergenceGenerator(
         name="chi2",
         f=lambda x: x**2 - 1.0,
         f_at_zero=-1.0,
         derivative=lambda x: 2.0 * x,
+        h=lambda x: -1.0 - x**2,
     ),
     "hellinger_half": DivergenceGenerator(
         name="hellinger_half",
         f=lambda x: 1.0 - np.sqrt(x),
         f_at_zero=1.0,
         derivative=lambda x: -0.5 / np.sqrt(x),
+        h=lambda x: 1.0 - 0.5 * np.sqrt(x),
     ),
     "hellinger_sq": DivergenceGenerator(
         name="hellinger_sq",
         f=lambda x: (np.sqrt(x) - 1.0) ** 2,
         f_at_zero=1.0,
         derivative=lambda x: 1.0 - 1.0 / np.sqrt(x),
+        h=lambda x: 1.0 - np.sqrt(x),
     ),
     "tv": DivergenceGenerator(
         name="tv",
@@ -129,6 +142,7 @@ _FIXED_GENERATORS = {
         f=lambda x: -np.log(x),
         f_at_zero=math.inf,
         derivative=lambda x: -1.0 / x,
+        h=lambda x: 1.0 - np.log(x),
     ),
 }
 

@@ -121,12 +121,7 @@ def informativity_closed_form(gen_name: str, ens: Ensemble) -> InformativityResu
     pmat = ens.pmf_matrix()
     n = ens.size
     if gen_name == "kl":
-        mix = uniform_mixture(ens)
-        # the mixture dominates every member, but averaging can round a
-        # subnormal mass to 0; such a term p log(p/m) <= p log N is below
-        # the float range, so it is dropped rather than read as q = 0 < p
-        kept = np.where(mix.pmf > 0.0, pmat, 0.0)
-        value = _objective(builtin_generator("kl"), kept, mix.pmf)
+        mix, value = _mean_to_mixture(builtin_generator("kl"), ens)
         return InformativityResult(value, mix, "closed_form")
     if gen_name == "reverse_kl":
         common = np.all(pmat > 0.0, axis=0)
@@ -200,20 +195,42 @@ def _objective(gen: DivergenceGenerator, pmat: np.ndarray, q: np.ndarray) -> flo
     return float(divergence_matrix(gen, pmat, q[None]).sum()) / pmat.shape[0]
 
 
+def _mean_to_mixture(
+    gen: DivergenceGenerator, ens: Ensemble
+) -> tuple[DiscreteDistribution, float]:
+    """The uniform mixture m and (1/N) sum_theta D_f(P_theta||m).
+
+    The mixture dominates every member, but averaging can round a
+    subnormal mass to 0.  With f(0+) finite, the terms m f(p/m) there have
+    p/m <= N, so each is at most m max(|f(0+)|, |f(N)|) with m below the
+    smallest float; they are dropped rather than read as q = 0 < p.  With
+    f(0+) = +inf, some member has no mass at such a point (a mean of
+    positive floats does not round to 0), so its term m f(0+) is +inf, and
+    the masses are kept to say so.
+    """
+    mix = uniform_mixture(ens)
+    pmat = ens.pmf_matrix()
+    if math.isfinite(gen.f_at_zero):
+        pmat = np.where(mix.pmf > 0.0, pmat, 0.0)
+    return mix, _objective(gen, pmat, mix.pmf)
+
+
 def _h(
     gen: DivergenceGenerator, t: np.ndarray, zero: Optional[np.ndarray]
 ) -> np.ndarray:
-    """h(t) = f(t) - t f'(t), the slope of v -> v f(p/v) at t = p/v.
+    """h(t) = f(t) - t f'(t), the slope of v -> v f(p/v) at t = p/v: the
+    generator's closed-form ``h`` when it has one, else derived from f and
+    f'.
 
     h(0) is f(0+), and h is non-increasing in t (h' = -t f'').  ``zero``
     marks the cells where t is 0, or is None when there are none; the
     solver's ratios p/v vanish exactly where p does, so it computes the
     mask once per solve.
     """
-    if zero is None:
-        return gen.f(t) - t * gen.derivative(t)
-    t = np.where(zero, 1.0, t)
-    return np.where(zero, gen.f_at_zero, gen.f(t) - t * gen.derivative(t))
+    if zero is not None:
+        t = np.where(zero, 1.0, t)
+    vals = gen.h(t) if gen.h is not None else gen.f(t) - t * gen.derivative(t)
+    return vals if zero is None else np.where(zero, gen.f_at_zero, vals)
 
 
 def informativity_numeric(
@@ -373,10 +390,11 @@ def simple_upper_chain(
 ) -> tuple[float, float, float]:
     """Three nested upper bounds on the informativity: the mean divergence
     to the uniform mixture, the mean pairwise divergence (diagonal included),
-    and the max pairwise divergence.  +inf entries are legitimate."""
+    and the max pairwise divergence.  +inf entries are legitimate; masses
+    that averaging rounds to 0 are handled as in :func:`_mean_to_mixture`."""
     pmat = ens.pmf_matrix()
     n = ens.size
-    to_mixture = _objective(gen, pmat, uniform_mixture(ens).pmf)
+    _, to_mixture = _mean_to_mixture(gen, ens)
     pairwise = divergence_matrix(gen, pmat, pmat)
     np.fill_diagonal(pairwise, 0.0)
     pair_avg = float(pairwise.sum()) / (n * n)

@@ -75,9 +75,7 @@ class MinimaxResult:
         }
 
 
-def minimax_risk(
-    ens: Ensemble, tol: float = 1e-6, max_iter: int = 10**5
-) -> MinimaxResult:
+def minimax_risk(ens: Ensemble, tol: float = 1e-6) -> MinimaxResult:
     """Maximize the Bayes risk over priors on the simplex.
 
     The objective w -> 1 - sum_x max_theta w_theta p_theta(x) is concave and
@@ -89,13 +87,10 @@ def minimax_risk(
     reach HiGHS: it is the most the Bayes risk at the LP's prior may sit
     below the uniform-prior Bayes risk, which the maximum never does.  A
     smaller shortfall is replaced by the uniform prior, a larger one
-    raises.  ``max_iter`` caps the solver iterations (non-convergence
-    raises).
+    raises, as does a solve that HiGHS does not report as optimal.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be a positive finite number")
-    if max_iter < 1:
-        raise ValueError("max_iter must be positive")
     pmat = ens.pmf_matrix()
     n, s = pmat.shape
     # variables: [w_0..w_{n-1}, t_0..t_{s-1}]
@@ -123,7 +118,6 @@ def minimax_risk(
         b_eq=np.array([1.0]),
         bounds=bounds,
         method="highs",
-        options={"maxiter": max_iter},
     )
     if res.status != 0:
         raise RuntimeError(f"prior maximization failed to converge: {res.message}")

@@ -19,6 +19,7 @@ from fdivbounds.constructions import (
     verify_code,
 )
 from fdivbounds import constructions as cons
+from fdivbounds import verify
 
 
 class TestBinaryCodes:
@@ -83,6 +84,13 @@ class TestGilbertVarshamovCount:
             assert -(-(2**k) // ball) >= size, k
             if k >= 8:
                 assert cons._gilbert_varshamov(k) == (size, distance)
+
+    def test_pascal_prefix_sums_match_comb(self):
+        sums = verify._binomial_prefix_sums(400)
+        assert sums == [
+            sum(math.comb(k, i) for i in range(math.ceil(k / 4.0)))
+            for k in range(1, 401)
+        ]
 
     def test_float_range_guard_names_k(self):
         assert cons._gilbert_varshamov(5678)[1] == 1420

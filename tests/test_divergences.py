@@ -43,6 +43,30 @@ class TestGeneratorCatalog:
         with pytest.raises(ValueError):
             builtin_generator("power:1")
 
+    def test_power_generators_are_built_once(self):
+        gen = builtin_generator("power:3")
+        assert builtin_generator("power:3.0") is gen
+        assert default_generators()[-1] is gen
+        for _ in range(2):  # a failed build is not cached
+            with pytest.raises(ValueError, match="exponent > 1"):
+                builtin_generator("power:0.5")
+
+    @pytest.mark.parametrize(
+        "name",
+        ["kl", "chi2", "hellinger_half", "hellinger_sq", "reverse_kl", "power:3", "power:1.5"],
+    )
+    def test_closed_form_h_matches_derived(self, name):
+        """h(t) = f(t) - t f'(t), and at t = 0+ it tends to f(0+)."""
+        gen = builtin_generator(name)
+        t = np.geomspace(1e-6, 1e3, 91)
+        derived = gen.f(t) - t * gen.derivative(t)
+        assert np.allclose(gen.h(t), derived, rtol=1e-12, atol=1e-9)
+        near_zero = float(gen.h(np.array([1e-300]))[0])
+        if math.isinf(gen.f_at_zero):
+            assert near_zero > 600.0
+        else:
+            assert near_zero == pytest.approx(gen.f_at_zero, abs=1e-12)
+
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown generator"):
             builtin_generator("renyi")

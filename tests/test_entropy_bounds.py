@@ -25,6 +25,7 @@ from fdivbounds.informativity import (
     informativity_closed_form,
 )
 from fdivbounds.testing_risk import bayes_risk_exact
+from fdivbounds import verify
 from fdivbounds.verify import check_rate_contrast, check_ball_volumetrics
 
 
@@ -558,3 +559,19 @@ class TestSoundnessChain:
     def test_ball_volumetrics(self):
         result = check_ball_volumetrics()
         assert result["pass"], result
+
+    @pytest.mark.parametrize("radius", [0.15, 0.2, 0.3, 0.5])
+    def test_windowed_greedy_matches_naive(self, radius):
+        """The lattice-window greedy packing picks the centers of the greedy
+        that tests every remaining point, in the same order."""
+        ax = np.arange(-1.0, 1.01, 0.02)
+        xx, yy = np.meshgrid(ax, ax)
+        pts = np.column_stack([xx.ravel(), yy.ravel()])
+        pts = pts[(pts**2).sum(axis=1) <= 1.0]
+        naive = []
+        while pts.shape[0]:
+            naive.append(tuple(pts[0]))
+            pts = pts[((pts - pts[0]) ** 2).sum(axis=1) >= radius**2]
+        inside = ax[None, :] ** 2 + ax[:, None] ** 2 <= 1.0
+        windowed = verify._greedy_packing(ax, inside, radius)
+        assert [(ax[j], ax[i]) for i, j in windowed] == naive

@@ -218,6 +218,22 @@ class TestNumericSolver:
         assert res.duality_gap == 0.0 and res.iterations == 0
         assert res.value == pytest.approx(closed, rel=1e-12, abs=1e-15)
 
+    def test_reverse_kl_subnormal_mass_matches_closed_form(self):
+        """The derived h = f - t f' is +inf for reverse KL at a subnormal
+        ratio (f' = -1/t overflows) and the multiplier bracket used to
+        collapse at gap inf here; the closed-form h = 1 - log t is finite."""
+        ens = Ensemble(
+            members=(
+                DiscreteDistribution(np.array([5e-324, 0.5, 0.5])),
+                DiscreteDistribution(np.array([0.3, 0.3, 0.4])),
+            )
+        )
+        res = informativity_numeric(builtin_generator("reverse_kl"), ens, tol=1e-9)
+        closed = informativity_closed_form("reverse_kl", ens).value
+        assert closed == pytest.approx(0.1809, abs=1e-4)
+        assert res.value == pytest.approx(closed, abs=1e-6)
+        assert res.duality_gap <= 1e-9
+
     def test_multiplier_steps_on_oracle_instances(self, monkeypatch):
         """Newton steps on the multiplier from the uniform-mixture start,
         with each point's root bracket halved only while its tangent slack
@@ -416,6 +432,23 @@ class TestSimpleUpperChain:
         assert chain[0] == pytest.approx(math.log(2.0), abs=1e-14)
         assert math.isinf(chain[1]) and math.isinf(chain[2])
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_subnormal_mass_rounded_out_of_the_mixture(self):
+        """Averaging rounds the subnormal mass to 0; the to-mixture entry
+        drops it as the KL closed form does, where it used to read +inf.
+        Reverse KL keeps it: the first member has no mass there, so its
+        divergence to the (exact) mixture is +inf."""
+        ens = Ensemble(
+            members=(
+                DiscreteDistribution(np.array([0.0, 0.0, 0.0, 1.0, 0.0])),
+                DiscreteDistribution(np.array([0.0, 0.0, 0.0, 1.0, 5e-324])),
+            )
+        )
+        chain = simple_upper_chain(builtin_generator("kl"), ens)
+        assert chain[0] == informativity_closed_form("kl", ens).value == 0.0
+        assert math.isinf(chain[1]) and math.isinf(chain[2])
+        assert math.isinf(simple_upper_chain(builtin_generator("reverse_kl"), ens)[0])
+
     def test_chain_is_nested_and_dominates_value(self):
         rng = np.random.default_rng(12)
         for _ in range(60):
@@ -581,3 +614,33 @@ class TestGridOracle:
         monkeypatch.setattr(verify, "_grid_objective", _masked_grid_objective)
         reference = [grid_informativity(gen, ens, step=1e-3) for ens in ensembles]
         assert [v.hex() for v in found] == [v.hex() for v in reference]
+
+    @pytest.mark.parametrize("name", ["kl", "chi2", "hellinger_half", "reverse_kl"])
+    def test_coarse_sweep_bit_equal_to_masked_reference(self, name):
+        """The separable coarse sweep gives the masked form's values over
+        the whole grid bit for bit, so the same +inf cells and the same
+        argmin: 2-4 points at spacing 0.02, half the ensembles with zero
+        masses, and one 5-point ensemble at 0.05."""
+        gen = builtin_generator(name)
+        rng = np.random.default_rng(23)
+        cases = [(random_ensemble(rng, sparse=t % 2 == 1), 0.02) for t in range(6)]
+        five = rng.dirichlet(np.ones(5), size=2)
+        five[0, 1] = 0.0
+        five[0] /= five[0].sum()
+        cases.append((Ensemble(members=tuple(DiscreteDistribution(r) for r in five)), 0.05))
+        for ens, step in cases:
+            pmat = ens.pmf_matrix()
+            reference = _masked_grid_objective(
+                gen, pmat, verify._simplex_grid(pmat.shape[1], step)
+            )
+            swept = verify._coarse_objective(gen, pmat, step)
+            assert np.array_equal(swept.view(np.int64), reference.view(np.int64))
+
+
+def test_one_dirichlet_call_draws_the_same_members():
+    """One size-n Dirichlet draw yields the rows that n single draws
+    would, so the verify reports do not change with the batching."""
+    batched = verify._draw_members(np.random.default_rng([3, 30]), 4, 5)
+    single = np.random.default_rng([3, 30])
+    for member in batched:
+        assert np.array_equal(member.pmf, single.dirichlet(np.ones(5)))
