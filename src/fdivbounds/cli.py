@@ -83,11 +83,8 @@ def _default_seed() -> int:
     return int(os.environ.get(SEED_ENV_VAR, "0"))
 
 
-def _emit(obj, fmt: str = "json") -> None:
-    if fmt == "json":
-        print(json.dumps(_jsonable(obj), sort_keys=True, indent=2))
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+def _emit(obj) -> None:
+    print(json.dumps(_jsonable(obj), sort_keys=True, indent=2))
 
 
 def _emit_csv(header: list[str], rows: list[list]) -> None:

@@ -10,14 +10,17 @@ packings of the sphere with the support-function distance integral.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
 from scipy import integrate, linalg, special
 
 from .report import BoundReport
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 # ---------------------------------------------------------------------------
 # Binary codes
@@ -69,9 +72,10 @@ def verify_code(code: BinaryCode) -> bool:
     return True
 
 
-def _gilbert_varshamov(k: int) -> tuple[int, int]:
-    """(ceil(e^(k/8)), ceil(k/4)): a size and a minimum Hamming distance that
-    some binary code of length k attains; both applications read only these.
+def _gilbert_varshamov(k: int) -> tuple[float, int]:
+    """(log ceil(e^(k/8)), ceil(k/4)): the log-size and the minimum Hamming
+    distance of a binary code of length k that Gilbert's count guarantees;
+    both applications read only these.
 
     Gilbert's count: add words of {0,1}^k one at a time, each at distance
     >= r from every word added before.  A word rules out at most
@@ -82,16 +86,20 @@ def _gilbert_varshamov(k: int) -> tuple[int, int]:
     (r-1)/k < 1/4 and, for every k >= 1,
 
         2^k / V(k, r-1) >= e^((ln 2 - H(1/4)) k) = e^(0.1308 k) > e^(k/8).
+
+    The log is that of the exact ceiling where e^(k/8) is a float (k <= 5678)
+    and k/8 past that, where the two differ by less than e^(-k/8) < 1e-300.
     """
     if k < 8:
         raise ValueError("code length must be at least 8")
-    try:
-        size = math.ceil(math.exp(k / 8.0))
-    except OverflowError:
-        raise ValueError(
-            f"code length k={k} puts e^(k/8) past the float range"
-        ) from None
-    return size, math.ceil(k / 4.0)
+    size = _code_size(k)
+    return (k / 8.0 if size is None else math.log(size)), math.ceil(k / 4.0)
+
+
+def _code_size(k: int) -> Optional[int]:
+    """ceil(e^(k/8)), the Gilbert-Varshamov code size, or None where e^(k/8)
+    is past the float range."""
+    return math.ceil(math.exp(k / 8.0)) if k / 8.0 <= _LOG_FLOAT_MAX else None
 
 
 def varshamov_gilbert_code(k: int, seed: int = 0) -> BinaryCode:
@@ -107,12 +115,13 @@ def varshamov_gilbert_code(k: int, seed: int = 0) -> BinaryCode:
     seed is signalled by RuntimeError.  Codes above 2^16 words (k >= 89; the
     applications never built one past k = 88) are refused with ValueError.
     """
-    target, needed = _gilbert_varshamov(k)
-    if target > 2**16:
+    log_target, needed = _gilbert_varshamov(k)
+    if log_target > 16.0 * math.log(2.0):
         raise ValueError(
-            f"a code of length k={k} needs {target} words, above the 65536 "
-            "this builder allows"
+            f"a code of length k={k} needs ceil(e^(k/8)) words, above the "
+            "65536 this builder allows"
         )
+    target = _code_size(k)
     rng = np.random.default_rng(seed)
     step = 4096 if target > 4096 else 1024
     if k <= 16:
@@ -170,14 +179,26 @@ def default_delta(alpha: float) -> int:
 @dataclass(frozen=True, eq=False)
 class CovarianceFamily:
     """Base matrix with unit diagonal and off-diagonal decay
-    1/(delta |i-j|^(alpha+1)), partitioned at k; tau in {0,1}^k scales the
-    rows of the off-diagonal block."""
+    d(g) = 1/(delta g^(alpha+1)) at gap g = |i-j|, partitioned at k; tau in
+    {0,1}^k scales the rows of the off-diagonal block.  The scalars the bound
+    reads are O(p) sums over d; the dense ``base`` is built on first use."""
 
     p: int
     k: int
     alpha: float
     delta: float
-    base: np.ndarray
+
+    def _decay(self, gaps: np.ndarray) -> np.ndarray:
+        return 1.0 / (self.delta * gaps ** (self.alpha + 1.0))
+
+    @cached_property
+    def base(self) -> np.ndarray:
+        idx = np.arange(self.p)
+        with np.errstate(divide="ignore"):
+            base = self._decay(np.abs(idx[:, None] - idx[None, :]).astype(float))
+        np.fill_diagonal(base, 1.0)
+        base.setflags(write=False)
+        return base
 
     def materialize(self, tau) -> np.ndarray:
         tau = np.asarray(tau, dtype=float)
@@ -196,16 +217,30 @@ class CovarianceFamily:
         return float((i ** -(self.alpha + 1.0)).sum() / self.delta)
 
     def gershgorin_interval(self) -> tuple[float, float]:
-        """Eigenvalue interval valid for every tau in [0,1]^k."""
-        radius = float(
-            np.abs(self.base - np.eye(self.p)).sum(axis=1).max()
-        )
+        """Eigenvalue interval valid for every tau in [0,1]^k: 1 -+ the
+        largest off-diagonal row sum, where row i's is c[i] + c[p-1-i] with
+        c the prefix sums of the decay."""
+        c = np.concatenate(([0.0], np.cumsum(self._decay(np.arange(1.0, self.p)))))
+        radius = float((c + c[::-1]).max())
         return 1.0 - radius, 1.0 + radius
+
+    def frobenius_tail(self, m: int) -> float:
+        """2 sum_{r < m-1} sum_{k <= j < p} base[r, j]^2, as
+        2 sum_g count(g) d(g)^2 over the gaps g = j - r, with count(g) the
+        number of such (r, j) pairs; a sum of positive terms, so nothing
+        cancels."""
+        gaps = np.arange(self.k - m + 2, self.p)
+        count = np.minimum(m - 2, self.p - 1 - gaps) - np.maximum(0, self.k - gaps) + 1
+        weights = np.clip(count, 0, None).astype(float)
+        return 2.0 * float(weights @ self._decay(gaps.astype(float)) ** 2)
 
 
 def build_cov_family(
     p: int, k: int, alpha: float, delta: Optional[float] = None
 ) -> CovarianceFamily:
+    """The family of order p split at k (delta defaults to default_delta).
+    A positive Gershgorin floor certifies all 2^k members positive definite
+    at once; a family without one raises ValueError."""
     if delta is None:
         delta = float(default_delta(alpha))
     if 2 * k > p:
@@ -214,19 +249,14 @@ def build_cov_family(
         raise ValueError("need k >= 1 and alpha > 0")
     if delta < 1.0:
         raise ValueError("delta below 1 puts the family outside the decay class")
-    idx = np.arange(p)
-    gaps = np.abs(idx[:, None] - idx[None, :]).astype(float)
-    with np.errstate(divide="ignore"):
-        base = 1.0 / (delta * gaps ** (alpha + 1.0))
-    np.fill_diagonal(base, 1.0)
-    try:
-        np.linalg.cholesky(base)
-    except np.linalg.LinAlgError as exc:
+    fam = CovarianceFamily(p=p, k=k, alpha=alpha, delta=float(delta))
+    floor, _ = fam.gershgorin_interval()
+    if floor <= 0.0:
         raise ValueError(
-            f"base matrix is not positive definite; increase delta ({delta})"
-        ) from exc
-    base.setflags(write=False)
-    return CovarianceFamily(p=p, k=k, alpha=alpha, delta=float(delta), base=base)
+            f"Gershgorin floor {floor:.6g} is not positive, so the family is "
+            f"not certified positive definite; increase delta ({delta})"
+        )
+    return fam
 
 
 def spectral_separation(fam: CovarianceFamily, tau, tau_prime) -> tuple[float, float]:
@@ -296,7 +326,8 @@ def kl_frobenius_check(fam: CovarianceFamily, tau, m: int) -> KlFrobeniusReport:
     """Compare the exact single-sample KL between A(tau) and its truncation
     tau' (coordinates below the 1-based index m zeroed out) against the exact
     squared Frobenius distance and the tail sum
-    2 sum_{r<m} sum_{j<=p-k} a_{r,k+j}^2 that dominates it.
+    2 sum_{r<m} sum_{j<=p-k} a_{r,k+j}^2 that dominates it
+    (``CovarianceFamily.frobenius_tail``).
 
     The reported c_spec certifies exact_kl <= c_spec * frobenius_sq via a
     quadratic-form bound computed from the extreme eigenvalues; no claim
@@ -310,8 +341,7 @@ def kl_frobenius_check(fam: CovarianceFamily, tau, m: int) -> KlFrobeniusReport:
     a0 = fam.materialize(tau)
     a1 = fam.materialize(tau_prime)
     frob_sq = float(((a0 - a1) ** 2).sum())
-    rows = fam.base[: m - 1, fam.k :]
-    tail = 2.0 * float((rows**2).sum())
+    tail = fam.frobenius_tail(m)
     if np.array_equal(tau, tau_prime):
         return KlFrobeniusReport(0.0, 0.0, tail, 0.0)
     exact = gaussian_kl(a0, a1, n=1)
@@ -333,16 +363,18 @@ def covariance_minimax_bound(
     Chooses k = ceil(4 * delta_report * n^(1/(2 alpha + 1))) and the
     truncation window k - m = round(n^(1/(2 alpha + 1))), takes a code over
     {0,1}^k of ceil(e^(k/8)) words at minimum distance ups_min = ceil(k/4),
-    which the Gilbert-Varshamov count guarantees (``_gilbert_varshamov``),
-    and combines: the guaranteed spectral separation eta = S_k sqrt(ups_min/k)
-    between code members, the log-count Fano step, and the covering step over
-    the 2^(k-m+1) truncation candidates whose approximation error is
-    dominated by c_u * tail_sum (c_u a uniform quadratic-form constant from
-    the Gershgorin eigenvalue interval, valid for every tau simultaneously).
-    Every quantity in the chain is exact and nothing is sampled.  ``seed``
-    does nothing: no code is built, and the keyword stays only so that
-    callers that pass it keep working.  A k whose e^(k/8) leaves the float
-    range raises ValueError before the p x p family is allocated.
+    which the Gilbert-Varshamov count guarantees (``_gilbert_varshamov``;
+    only its log is read), and combines: the guaranteed spectral separation
+    eta = S_k sqrt(ups_min/k) between code members, the log-count Fano step,
+    and the covering step over the 2^(k-m+1) truncation candidates whose
+    approximation error is dominated by c_u * tail_sum (c_u a uniform
+    quadratic-form constant from the Gershgorin eigenvalue interval, valid
+    for every tau simultaneously).  Every quantity in the chain is exact,
+    nothing is sampled, and each is an O(p) closed form of the family, so no
+    p x p array is allocated at any n.  ``code_size`` is None past k = 5678,
+    where e^(k/8) leaves the float range.  ``seed`` does nothing: no code is
+    built, and the keyword stays only so that callers that pass it keep
+    working.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -354,7 +386,7 @@ def covariance_minimax_bound(
     if k <= km:
         raise ValueError("delta_report too small: truncation window swallows k")
     m = k - km
-    code_size, code_min_distance = _gilbert_varshamov(k)
+    log_code_size, code_min_distance = _gilbert_varshamov(k)
     if p is None:
         p = 2 * k
     if p < 2 * k:
@@ -363,18 +395,11 @@ def covariance_minimax_bound(
     s_k = fam.harmonic_tail()
     eta = s_k * math.sqrt(code_min_distance / k)
     lam_floor, lam_ceil = fam.gershgorin_interval()
-    if lam_floor <= 0:
-        raise ValueError(
-            "Gershgorin floor is nonpositive; increase delta so the uniform "
-            "eigenvalue interval stays away from zero"
-        )
     c_u = 1.0 / (2.0 * lam_floor**2 * min(1.0, lam_floor / lam_ceil))
-    rows = fam.base[: m - 1, fam.k :]
-    tail = 2.0 * float((rows**2).sum())
+    tail = fam.frobenius_tail(m)
     approx_error = n * c_u * tail
     avg_kl_bound = (km + 1) * math.log(2.0) + approx_error
-    log_count = math.log(code_size)
-    rbar = 1.0 - (math.log(2.0) + avg_kl_bound) / log_count
+    rbar = 1.0 - (math.log(2.0) + avg_kl_bound) / log_code_size
     value = (eta / 2.0) * max(0.0, rbar)
     return BoundReport(
         family="covariance_spectral",
@@ -390,7 +415,8 @@ def covariance_minimax_bound(
             "k": k,
             "m": m,
             "window": km,
-            "code_size": code_size,
+            "code_size": _code_size(k),
+            "log_code_size": log_code_size,
             "code_min_distance": code_min_distance,
             "harmonic_tail": s_k,
             "eta": eta,
@@ -553,7 +579,8 @@ class SupportPackingResult:
     """A packing of convex bodies obtained by cutting code-selected caps off
     the unit ball, with its certified size and separation.  code_size and
     code_min_distance are those of the Gilbert-Varshamov code over
-    {0,1}^n_caps that indexes the bodies."""
+    {0,1}^n_caps that indexes the bodies; code_size is None where e^(n_caps/8)
+    is past the float range, and log_count is its log."""
 
     log_count: float
     min_distance: float
@@ -561,7 +588,7 @@ class SupportPackingResult:
     cap_dist: float
     claim_ratio: float
     points: np.ndarray
-    code_size: int
+    code_size: Optional[int]
     code_min_distance: int
     geometry: CapGeometry
 
@@ -602,19 +629,19 @@ def support_packing_bound(
             f"only {n_caps} caps fit at epsilon={epsilon}; the code layer "
             "needs at least 8"
         )
-    code_size, code_min_distance = _gilbert_varshamov(n_caps)
+    log_count, code_min_distance = _gilbert_varshamov(n_caps)
     geom = cap_geometry(epsilon, d, p)
     capd = cap_distance(geom)
     min_distance = code_min_distance ** (1.0 / p) * capd
     ratio = capd**p / (epsilon**p * epsilon ** ((d - 1) / 2.0))
     return SupportPackingResult(
-        log_count=math.log(code_size),
+        log_count=log_count,
         min_distance=min_distance,
         n_caps=n_caps,
         cap_dist=capd,
         claim_ratio=ratio,
         points=points,
-        code_size=code_size,
+        code_size=_code_size(n_caps),
         code_min_distance=code_min_distance,
         geometry=geom,
     )

@@ -24,13 +24,6 @@ import numpy as np
 from .report import BoundReport
 
 ENTROPY_KINDS = ("kl", "chi2", "power_l")
-PROFILE_MODELS = (
-    "gaussian_1d",
-    "uniform_scale",
-    "uniform_shift",
-    "gaussian_ball",
-    "support_function",
-)
 
 
 @dataclass(frozen=True)
@@ -410,6 +403,72 @@ def _pull_constants(params: dict, needed: tuple[str, ...]) -> tuple[dict, tuple]
     return values, tuple(defaulted)
 
 
+def _one_dim(c: dict, covering: Callable[[float], float]) -> tuple:
+    """Packing c1/eta on (0, min(eta0, c1)] and validity eps <= eps0, shared
+    by the three one-dimensional models."""
+    c1, eps0 = c["c1"], c["eps0"]
+    return (lambda eta: c1 / eta), min(c["eta0"], c1), covering, (lambda eps: eps <= eps0)
+
+
+def _gaussian_1d(c: dict, kind: str) -> tuple:
+    c2, n = c["c2"], c["n"]
+    if kind == "kl":
+        return _one_dim(c, lambda eps: c2 * math.sqrt(n) / eps)
+    return _one_dim(c, lambda eps: c2 * math.sqrt(n) / math.sqrt(math.log1p(eps**2)))
+
+
+def _uniform_scale(c: dict, kind: str) -> tuple:
+    c3, n = c["c3"], c["n"]
+    return _one_dim(c, lambda eps: c3 * n / math.log1p(eps**2))
+
+
+def _uniform_shift(c: dict, kind: str) -> tuple:
+    c2, n = c["c2"], c["n"]
+    return _one_dim(c, lambda eps: c2 / ((1.0 + eps**2) ** (1.0 / n) - 1.0))
+
+
+def _gaussian_ball(c: dict, kind: str) -> tuple:
+    gamma, sigma, d = c["gamma"], c["sigma"], c["d"]
+    if gamma <= 0 or sigma <= 0 or d < 1:
+        raise ValueError("gaussian_ball needs gamma > 0, sigma > 0, d >= 1")
+    return (
+        lambda eta: (gamma / eta) ** d,
+        gamma,
+        lambda eps: (3.0 * gamma / (sigma * math.sqrt(math.log1p(eps**2)))) ** d,
+        lambda eps: sigma * math.sqrt(math.log1p(eps**2)) <= gamma,
+    )
+
+
+def _support_function(c: dict, kind: str) -> tuple:
+    cp, cpp = c["c_prime"], c["c_dprime"]
+    gamma, sigma, eps0, n = c["gamma"], c["sigma"], c["eps0"], c["n"]
+    half = (c["d"] - 1.0) / 2.0
+    return (
+        lambda eta: math.exp(cp * (gamma / eta) ** half),
+        c["eta0"],
+        lambda eps: math.exp(
+            cpp * (gamma * math.sqrt(n) / (sigma * math.sqrt(math.log1p(eps**2)))) ** half
+        ),
+        lambda eps: math.log1p(eps**2) <= n * eps0**2 / sigma**2,
+    )
+
+
+# model -> (its constants in report order, the kinds it supports, a builder
+# of (packing, eta_max, covering, covering_valid) from the constants and kind)
+_PROFILE_SPECS = {
+    "gaussian_1d": (("c1", "c2", "eta0", "eps0", "n"), ("kl", "chi2"), _gaussian_1d),
+    "uniform_scale": (("c1", "c3", "eta0", "eps0", "n"), ("chi2",), _uniform_scale),
+    "uniform_shift": (("c1", "c2", "eta0", "eps0", "n"), ("chi2",), _uniform_shift),
+    "gaussian_ball": (("gamma", "sigma", "d"), ("chi2",), _gaussian_ball),
+    "support_function": (
+        ("c_prime", "c_dprime", "gamma", "sigma", "eta0", "eps0", "n", "d"),
+        ("chi2",),
+        _support_function,
+    ),
+}
+PROFILE_MODELS = tuple(_PROFILE_SPECS)
+
+
 def builtin_profile(model: str, kind: str = "chi2", **params) -> EntropyProfile:
     """Entropy profiles for the analytic models.
 
@@ -429,115 +488,27 @@ def builtin_profile(model: str, kind: str = "chi2", **params) -> EntropyProfile:
     Constants the analysis leaves unnamed default to 1.0 and are recorded in
     ``defaulted`` so reports can flag them.
     """
-    if model == "gaussian_1d":
-        consts, defaulted = _pull_constants(params, ("c1", "c2", "eta0", "eps0", "n"))
-        c1, c2, eta0, eps0, n = (
-            consts["c1"],
-            consts["c2"],
-            consts["eta0"],
-            consts["eps0"],
-            consts["n"],
+    if model not in _PROFILE_SPECS:
+        raise ValueError(f"unknown profile model {model!r}; choose from {PROFILE_MODELS}")
+    needed, kinds, build = _PROFILE_SPECS[model]
+    consts, defaulted = _pull_constants(params, needed)
+    # built before the kind test: a model's own value checks come first
+    packing, eta_max, covering, valid = build(consts, kind)
+    if kind not in kinds:
+        raise ValueError(
+            f"{model} profile is chi2-kind"
+            if kinds == ("chi2",)
+            else f"{model} profiles exist for {' and '.join(kinds)} kinds"
         )
-        if kind == "kl":
-            covering = lambda eps: c2 * math.sqrt(n) / eps
-        elif kind == "chi2":
-            covering = lambda eps: c2 * math.sqrt(n) / math.sqrt(math.log1p(eps**2))
-        else:
-            raise ValueError("gaussian_1d profiles exist for kl and chi2 kinds")
-        return EntropyProfile(
-            packing_lower=lambda eta: c1 / eta,
-            eta_max=min(eta0, c1),
-            covering_upper=covering,
-            covering_valid=lambda eps: eps <= eps0,
-            kind=kind,
-            constants={"model": model, **consts},
-            defaulted=defaulted,
-        )
-    if model == "uniform_scale":
-        consts, defaulted = _pull_constants(params, ("c1", "c3", "eta0", "eps0", "n"))
-        c1, c3, eta0, eps0, n = (
-            consts["c1"],
-            consts["c3"],
-            consts["eta0"],
-            consts["eps0"],
-            consts["n"],
-        )
-        if kind != "chi2":
-            raise ValueError("uniform_scale profile is chi2-kind")
-        return EntropyProfile(
-            packing_lower=lambda eta: c1 / eta,
-            eta_max=min(eta0, c1),
-            covering_upper=lambda eps: c3 * n / math.log1p(eps**2),
-            covering_valid=lambda eps: eps <= eps0,
-            kind="chi2",
-            constants={"model": model, **consts},
-            defaulted=defaulted,
-        )
-    if model == "uniform_shift":
-        consts, defaulted = _pull_constants(params, ("c1", "c2", "eta0", "eps0", "n"))
-        c1, c2, eta0, eps0, n = (
-            consts["c1"],
-            consts["c2"],
-            consts["eta0"],
-            consts["eps0"],
-            consts["n"],
-        )
-        if kind != "chi2":
-            raise ValueError("uniform_shift profile is chi2-kind")
-        return EntropyProfile(
-            packing_lower=lambda eta: c1 / eta,
-            eta_max=min(eta0, c1),
-            covering_upper=lambda eps: c2 / ((1.0 + eps**2) ** (1.0 / n) - 1.0),
-            covering_valid=lambda eps: eps <= eps0,
-            kind="chi2",
-            constants={"model": model, **consts},
-            defaulted=defaulted,
-        )
-    if model == "gaussian_ball":
-        consts, defaulted = _pull_constants(params, ("gamma", "sigma", "d"))
-        gamma, sigma, d = consts["gamma"], consts["sigma"], consts["d"]
-        if gamma <= 0 or sigma <= 0 or d < 1:
-            raise ValueError("gaussian_ball needs gamma > 0, sigma > 0, d >= 1")
-        if kind != "chi2":
-            raise ValueError("gaussian_ball profile is chi2-kind")
-        return EntropyProfile(
-            packing_lower=lambda eta: (gamma / eta) ** d,
-            eta_max=gamma,
-            covering_upper=lambda eps: (
-                3.0 * gamma / (sigma * math.sqrt(math.log1p(eps**2)))
-            )
-            ** d,
-            covering_valid=lambda eps: sigma * math.sqrt(math.log1p(eps**2))
-            <= gamma,
-            kind="chi2",
-            constants={"model": model, **consts},
-            defaulted=defaulted,
-        )
-    if model == "support_function":
-        consts, defaulted = _pull_constants(
-            params, ("c_prime", "c_dprime", "gamma", "sigma", "eta0", "eps0", "n", "d")
-        )
-        cp, cpp = consts["c_prime"], consts["c_dprime"]
-        gamma, sigma = consts["gamma"], consts["sigma"]
-        eta0, eps0, n, d = consts["eta0"], consts["eps0"], consts["n"], consts["d"]
-        if kind != "chi2":
-            raise ValueError("support_function profile is chi2-kind")
-        half = (d - 1.0) / 2.0
-        return EntropyProfile(
-            packing_lower=lambda eta: math.exp(cp * (gamma / eta) ** half),
-            eta_max=eta0,
-            covering_upper=lambda eps: math.exp(
-                cpp
-                * (gamma * math.sqrt(n) / (sigma * math.sqrt(math.log1p(eps**2))))
-                ** half
-            ),
-            covering_valid=lambda eps: math.log1p(eps**2)
-            <= n * eps0**2 / sigma**2,
-            kind="chi2",
-            constants={"model": model, **consts},
-            defaulted=defaulted,
-        )
-    raise ValueError(f"unknown profile model {model!r}; choose from {PROFILE_MODELS}")
+    return EntropyProfile(
+        packing_lower=packing,
+        eta_max=eta_max,
+        covering_upper=covering,
+        covering_valid=valid,
+        kind=kind,
+        constants={"model": model, **consts},
+        defaulted=defaulted,
+    )
 
 
 def profile_from_table(

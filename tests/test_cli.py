@@ -424,15 +424,24 @@ class TestSubcommands:
         [
             (("vg", "--k", "89"), 89),
             (("vg", "--k", "200"), 200),
-            (("covmat-bound", "--n", "200000000", "--alpha", "1"), 6433),
         ],
     )
     def test_code_size_guards_exit_code(self, capsys, argv, k):
-        """Codes too large to build, or with e^(k/8) past the float range,
-        stop with exit 1 before anything is allocated."""
+        """Codes too large to build stop with exit 1 before anything is
+        allocated."""
         code = main(list(argv))
         assert code == 1
         assert f"k={k}" in capsys.readouterr().err
+
+    def test_covmat_bound_past_float_range_runs(self, capsys):
+        """e^(k/8) past the float range no longer stops covmat-bound: the
+        bound reads the log count and code_size is null."""
+        code, out = run_cli(capsys, "covmat-bound", "--n", "200000000", "--alpha", "1")
+        assert code == 0
+        inter = json.loads(out)["intermediates"]
+        assert inter["k"] == 6433
+        assert inter["code_size"] is None
+        assert inter["log_code_size"] == 6433 / 8.0
 
     def test_computation_error_exit_code(self, files, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -83,7 +84,7 @@ class TestGilbertVarshamovCount:
             ball = sum(math.comb(k, i) for i in range(distance))
             assert -(-(2**k) // ball) >= size, k
             if k >= 8:
-                assert cons._gilbert_varshamov(k) == (size, distance)
+                assert cons._gilbert_varshamov(k) == (math.log(size), distance)
 
     def test_pascal_prefix_sums_match_comb(self):
         sums = verify._binomial_prefix_sums(400)
@@ -92,10 +93,18 @@ class TestGilbertVarshamovCount:
             for k in range(1, 401)
         ]
 
-    def test_float_range_guard_names_k(self):
-        assert cons._gilbert_varshamov(5678)[1] == 1420
-        with pytest.raises(ValueError, match="k=5679"):
-            cons._gilbert_varshamov(5679)
+    def test_log_size_continues_past_float_range(self):
+        """The log of ceil(e^(k/8)) is exact while e^(k/8) is a float and
+        k/8 past it, so no length is refused for the float range."""
+        assert cons._gilbert_varshamov(5678) == (
+            math.log(math.ceil(math.exp(5678 / 8.0))),
+            1420,
+        )
+        assert cons._gilbert_varshamov(5678)[0] == pytest.approx(5678 / 8.0, rel=1e-15)
+        assert cons._gilbert_varshamov(5679) == (5679 / 8.0, 1420)
+        assert cons._gilbert_varshamov(110_000) == (13_750.0, 27_500)
+        assert cons._code_size(5678) == math.ceil(math.exp(5678 / 8.0))
+        assert cons._code_size(5679) is None
 
 
 class TestCovarianceFamily:
@@ -124,6 +133,42 @@ class TestCovarianceFamily:
             build_cov_family(8, 4, 0.1, 1.0)
         with pytest.raises(ValueError, match="decay class"):
             build_cov_family(8, 4, 1.0, 0.5)
+
+    @pytest.mark.parametrize(
+        "k,alpha", [(k, 0.3) for k in range(3, 7)] + [(k, 0.5) for k in range(3, 6)]
+    )
+    def test_indefinite_members_refused(self, k, alpha):
+        """delta = 1.5 leaves some of the 2^k members indefinite although the
+        tau = 1 member is positive definite; the Gershgorin floor refuses the
+        family."""
+        unchecked = cons.CovarianceFamily(p=2 * k, k=k, alpha=alpha, delta=1.5)
+        np.linalg.cholesky(unchecked.base)
+        smallest = min(
+            np.linalg.eigvalsh(unchecked.materialize(np.array(tau))).min()
+            for tau in itertools.product((0.0, 1.0), repeat=k)
+        )
+        assert smallest < 0.0
+        with pytest.raises(ValueError, match="positive definite"):
+            build_cov_family(2 * k, k, alpha, 1.5)
+
+    def test_nonpositive_floor_refused_even_when_members_are_definite(self):
+        """alpha = 1, delta = 2: every member of this family is positive
+        definite, but the floor does not certify it, so it is refused."""
+        unchecked = cons.CovarianceFamily(p=8, k=4, alpha=1.0, delta=2.0)
+        assert unchecked.gershgorin_interval()[0] <= 0.0
+        for tau in itertools.product((0.0, 1.0), repeat=4):
+            assert np.linalg.eigvalsh(unchecked.materialize(np.array(tau))).min() > 0.0
+        with pytest.raises(ValueError, match="positive definite"):
+            build_cov_family(8, 4, 1.0, 2.0)
+
+    @pytest.mark.parametrize("p,k,alpha", [(6, 3, 0.5), (9, 4, 1.0), (10, 5, 2.0)])
+    def test_every_member_inside_gershgorin_interval(self, p, k, alpha):
+        fam = build_cov_family(p, k, alpha)
+        floor, ceil = fam.gershgorin_interval()
+        assert floor > 0.0
+        for tau in itertools.product((0.0, 1.0), repeat=k):
+            evals = np.linalg.eigvalsh(fam.materialize(np.array(tau)))
+            assert floor - 1e-12 <= evals.min() and evals.max() <= ceil + 1e-12
 
     def test_default_delta_is_exact(self):
         import mpmath
@@ -267,6 +312,12 @@ class TestKlFrobenius:
             rep = kl_frobenius_check(fam, tau, m)
             assert rep.frobenius_sq <= rep.tail_bound + 1e-12
             assert rep.exact_kl <= rep.c_spec * rep.frobenius_sq + 1e-12
+            dense_tail = 2.0 * float((fam.base[: m - 1, k:] ** 2).sum())
+            assert fam.frobenius_tail(m) == pytest.approx(dense_tail, rel=1e-14, abs=0)
+            radius = float(np.abs(fam.base - np.eye(p)).sum(axis=1).max())
+            assert fam.gershgorin_interval() == pytest.approx(
+                (1.0 - radius, 1.0 + radius), rel=1e-14, abs=0
+            )
 
     def test_tail_decay_bounded(self):
         fam = build_cov_family(24, 8, 1.0)
@@ -301,13 +352,41 @@ class TestCovarianceBound:
         with pytest.raises(ValueError, match="below 2k"):
             covariance_minimax_bound(64, 1.0, p=10)
 
-    def test_code_past_float_range_refused_before_family(self, monkeypatch):
-        def no_family(*args, **kwargs):
-            raise AssertionError("the dense family was built")
+    def test_code_past_float_range_is_counted_in_logs(self):
+        """k = 6433 puts e^(k/8) past the float range: the bound reads the
+        log count, and code_size is None."""
+        rep = covariance_minimax_bound(n=2 * 10**8, alpha=1.0)
+        inter = rep.intermediates
+        assert inter["k"] == 6433
+        assert inter["code_size"] is None
+        assert inter["log_code_size"] == 6433 / 8.0
+        assert math.isfinite(rep.lower_bound) and rep.lower_bound > 0.0
+        assert not rep.vacuous
 
-        monkeypatch.setattr(cons, "build_cov_family", no_family)
-        with pytest.raises(ValueError, match="k=6433"):
-            covariance_minimax_bound(n=2 * 10**8, alpha=1.0)
+    def test_bound_allocates_no_dense_family(self, monkeypatch):
+        def no_base(self):
+            raise AssertionError("the dense p x p base was built")
+
+        monkeypatch.setattr(cons.CovarianceFamily, "base", property(no_base))
+        rep = covariance_minimax_bound(n=10**12, alpha=1.0)
+        assert rep.intermediates["k"] == 110_000
+        assert rep.intermediates["log_code_size"] == 13_750.0
+        assert math.isfinite(rep.lower_bound) and rep.lower_bound > 0.0
+
+    @pytest.mark.parametrize(
+        "alpha,band", [(1.0, (6.0e-4, 6.9e-4)), (2.0, (6.4e-5, 8.6e-5))]
+    )
+    def test_paper_rate_out_to_1e12(self, alpha, band):
+        """bound * n^(alpha/(2 alpha + 1)) stays in a fixed band from n = 1e4
+        to 1e12: the bound keeps the n^(-alpha/(2 alpha + 1)) rate."""
+        scaled = [
+            covariance_minimax_bound(10**e, alpha).lower_bound
+            * 10 ** (e * alpha / (2.0 * alpha + 1.0))
+            for e in (4, 6, 8, 10, 12)
+        ]
+        assert all(band[0] <= v <= band[1] for v in scaled), scaled
+        if alpha == 1.0:
+            assert scaled == sorted(scaled)
 
     def test_alpha_half_at_256_is_counted(self):
         """k = 176 used to need a 588 GiB greedy build (MemoryError)."""
@@ -315,6 +394,7 @@ class TestCovarianceBound:
         inter = rep.intermediates
         assert inter["k"] == 176
         assert inter["code_size"] == math.ceil(math.exp(176 / 8.0))
+        assert inter["log_code_size"] == math.log(inter["code_size"])
         assert inter["code_min_distance"] == 44
         assert math.isfinite(rep.lower_bound) and rep.lower_bound > 0.0
 
