@@ -102,18 +102,65 @@ def _code_size(k: int) -> Optional[int]:
     return math.ceil(math.exp(k / 8.0)) if k / 8.0 <= _LOG_FLOAT_MAX else None
 
 
+#: candidate-kept pairs compared per step of the block filter; each pair
+#: costs 9 bytes of temporaries, so a step holds about 20 MB
+_PAIRS_PER_STEP = 1 << 21
+
+#: most candidates filtered at once; the block's own pairs cost _BLOCK^2
+_BLOCK = 256
+
+
+def _candidate_blocks(k: int, seed: int, target: int):
+    """The seeded candidate stream of :func:`varshamov_gilbert_code`, as
+    packed blocks: every word of {0,1}^k in random order for k <= 16, else
+    up to 64 * target + 4096 random words."""
+    rng = np.random.default_rng(seed)
+    step = 4096 if target > 4096 else 1024
+    if k <= 16:
+        order = rng.permutation(1 << k)
+        for start in range(0, 1 << k, step):
+            bits = (order[start : start + step, None] >> np.arange(k)[::-1]) & 1
+            yield _pack_rows(bits.astype(np.uint8))
+    else:
+        # the block sizes cut the seeded stream, so they fix the words drawn
+        budget = 64 * target + 4096
+        for start in range(0, budget, step):
+            size = min(step, budget - start)
+            yield _pack_rows(rng.integers(0, 2, size=(size, k), dtype=np.uint8))
+
+
+def _distances(rows: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Hamming distances between packed rows, (len(rows), len(others)) as
+    uint8 (the builder's lengths stay below 256)."""
+    dist = np.bitwise_count(rows[:, None, 0] ^ others[None, :, 0])
+    for w in range(1, rows.shape[1]):
+        dist += np.bitwise_count(rows[:, None, w] ^ others[None, :, w])
+    return dist
+
+
+def _nearest(rows: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Each row's least Hamming distance to any of ``kept``, compared
+    against a slice of ``kept`` at a time to bound the temporaries."""
+    chunk = max(1, _PAIRS_PER_STEP // len(rows))
+    return np.minimum.reduce(
+        [_distances(rows, kept[s : s + chunk]).min(axis=1) for s in range(0, len(kept), chunk)]
+    )
+
+
 def varshamov_gilbert_code(k: int, seed: int = 0) -> BinaryCode:
     """Greedy code over {0,1}^k: words arrive in seeded-random order and are
     kept when at Hamming distance >= k/4 from everything kept so far; the
     build stops at ceil(exp(k/8)) words.
 
-    Every acceptance checks the candidate against all kept words, so the
-    pairwise property holds by construction; the exact minimum pairwise
-    distance observed during those checks is recorded on the result.
-    ``_gilbert_varshamov`` shows a code of this size exists; if the random
-    order is unlucky within the candidate budget, a retry with a different
-    seed is signalled by RuntimeError.  Codes above 2^16 words (k >= 89; the
-    applications never built one past k = 88) are refused with ValueError.
+    Candidates are filtered a block at a time: first against every word kept
+    before the block, then the block's survivors against each other in
+    arrival order, so the words are those of the one-at-a-time build.  The
+    pairwise property holds by construction, and the exact minimum pairwise
+    distance is recorded on the result.  ``_gilbert_varshamov`` shows a code
+    of this size exists; if the random order is unlucky within the candidate
+    budget, a retry with a different seed is signalled by RuntimeError.
+    Codes above 2^16 words (k >= 89; the applications never built one past
+    k = 88) are refused with ValueError.
     """
     log_target, needed = _gilbert_varshamov(k)
     if log_target > 16.0 * math.log(2.0):
@@ -122,33 +169,36 @@ def varshamov_gilbert_code(k: int, seed: int = 0) -> BinaryCode:
             "65536 this builder allows"
         )
     target = _code_size(k)
-    rng = np.random.default_rng(seed)
-    step = 4096 if target > 4096 else 1024
-    if k <= 16:
-        order = rng.permutation(1 << k)
-        blocks = (
-            ((order[start : start + step, None] >> np.arange(k)[::-1]) & 1).astype(np.uint8)
-            for start in range(0, 1 << k, step)
-        )
-    else:
-        # the block sizes cut the seeded stream, so they fix the words drawn
-        budget = 64 * target + 4096
-        blocks = (
-            rng.integers(0, 2, size=(min(step, budget - start), k), dtype=np.uint8)
-            for start in range(0, budget, step)
-        )
-    candidates = (row for block in blocks for row in _pack_rows(block))
     kept = np.zeros((target, (k + 63) // 64), dtype=np.uint64)
     count = 0
     min_dist = k
-    for row in candidates:
-        if count:
-            nearest = int(np.bitwise_count(kept[:count] ^ row).sum(axis=1).min())
-            if nearest < needed:
+    for block in _candidate_blocks(k, seed, target):
+        start = 0
+        while start < len(block) and count < target:
+            # about as many candidates as words still wanted: few are refused
+            rows = block[start : start + min(max(target - count, 32), _BLOCK)]
+            start += len(rows)
+            near = _nearest(rows, kept[:count]) if count else np.full(len(rows), k)
+            alive = near >= needed
+            rows, near = rows[alive], near[alive]
+            dist = _distances(rows, rows)
+            np.fill_diagonal(dist, k)
+            close = dist < needed
+            # only a row with a close partner that arrived before it can be
+            # refused, and only once the build still wants words at that row
+            first = close.argmax(axis=1)
+            accept = np.ones(len(rows), dtype=bool)
+            wanted = target - count
+            for i in np.flatnonzero(close.any(axis=1) & (first < np.arange(len(rows)))):
+                if i - np.count_nonzero(~accept[:i]) >= wanted:
+                    break
+                accept[i] = not np.any(close[i, :i] & accept[:i])
+            take = np.flatnonzero(accept)[:wanted]
+            if take.size == 0:
                 continue
-            min_dist = min(min_dist, nearest)
-        kept[count] = row
-        count += 1
+            min_dist = min(min_dist, int(near[take].min()), int(dist[np.ix_(take, take)].min()))
+            kept[count : count + take.size] = rows[take]
+            count += take.size
         if count == target:
             break
     if count < target:

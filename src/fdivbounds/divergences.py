@@ -186,21 +186,34 @@ def divergence_matrix(gen: DivergenceGenerator, pmat, qmat) -> np.ndarray:
     p = 0 with q > 0 contributes q * f(0+).  Tiny negative totals
     (floating-point Jensen slack) are clamped to 0.  Each pair is reduced by
     one dot product of the q row with its row of f-values.
+
+    When every mass in both arguments is positive no convention applies, so
+    the masks are skipped and every ratio is taken.  On both paths the
+    ratios are written into a fresh C-ordered N x M x S array and the q rows
+    are read C-ordered, so the reduction adds in one order whatever the
+    layout of ``pmat`` and ``qmat`` (a column slice, a Fortran-ordered or a
+    transposed array): the result is bit for bit that of contiguous copies.
     """
     p = np.asarray(pmat, dtype=float)[:, None, :]
-    q = np.asarray(qmat, dtype=float)[None, :, :]
+    q = np.ascontiguousarray(qmat, dtype=float)[None, :, :]
     if p.shape[2] != q.shape[2]:
         raise ValueError("support size mismatch")
     shape = (p.shape[0], q.shape[1], p.shape[2])
-    live = q > 0.0
-    ppos = p > 0.0
-    # f(1) = 0 wherever the ratio is not taken; both conventions overwrite it
-    vals = gen.f(np.divide(p, q, out=np.ones(shape), where=live & ppos))
-    np.copyto(vals, gen.f_at_zero, where=live & ~ppos)
-    np.copyto(vals, 0.0, where=~live)
+    positive = p.size > 0 and q.size > 0 and q.min() > 0.0 and p.min() > 0.0
+    if positive:
+        vals = gen.f(np.divide(p, q, out=np.empty(shape)))
+    else:
+        live = q > 0.0
+        ppos = p > 0.0
+        # f(1) = 0 wherever the ratio is not taken; both conventions overwrite it
+        vals = gen.f(np.divide(p, q, out=np.ones(shape), where=live & ppos))
+        np.copyto(vals, gen.f_at_zero, where=live & ~ppos)
+        np.copyto(vals, 0.0, where=~live)
     total = (q[..., None, :] @ vals[..., :, None])[..., 0, 0]
-    total[(ppos & ~live).any(axis=2)] = math.inf
-    total[(-VALUE_TOL <= total) & (total < 0.0)] = 0.0
+    if not positive:
+        total[(ppos & ~live).any(axis=2)] = math.inf
+    if total.size and not total.min() >= 0.0:  # a NaN total also lands here
+        total[(-VALUE_TOL <= total) & (total < 0.0)] = 0.0
     return total
 
 

@@ -210,7 +210,7 @@ def _mean_to_mixture(
     """
     mix = uniform_mixture(ens)
     pmat = ens.pmf_matrix()
-    if math.isfinite(gen.f_at_zero):
+    if math.isfinite(gen.f_at_zero) and mix.pmf.min() == 0.0:
         pmat = np.where(mix.pmf > 0.0, pmat, 0.0)
     return mix, _objective(gen, pmat, mix.pmf)
 

@@ -39,6 +39,15 @@ _BISECT_TOL = 1e-10
 NAMED_FAMILIES = ("fano", "chi2", "hellinger", "tv", "power_l", "reverse_kl_tv")
 
 
+def _not_nan(name: str, value) -> float:
+    """``value`` as a float; a NaN statistic is refused by name, where a
+    +inf one stays the documented vacuous case."""
+    value = float(value)
+    if math.isnan(value):
+        raise ValueError(f"{name} is NaN")
+    return value
+
+
 def weighted_divergence_floor(
     gen: DivergenceGenerator, w_mass: float, bayes_risk: float
 ) -> float:
@@ -68,11 +77,14 @@ def weighted_divergence_sum(
     """sum_theta w_theta D_f(P_theta || Q); zero-weight members are skipped,
     so an infinite divergence of theirs does not count."""
     w = ens.weights()
-    keep = w > 0.0
-    divs = divergence_matrix(gen, ens.pmf_matrix()[keep], q.pmf[None])[:, 0]
+    pmat = ens.pmf_matrix()
+    if w.min() == 0.0:
+        keep = w > 0.0
+        w, pmat = w[keep], pmat[keep]
+    divs = divergence_matrix(gen, pmat, q.pmf[None])[:, 0]
     if np.any(np.isinf(divs)):
         return math.inf
-    return float(w[keep] @ divs)
+    return float(w @ divs)
 
 
 def implicit_risk_bound(
@@ -83,7 +95,7 @@ def implicit_risk_bound(
     """
     if n < 2:
         raise ValueError("need at least 2 hypotheses")
-    if divergence_sum < 0:
+    if _not_nan("divergence_sum", divergence_sum) < 0:
         raise ValueError("divergence sum must be nonnegative")
     hi = 1.0 - 1.0 / n
     if divergence_sum <= 0.0:
@@ -113,7 +125,7 @@ def tangent_risk_bound(
     hi = 1.0 - 1.0 / n
     if not 0.0 <= a < hi:
         raise ValueError(f"a={a!r} must lie in [0, 1 - 1/N)")
-    if divergence_sum < 0:
+    if _not_nan("divergence_sum", divergence_sum) < 0:
         raise ValueError("divergence sum must be nonnegative")
     slope = uniform_divergence_floor_derivative(gen, n, a)
     if slope == 0.0:
@@ -157,13 +169,13 @@ def named_bound(family: str, **params) -> BoundReport:
                                  (an upper bound, not a risk lower bound)
     """
     if family == "fano":
-        n, avg_kl = int(params["n"]), float(params["avg_kl"])
+        n, avg_kl = int(params["n"]), _not_nan("avg_kl", params["avg_kl"])
         if n < 2 or avg_kl < 0:
             raise ValueError("fano needs n >= 2 and avg_kl >= 0")
         value = 1.0 - (math.log(2.0) + avg_kl) / math.log(n)
         return _clamp_report("fano", value, {"n": n, "avg_kl": avg_kl}, {})
     if family == "chi2":
-        n, s = int(params["n"]), float(params["divergence_sum"])
+        n, s = int(params["n"]), _not_nan("divergence_sum", params["divergence_sum"])
         if n < 2 or s < 0:
             raise ValueError("chi2 needs n >= 2 and a nonnegative sum")
         value = 1.0 - 1.0 / n - math.sqrt(s) / n
@@ -180,15 +192,15 @@ def named_bound(family: str, **params) -> BoundReport:
         )
         return _clamp_report("hellinger", value, {"n": n, "h_sq": h_sq}, {})
     if family == "tv":
-        n, s = int(params["n"]), float(params["divergence_sum"])
+        n, s = int(params["n"]), _not_nan("divergence_sum", params["divergence_sum"])
         if n < 2 or s < 0:
             raise ValueError("tv needs n >= 2 and a nonnegative sum")
         value = 1.0 - 1.0 / n - s / n
         return _clamp_report("tv", value, {"n": n, "divergence_sum": s}, {})
     if family == "power_l":
         n = int(params["n"])
-        l = float(params["exponent"])
-        s = float(params["divergence_sum"])
+        l = _not_nan("exponent", params["exponent"])
+        s = _not_nan("divergence_sum", params["divergence_sum"])
         if n < 2 or l <= 1.0 or s < 0:
             raise ValueError("power_l needs n >= 2, exponent > 1, sum >= 0")
         value = 1.0 - (n ** (1.0 - l) + s / n**l) ** (1.0 / l)
@@ -196,7 +208,7 @@ def named_bound(family: str, **params) -> BoundReport:
             "power_l", value, {"n": n, "exponent": l, "divergence_sum": s}, {}
         )
     if family == "reverse_kl_tv":
-        s = float(params["divergence_sum"])
+        s = _not_nan("divergence_sum", params["divergence_sum"])
         if s < 0:
             raise ValueError("reverse_kl_tv needs a nonnegative sum")
         value = math.sqrt(1.0 - math.exp(-s))

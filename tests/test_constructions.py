@@ -23,6 +23,26 @@ from fdivbounds import constructions as cons
 from fdivbounds import verify
 
 
+def sequential_code(k, seed):
+    """The greedy build one candidate at a time over the builder's seeded
+    stream: each is kept when at distance >= ceil(k/4) from every word kept
+    before it, until ceil(e^(k/8)) words.  Returns (words, min distance)."""
+    target, needed = cons._code_size(k), math.ceil(k / 4.0)
+    kept, min_dist = [], k
+    for block in cons._candidate_blocks(k, seed, target):
+        for row in block:
+            if kept:
+                nearest = int(np.bitwise_count(np.array(kept) ^ row).sum(axis=1).min())
+                if nearest < needed:
+                    continue
+                min_dist = min(min_dist, nearest)
+            kept.append(row)
+            if len(kept) == target:
+                words = np.unpackbits(np.array(kept).view(np.uint8), axis=1)[:, :k]
+                return words, min_dist
+    raise AssertionError("candidate budget exhausted")
+
+
 class TestBinaryCodes:
     def test_hamming_single_flip(self):
         assert hamming_distance((0, 0, 1), (0, 1, 1)) == 1
@@ -61,6 +81,27 @@ class TestBinaryCodes:
             varshamov_gilbert_code(89)
         with pytest.raises(ValueError, match="k=200"):
             varshamov_gilbert_code(200)
+
+    @pytest.mark.parametrize("k", [8, 12, 16, 20, 24, 32])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_block_filter_matches_sequential_build(self, k, seed):
+        code = varshamov_gilbert_code(k, seed=seed)
+        words, min_dist = sequential_code(k, seed)
+        assert np.array_equal(code.words, words)
+        assert code.min_distance == min_dist
+
+    @pytest.mark.parametrize("k", [40, 70])  # one and two 64-bit words a row
+    def test_nearest_kept_word_a_slice_at_a_time(self, monkeypatch, k):
+        # a tiny step compares each block against two kept words at a time
+        monkeypatch.setattr(cons, "_PAIRS_PER_STEP", 16)
+        rng = np.random.default_rng(k)
+        rows = cons._pack_rows(rng.integers(0, 2, size=(7, k), dtype=np.uint8))
+        kept = cons._pack_rows(rng.integers(0, 2, size=(51, k), dtype=np.uint8))
+        kept[37] = rows[4]
+        kept[37, 0] ^= np.uint64(0b1011)  # one word at distance 3, far in
+        brute = [int(np.bitwise_count(kept ^ row).sum(axis=1).min()) for row in rows]
+        assert cons._nearest(rows, kept).tolist() == brute
+        assert brute[4] == 3
 
     def test_exhaustive_distance_check_by_independent_loop(self):
         code = varshamov_gilbert_code(16, seed=3)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdivbounds.distributions import DiscreteDistribution
 from fdivbounds.divergences import (
@@ -307,6 +309,47 @@ class TestDivergenceMatrix:
                 assert got == raw
         if gen.name not in ("tv", "hellinger_sq"):  # their f is nonnegative
             assert clamped > 0
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 6),
+        m=st.integers(1, 6),
+        s=st.integers(1, 40),
+        zeros=st.sampled_from([0.0, 0.0, 0.1, 0.5]),
+        layouts=st.tuples(*[st.sampled_from(["C", "F", "slice", "T", "reversed"])] * 2),
+        gen=st.sampled_from(default_generators()),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_any_layout_bit_equal_to_contiguous_and_pair_loop(
+        self, n, m, s, zeros, layouts, gen, seed
+    ):
+        rng = np.random.default_rng(seed)
+
+        def draw(rows, layout):
+            mat = rng.dirichlet(np.ones(s), size=rows)
+            mat[rng.random(mat.shape) < zeros] = 0.0
+            if layout == "F":
+                return np.asfortranarray(mat)
+            if layout == "slice":  # a column slice, as the informativity solver passes
+                wide = np.zeros((rows, 2 * s))
+                wide[:, 1::2] = mat
+                return wide[:, 1::2]
+            if layout == "T":
+                return mat.T.copy().T
+            if layout == "reversed":  # negative strides
+                return mat[::-1, ::-1].copy()[::-1, ::-1]
+            return mat
+
+        pmat, qmat = draw(n, layouts[0]), draw(m, layouts[1])
+        pdense, qdense = np.ascontiguousarray(pmat), np.ascontiguousarray(qmat)
+        with np.errstate(over="ignore"):
+            got = divergence_matrix(gen, pmat, qmat)
+            dense = divergence_matrix(gen, pdense, qdense)
+            # np.dot over a strided row adds in another order, so the loop
+            # reads contiguous rows
+            looped = pair_loop(gen, pdense, qdense)
+        assert got.tobytes() == dense.tobytes()
+        assert np.array_equal(got, looped)  # as floats: the loop's dot may give -0.0
 
     def test_support_mismatch(self):
         with pytest.raises(ValueError, match="support"):

@@ -223,6 +223,53 @@ class TestNamedBounds:
             )
 
 
+#: each named family's arguments with one statistic NaN, and that argument's name
+_NAN_NAMED = [
+    ("fano", {"n": 4, "avg_kl": math.nan}, "avg_kl"),
+    ("chi2", {"n": 4, "divergence_sum": math.nan}, "divergence_sum"),
+    ("hellinger", {"n": 4, "h_sq": math.nan}, "h_sq"),
+    ("tv", {"n": 4, "divergence_sum": math.nan}, "divergence_sum"),
+    ("power_l", {"n": 4, "exponent": 3.0, "divergence_sum": math.nan}, "divergence_sum"),
+    ("power_l", {"n": 4, "exponent": math.nan, "divergence_sum": 1.0}, "exponent"),
+    ("reverse_kl_tv", {"divergence_sum": math.nan}, "divergence_sum"),
+]
+
+
+class TestNonFiniteStatistics:
+    """A NaN statistic is refused where it enters the bound layer; a +inf
+    one is the documented vacuous case."""
+
+    @pytest.mark.parametrize("family,params,name", _NAN_NAMED)
+    def test_named_bound_rejects_nan(self, family, params, name):
+        with pytest.raises(ValueError, match=name):
+            named_bound(family, **params)
+
+    @pytest.mark.parametrize(
+        "family,params,clamped",
+        [
+            ("fano", {"n": 4, "avg_kl": math.inf}, 0.0),
+            ("chi2", {"n": 4, "divergence_sum": math.inf}, 0.0),
+            ("tv", {"n": 4, "divergence_sum": math.inf}, 0.0),
+            ("power_l", {"n": 4, "exponent": 3.0, "divergence_sum": math.inf}, 0.0),
+            ("reverse_kl_tv", {"divergence_sum": math.inf}, 1.0),
+        ],
+    )
+    def test_named_bound_infinite_statistic_is_vacuous(self, family, params, clamped):
+        report = named_bound(family, **params)
+        assert report.vacuous
+        assert report.lower_bound == clamped
+
+    def test_tangent_risk_bound_rejects_nan(self):
+        with pytest.raises(ValueError, match="divergence_sum"):
+            tangent_risk_bound(CHI2, 3, math.nan, 0.1)
+        assert tangent_risk_bound(CHI2, 3, math.inf, 0.1) == 0.0
+
+    def test_implicit_risk_bound_rejects_nan(self):
+        with pytest.raises(ValueError, match="divergence_sum"):
+            implicit_risk_bound(CHI2, 3, math.nan)
+        assert implicit_risk_bound(CHI2, 3, math.inf) == 0.0
+
+
 class TestTwoPointWitness:
     @pytest.mark.parametrize(
         "v,gen_name,expected",
