@@ -285,12 +285,20 @@ class CovarianceFamily:
         return 2.0 * float(weights @ self._decay(gaps.astype(float)) ** 2)
 
 
+def _check_decay(alpha: float, delta: Optional[float]) -> None:
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be a finite number, got {alpha}")
+    if delta is not None and not math.isfinite(delta):
+        raise ValueError(f"delta must be a finite number, got {delta}")
+
+
 def build_cov_family(
     p: int, k: int, alpha: float, delta: Optional[float] = None
 ) -> CovarianceFamily:
     """The family of order p split at k (delta defaults to default_delta).
     A positive Gershgorin floor certifies all 2^k members positive definite
     at once; a family without one raises ValueError."""
+    _check_decay(alpha, delta)
     if delta is None:
         delta = float(default_delta(alpha))
     if 2 * k > p:
@@ -426,10 +434,13 @@ def covariance_minimax_bound(
     built, and the keyword stays only so that callers that pass it keep
     working.
     """
+    _check_decay(alpha, delta)
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if delta_report <= 0:
-        raise ValueError("delta_report must be positive")
+    if not (math.isfinite(delta_report) and delta_report > 0):
+        raise ValueError(
+            f"delta_report must be a positive finite number, got {delta_report}"
+        )
     rate = n ** (1.0 / (2.0 * alpha + 1.0))
     km = max(1, round(rate))
     k = math.ceil(4.0 * delta_report * rate)
@@ -503,13 +514,17 @@ class CapGeometry:
     p_index: float
 
 
+def _check_p_index(p: float) -> None:
+    if not (math.isfinite(p) and p >= 1.0):
+        raise ValueError(f"p must be a finite number at least 1, got {p}")
+
+
 def cap_geometry(epsilon: float, d: int, p: float) -> CapGeometry:
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     if d < 2:
         raise ValueError("dimension must be at least 2")
-    if p < 1.0:
-        raise ValueError("p must be at least 1")
+    _check_p_index(p)
     alpha = math.acos(1.0 - epsilon)
     beta = alpha - math.acos(1.0 - epsilon / 2.0)
     if not 0.0 < beta < alpha < math.pi / 2.0 + 1e-15:
@@ -672,6 +687,7 @@ def support_packing_bound(
     cap_dist^p / (eps^p eps^((d-1)/2)), the per-cap distance normalized by
     its small-epsilon scale.  seed places the caps.
     """
+    _check_p_index(p)
     points = sphere_packing_points(d, epsilon, seed=seed)
     n_caps = points.shape[0]
     if n_caps < 8:

@@ -5,12 +5,13 @@ uniform mixture; chi-squared and the power family minimize at a normalized
 power mean of the densities; Hellinger at the squared sum of root densities;
 reverse KL at the normalized geometric mean).  The objective separates over
 points, so differentiable generators in general are solved through their
-KKT conditions (one scalar equation per point and safeguarded Newton steps
-on the multiplier, certified by the Lagrangian dual), and the total-variation
-case is solved exactly by sorting each point's member masses (a fractional
-knapsack over the breakpoints).  Covering families give upper bounds that
-need no optimization at all.  Every divergence sum is evaluated by
-:func:`.divergences.divergence_matrix`.
+KKT conditions (one scalar equation per point, its root bracketed by a
+k-ary search that later multiplier steps resume, and safeguarded Newton
+steps on the multiplier, certified by the Lagrangian dual), and the
+total-variation case is solved exactly by sorting each point's member
+masses (a fractional knapsack over the breakpoints).  Covering families
+give upper bounds that need no optimization at all.  Every divergence sum
+is evaluated by :func:`.divergences.divergence_matrix`.
 """
 
 from __future__ import annotations
@@ -50,6 +51,9 @@ class InformativityResult:
     duality_gap: float = 0.0
     #: outer steps on the multiplier; 0 for closed forms and exact solvers
     iterations: int = 0
+    #: root-bracket rounds over all steps, one evaluation of h each; kept
+    #: out of ``to_json``
+    rounds: int = 0
 
     def to_json(self) -> dict:
         return {
@@ -233,6 +237,27 @@ def _h(
     return vals if zero is None else np.where(zero, gen.f_at_zero, vals)
 
 
+#: cells of h one bracket round may evaluate: N * S * (K - 1)
+_CELL_BUDGET = 1024
+
+
+def _bracket_arity(cells: int) -> tuple[int, int]:
+    """The bracket split K for brackets over ``cells`` = N S cells, the
+    largest power of two in [2, 1024] with cells (K - 1) <= _CELL_BUDGET
+    (2 when there is none), and the round cap ceil(40 / log2 K), the reach
+    of 40 halvings."""
+    bits = max(1, min(10, (_CELL_BUDGET // cells + 1).bit_length() - 1))
+    return 1 << bits, -(-40 // bits)
+
+
+def _reset_ends(ends: np.ndarray, stale: np.ndarray, fresh: np.ndarray) -> None:
+    """Move the stale ends of the root brackets back to their fresh values.
+    ``ends`` and ``fresh`` hold log v, v and the slope (planes 0-2) at the
+    bottom and top end (rows 0 and 1) of each point's bracket; ``stale``
+    marks the (end, point) cells to reset."""
+    np.copyto(ends, fresh, where=stale)
+
+
 def informativity_numeric(
     gen: DivergenceGenerator, ens: Ensemble, tol: float = 1e-8
 ) -> InformativityResult:
@@ -246,22 +271,35 @@ def informativity_numeric(
     holds at least 1/S of the mass and none more than 1, so lambda lies in
     [min_x phi'_x(1/S), min_x phi'_x(1)]; it is found as the root of
     g(lambda) = sum_x v_x(lambda) - 1, which increases with lambda, where
-    each point's root v_x(lambda) comes from a vectorized bisection in
-    log v over [1e-12 max_theta p_theta(x), 1].  The floor keeps density
-    ratios at most 1e12: for a generator with finite f'(inf), h at far
-    larger ratios is cancellation noise.  The bisection stops once the
-    tangent slack the dual subtracts (below) is at most min(tol/2, 1e-12),
-    or after 40 halvings.  The first lambda is sum_x m_x phi'_x(m_x) at
-    the uniform mixture m (the bracket's midpoint when that is not
-    strictly inside it), the optimality condition evaluated at the KL
-    minimizer, so a KL solve takes one step.  Each later step first
-    replaces the end of the lambda bracket on its side of the root, then
-    takes a Newton step on g, with each dv_x/dlambda estimated from the
-    point's final root bracket as the ratio of its v and slope differences
-    (0 while that bracket still reaches down to the floor, and where the
-    slope at 1 is below lambda, so v_x is clamped at 1); the midpoint is
-    taken whenever the Newton point is not strictly inside the bracket.
-    ``iterations`` counts these steps.
+    each point's root v_x(lambda) is bracketed in log v within
+    [1e-12 max_theta p_theta(x), 1].  The floor keeps density ratios at
+    most 1e12: for a generator with finite f'(inf), h at far larger ratios
+    is cancellation noise.  The brackets shrink by a k-ary search: each
+    round splits every point's bracket into K equal parts in log v and
+    evaluates h at all K - 1 interior candidates of all points in one
+    call, on an N x (K - 1) x S array.  K is the power of two in
+    [2, 1024] that keeps N S (K - 1) within about 1,024 cells, so large
+    ensembles fall back to plain halving.  The new bracket is the first
+    candidate whose slope reaches lambda and the one before it, not a
+    count of the candidates below lambda, so s(lo) < lambda <= s(hi)
+    holds by construction even where h is noise.  The search stops once
+    the tangent slack the dual subtracts (below) is at most
+    min(tol/2, 1e-12), or after ceil(40 / log2 K) rounds, the reach of 40
+    halvings.  The first lambda is sum_x m_x phi'_x(m_x) at the uniform
+    mixture m (the bracket's midpoint when that is not strictly inside
+    it), the optimality condition evaluated at the KL minimizer, so a KL
+    solve takes one step.  Each later step first replaces the end of the
+    lambda bracket on its side of the root, then takes a Newton step on g,
+    with each dv_x/dlambda estimated from the point's final root bracket
+    as the ratio of its v and slope differences (0 while that bracket
+    still reaches down to the floor, and where the slope at 1 is below
+    lambda, so v_x is clamped at 1); the midpoint is taken whenever the
+    Newton point is not strictly inside the bracket.  After the step each
+    point keeps its top end while that end's slope is still at least the
+    new lambda and its bottom end while that slope is still below it, and
+    resets the other to 1 or the floor, so the next search resumes from
+    the last bracket; every kept slope is an exact evaluation.
+    ``iterations`` counts the steps and ``rounds`` the search rounds.
 
     The reference is restricted to the union support of the members (mass
     elsewhere can only increase every term); generators with an infinite
@@ -301,52 +339,78 @@ def informativity_numeric(
         return InformativityResult(
             max(value, 0.0), DiscreteDistribution(full_q), "kkt_bisection"
         )
-    zero = pmat == 0.0
+    ratios = pmat[:, None, :]
+    zero = ratios == 0.0
     zero = zero if zero.any() else None
 
     def slope(v: np.ndarray) -> np.ndarray:
-        return _h(gen, pmat / v, zero).sum(axis=0) / n
+        """phi'_x at each row of v, an (m, S) array."""
+        return _h(gen, ratios / v, zero).sum(axis=0) / n
 
     log_floor = np.log(np.maximum(1e-12 * pmat.max(axis=0), np.finfo(float).tiny))
-    top_slope = slope(np.ones(s))
-    lam_lo = float(slope(np.full(s, 1.0 / s)).min())
+    mix = pmat.sum(axis=0)
+    mix /= mix.sum()
+    probe = np.empty((3, s))
+    probe[0], probe[1], probe[2] = 1.0, 1.0 / s, mix
+    top_slope, uniform_slope, mix_slope = slope(probe)
+    lam_lo = float(uniform_slope.min())
     lam_hi = float(top_slope.min())
     # every point with mass has phi'_x(q_x) = lambda at the optimum; averaged
     # under the uniform mixture (the KL minimizer) that identity is exact
     # for KL and a first guess otherwise
-    mix = pmat.sum(axis=0)
-    mix /= mix.sum()
-    lam = float(mix @ slope(mix))
+    lam = float(mix @ mix_slope)
     if not lam_lo < lam < lam_hi:
         lam = 0.5 * (lam_lo + lam_hi)
     budget = min(0.5 * tol, VALUE_TOL)
-    iterations = 0
+    k, max_rounds = _bracket_arity(n * s)
+    frac = (np.arange(1, k) / k)[:, None]
+    # each point's root bracket: log v, v and the slope (planes 0-2) at its
+    # bottom end (row 0), its top end (row k) and the k - 1 candidates
+    # between.  A fresh bottom end is the floor held as v = 0, so the
+    # tangent at the top also covers a root below the floor, with slope
+    # -inf, so the point adds no rate to the Newton step; a fresh top end
+    # is v = 1
+    bracket = np.empty((3, k + 1, s))
+    ends = bracket[:, ::k]
+    fresh = np.array(
+        [
+            [log_floor, np.zeros(s)],
+            [np.zeros(s), np.ones(s)],
+            [np.full(s, -math.inf), top_slope],
+        ]
+    )
+    ends[...] = fresh
+    # views into the bracket, so every write to it moves them
+    (lo, hi), (v_lo, v), (s_lo, s_hi) = ends
+    logv_mid, v_mid, s_mid = bracket[:, 1:k]
+    reached = np.ones((k, s), dtype=bool)
+    # flat offsets of each point's cells in rows 0 and 1 of a plane
+    cells = np.arange(s) + np.array([[0], [s]])
+    flat = bracket.reshape(3, -1)
+    iterations = rounds = 0
     while True:
         iterations += 1
-        # each point's root bracket in log v, with v and the slope at both
-        # ends; until the bottom end moves off the floor it holds v = 0, so
-        # the tangent at the top also covers a root below the floor, and
-        # slope -inf, so the point adds no rate to the Newton step
-        lo, hi = log_floor, np.zeros(s)
-        v_lo, v = np.zeros(s), np.ones(s)
-        s_lo, s_hi = np.full(s, -math.inf), top_slope
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            v_mid = np.exp(mid)
-            s_mid = slope(v_mid)
-            up = s_mid >= lam
-            lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
-            v_lo, v = np.where(up, v_lo, v_mid), np.where(up, v_mid, v)
-            s_lo, s_hi = np.where(up, s_lo, s_mid), np.where(up, s_mid, s_hi)
-            # the dual subtracts this tangent slack at the top of each
-            # bracket, which falls with the width squared; halve only
-            # while it can still cost the certificate
-            excess = np.maximum(s_hi - lam, 0.0) * (v - v_lo)
-            if excess.sum() <= budget:
+        # the dual subtracts this tangent slack at the top of each bracket,
+        # which falls with the width squared; narrow only while it can
+        # still cost the certificate
+        for step_rounds in range(max_rounds + 1):
+            slack = float(np.maximum(s_hi - lam, 0.0) @ (v - v_lo))
+            if slack <= budget or step_rounds == max_rounds:
                 break
+            np.multiply(frac, hi - lo, out=logv_mid)
+            logv_mid += lo
+            np.exp(logv_mid, out=v_mid)
+            s_mid[:] = slope(v_mid)
+            # the first candidate whose slope reaches lambda and the one
+            # before it: s_lo < lambda <= s_hi holds by construction, even
+            # where h is cancellation noise; with none, the top end stays
+            np.greater_equal(s_mid, lam, out=reached[:-1])
+            ends[...] = flat.take(cells + s * reached.argmax(axis=0), axis=1)
+        rounds += step_rounds
         phi = v * apply_generator(gen, pmat / v).mean(axis=0)
-        dual = lam + float((phi - lam * v - excess).sum())
-        q = v / v.sum()
+        dual = lam + float((phi - lam * v).sum()) - slack
+        total = float(v.sum())
+        q = v / total
         value = _objective(gen, pmat, q)
         gap = value - dual
         if gap < -VALUE_TOL:
@@ -356,7 +420,7 @@ def informativity_numeric(
         # Newton on g(lambda) = sum_x v_x(lambda) - 1, each dv_x/dlambda
         # read off the point's final root bracket; a point whose slope at 1
         # is below lambda is clamped at 1 and does not move
-        g = float(v.sum()) - 1.0
+        g = total - 1.0
         if g > 0.0:
             lam_hi = lam
         else:
@@ -370,6 +434,9 @@ def informativity_numeric(
                 f"informativity solver's multiplier bracket collapsed at gap "
                 f"{gap} above tol {tol}"
             )
+        # keep each end whose slope still lies on its side of the new
+        # multiplier, so the next step resumes from this bracket
+        _reset_ends(ends, np.array([s_lo >= lam, s_hi < lam]), fresh)
     full_q[support] = q
     return InformativityResult(
         max(value, 0.0),
@@ -377,6 +444,7 @@ def informativity_numeric(
         "kkt_bisection",
         duality_gap=max(gap, 0.0),
         iterations=iterations,
+        rounds=rounds,
     )
 
 

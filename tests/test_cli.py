@@ -443,6 +443,27 @@ class TestSubcommands:
         assert inter["code_size"] is None
         assert inter["log_code_size"] == 6433 / 8.0
 
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (("cap-packing", "--d", "2", "--p", "nan", "--eps", "0.01"), "p"),
+            (("cap-packing", "--d", "2", "--p", "inf", "--eps", "0.01"), "p"),
+            (("covmat-bound", "--alpha", "1", "--n", "64", "--delta", "nan"), "delta"),
+            (("covmat-bound", "--alpha", "1", "--n", "64", "--delta", "inf"), "delta"),
+            (("covmat-bound", "--alpha", "nan", "--n", "64"), "alpha"),
+            (("covmat-bound", "--alpha", "inf", "--n", "64"), "alpha"),
+        ],
+    )
+    def test_non_finite_construction_parameters_exit_code(self, capsys, argv, name):
+        """cap-packing once printed NaN distances for --p nan and died with a
+        traceback for --p inf; covmat-bound printed a NaN or a vacuous 0.0
+        bound for a non-finite --delta and ran with --alpha inf."""
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error:")
+        assert f"{name} must be a finite number" in captured.err
+
     def test_computation_error_exit_code(self, files, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"pmf": [0.5, 0.6]}))

@@ -439,6 +439,23 @@ class TestCovarianceBound:
         assert inter["code_min_distance"] == 44
         assert math.isfinite(rep.lower_bound) and rep.lower_bound > 0.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, bad):
+        """delta = nan once gave a NaN bound marked non-vacuous and
+        delta = inf a 0.0 bound over all-zero perturbations; alpha = inf
+        ran, and alpha = nan and a non-finite delta_report failed only in a
+        float-to-int conversion."""
+        with pytest.raises(ValueError, match="alpha must be a finite number"):
+            covariance_minimax_bound(64, bad)
+        with pytest.raises(ValueError, match="alpha must be a finite number"):
+            build_cov_family(12, 4, bad)
+        with pytest.raises(ValueError, match="delta must be a finite number"):
+            covariance_minimax_bound(64, 1.0, delta=bad)
+        with pytest.raises(ValueError, match="delta must be a finite number"):
+            build_cov_family(12, 4, 1.0, bad)
+        with pytest.raises(ValueError, match="delta_report must be a positive finite"):
+            covariance_minimax_bound(64, 1.0, delta_report=bad)
+
     def test_seed_is_inert(self):
         a = covariance_minimax_bound(64, 1.0, seed=0).to_json()
         b = covariance_minimax_bound(64, 1.0, seed=5).to_json()
@@ -591,6 +608,15 @@ class TestSupportPacking:
             geom = cap_geometry(eps, 2, 1.0)
             ratios.append(cap_distance(geom) / (eps * math.sqrt(eps)))
         assert min(ratios) > 0.5
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_non_finite_p_rejected(self, p):
+        """p = nan once slipped past the p < 1 guard into NaN distances, and
+        p = inf died with a ZeroDivisionError in the claim ratio."""
+        with pytest.raises(ValueError, match="p must be a finite number"):
+            cap_geometry(0.01, 2, p)
+        with pytest.raises(ValueError, match="p must be a finite number"):
+            support_packing_bound(2, p, 0.01, seed=0)
 
     def test_too_few_caps_rejected(self):
         # eps = 0.3 fits only 3 caps on the circle: below the code floor
