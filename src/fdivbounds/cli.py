@@ -33,7 +33,7 @@ COMMAND_OPERATIONS = {
         "analytic_divergence",
     ),
     "bayes-risk": ("bayes_risk_exact", "map_test", "validate"),
-    "minimax-risk": ("minimax_risk",),
+    "minimax-risk": ("minimax_risk", "minimax_risks"),
     "bound": (
         "named_bound",
         "named_bound_from_ensemble",

@@ -197,6 +197,9 @@ def distribution_from_json(obj: dict) -> DiscreteDistribution:
 def ensemble_from_json(obj: dict) -> Ensemble:
     if not isinstance(obj, dict) or "members" not in obj:
         raise ValueError('ensemble JSON must be an object with a "members" key')
+    for key in ("members", "labels"):
+        if key in obj and not isinstance(obj[key], list):
+            raise ValueError(f'ensemble JSON "{key}" must be a list')
     members = tuple(distribution_from_json(m) for m in obj["members"])
     prior = np.array(obj["prior"], dtype=float) if "prior" in obj else None
     labels = tuple(obj["labels"]) if "labels" in obj else None

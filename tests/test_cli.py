@@ -372,6 +372,30 @@ class TestSubcommands:
         assert code == 1
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("minimax-risk", "{ens}"),
+            ("bayes-risk", "{ens}"),
+            ("bound", "--family", "fano", "--from-ensemble", "{ens}"),
+            ("jf", "{ens}", "--gen", "chi2"),
+            ("jf-cover", "{ens}", "--candidates", "{cover}", "--gen", "kl"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "payload,key",
+        [
+            ({"members": 5}, "members"),
+            ({"members": [{"pmf": [0.75, 0.25]}, {"pmf": [0.25, 0.75]}], "labels": 3}, "labels"),
+        ],
+    )
+    def test_non_list_ensemble_field_exit_code(self, files, capsys, tmp_path, argv, payload, key):
+        bad = tmp_path / "bad_ens.json"
+        bad.write_text(json.dumps(payload))
+        code = main([a.format(ens=bad, cover=files["cover"]) for a in argv])
+        assert code == 1
+        assert capsys.readouterr().err == f'error: ensemble JSON "{key}" must be a list\n'
+
     @pytest.mark.parametrize("command", ["jf", "minimax-risk"])
     @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
     def test_bad_tol_exit_code(self, files, capsys, command, tol):

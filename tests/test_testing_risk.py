@@ -1,13 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from fdivbounds import testing_risk, verify
 from fdivbounds.distributions import DiscreteDistribution, Ensemble
 from fdivbounds.testing_risk import (
     bayes_risk_exact,
     map_test,
     minimax_risk,
+    minimax_risks,
     error_probability,
-    worst_case_error,
 )
 
 
@@ -17,6 +20,17 @@ def ens_of(*rows, prior=None):
 
 
 TWO_POINT = ens_of([0.75, 0.25], [0.25, 0.75])
+
+
+def worst_case_error(ens, choice):
+    """max_theta P_theta{T != theta}: the minimax value of one deterministic
+    test, by a loop over the members."""
+    choice = np.asarray(choice)
+    pmat = ens.pmf_matrix()
+    hits = np.zeros(ens.size)
+    for theta in range(ens.size):
+        hits[theta] = pmat[theta, choice == theta].sum()
+    return float(1.0 - hits.min())
 
 
 class TestBayesRisk:
@@ -151,3 +165,96 @@ class TestMinimaxRisk:
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             minimax_risk(TWO_POINT, tol=0.0)
+
+    def test_large_instance_certified(self):
+        rng = np.random.default_rng(5)
+        members = tuple(
+            DiscreteDistribution(row) for row in rng.dirichlet(np.ones(500), size=20)
+        )
+        ens = Ensemble(members=members)
+        res = minimax_risk(ens, tol=1e-6)
+        assert res.duality_gap <= 1e-6
+        assert bayes_risk_exact(ens) - 1e-12 <= res.value <= 1.0 - 1.0 / 20
+
+
+def _mixed_batch():
+    """Ensembles with N from 2 to 12 and S from 2 to 128 on both sides of
+    BATCH_CELLS, with identical members (whose LP prior can fall a rounding
+    error short of the uniform one, which then replaces it), mutually
+    singular members and a member family that carries a prior."""
+    rng = np.random.default_rng(6)
+    shapes = [(2, 2), (12, 128), (3, 8), (4, 64), (5, 52), (2, 128), (12, 21),
+              (6, 50), (7, 5), (12, 2), (3, 86), (9, 28)]
+    out = []
+    for n, s in shapes:
+        rows = rng.dirichlet(np.ones(s), size=n)
+        out.append(Ensemble(members=tuple(DiscreteDistribution(r) for r in rows)))
+    out.insert(3, ens_of(*[[0.4, 0.6]] * 3))
+    out.insert(5, ens_of(*[rng.dirichlet(np.ones(7))] * 6))
+    out.insert(6, ens_of(*[rng.dirichlet(np.ones(3))] * 7))
+    out.insert(7, ens_of(*np.eye(5)))
+    weighted = rng.dirichlet(np.ones(16), size=4)
+    out.insert(9, Ensemble(
+        members=tuple(DiscreteDistribution(r) for r in weighted),
+        prior=np.array([0.1, 0.2, 0.3, 0.4]),
+    ))
+    return out
+
+
+class TestMinimaxRisks:
+    def test_batch_spans_the_cell_constant(self):
+        cells = [e.size * e.support_size for e in _mixed_batch()]
+        assert min(cells) <= testing_risk.BATCH_CELLS < max(cells)
+        assert testing_risk.BATCH_CELLS in cells
+
+    @pytest.mark.parametrize("lp_cells", [None, 300])
+    def test_matches_one_at_a_time(self, monkeypatch, lp_cells):
+        batch = _mixed_batch()
+        alone = [minimax_risk(ens) for ens in batch]
+        if lp_cells is not None:
+            # several joined LPs, split between the same blocks
+            monkeypatch.setattr(testing_risk, "LP_CELLS", lp_cells)
+        results = minimax_risks(batch)
+        assert len(results) == len(batch)
+        for ens, res, ref in zip(batch, results, alone):
+            assert res.value == pytest.approx(ref.value, abs=1e-12)
+            assert res.duality_gap <= 1e-9
+            assert res.prior.shape == (ens.size,)
+            attained = bayes_risk_exact(Ensemble(members=ens.members, prior=res.prior))
+            assert attained == pytest.approx(res.value, abs=1e-12)
+
+    def test_special_blocks_keep_their_values(self):
+        batch = _mixed_batch()
+        results = minimax_risks(batch)
+        # identical members: the maximum is 1 - 1/N at the uniform prior
+        for i in (3, 5, 6):
+            n = batch[i].size
+            assert results[i].value == pytest.approx(1.0 - 1.0 / n, abs=1e-12)
+            assert np.allclose(results[i].prior, 1.0 / n, rtol=0.0, atol=1e-12)
+        assert results[7].value == pytest.approx(0.0, abs=1e-12)
+        assert results[7].duality_gap == pytest.approx(0.0, abs=1e-12)
+        # the ensemble's own prior plays no part in the maximum
+        uniform = Ensemble(members=batch[9].members)
+        assert results[9].value == pytest.approx(minimax_risk(uniform).value, abs=1e-12)
+
+    def test_empty(self):
+        assert minimax_risks([]) == []
+
+
+class TestVerifyCheck:
+    def test_records_the_certified_gap(self):
+        rec = verify.check_minimax_dominates_priors(0, trials=20)
+        assert rec["pass"] is True
+        assert 0.0 <= rec["worst_gap"] <= 1e-9
+
+    def test_fails_on_a_gap_above_1e_9(self, monkeypatch):
+        def loose(ensembles, tol):
+            return [
+                dataclasses.replace(res, duality_gap=2e-9)
+                for res in minimax_risks(ensembles, tol)
+            ]
+
+        monkeypatch.setattr(verify, "minimax_risks", loose)
+        rec = verify.check_minimax_dominates_priors(0, trials=20)
+        assert rec["pass"] is False
+        assert rec["worst_gap"] == 2e-9
