@@ -397,7 +397,11 @@ def _cmd_cap_packing(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = verify.run_suite(args.suite, seed=args.seed, trials=args.trials)
+    timings = None if args.timings_out is None else {}
+    report = verify.run_suite(args.suite, seed=args.seed, trials=args.trials, timings=timings)
+    if timings is not None:
+        with open(args.timings_out, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(timings, indent=2) + "\n")
     _emit(report)
     return 0 if report["pass"] else 1
 
@@ -513,6 +517,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--suite", default="all", choices=verify.SUITE_NAMES + ("all",))
     sp.add_argument("--seed", type=int, default=seed)
     sp.add_argument("--trials", type=int, help="override per-check trial counts")
+    sp.add_argument(
+        "--timings-out",
+        metavar="FILE",
+        help="write each check's wall seconds as JSON to FILE; stdout is unchanged",
+    )
     sp.set_defaults(handler=_cmd_verify)
 
     return parser

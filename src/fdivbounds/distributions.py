@@ -49,6 +49,30 @@ def stack_pmfs(dists: Sequence["DiscreteDistribution"]) -> np.ndarray:
     return mat
 
 
+def check_mass_rows(rows, name: str = "pmf") -> np.ndarray:
+    """Stacked mass vectors (..., S) as a float array, each row checked as
+    ``DiscreteDistribution`` checks its pmf (``name="pmf"``) or ``Ensemble``
+    its prior (``name="prior"``): every entry finite and non-negative, and
+    every row sum within INPUT_TOL of 1.  The row sums are the ones those
+    classes take, bit for bit; a refusal names the first bad row's fault
+    in their words."""
+    arr = np.asarray(rows, dtype=float)
+    if arr.ndim == 0 or arr.shape[-1] == 0:
+        raise ValueError(f"{name} must be a nonempty 1-d vector")
+    if arr.size == 0:
+        return arr
+    totals = arr.sum(axis=-1)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} has a non-finite entry")
+    if arr.min() < 0:
+        detail = f"probability entry (min {arr.min()!r})" if name == "pmf" else f"{name} entry"
+        raise ValueError(f"negative {detail}")
+    off = np.abs(totals - 1.0) > INPUT_TOL
+    if off.any():
+        raise ValueError(f"{name} sums to {float(totals[off][0])!r}, not 1")
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteDistribution:
     """Probability mass vector over a finite sample space."""

@@ -65,8 +65,15 @@ def _check_midpoint_convexity(gen: "DivergenceGenerator") -> None:
 
 
 def apply_generator(gen: DivergenceGenerator, x) -> np.ndarray:
-    """Evaluate f elementwise, routing exact zeros through f_at_zero."""
+    """Evaluate f elementwise, routing exact zeros through f_at_zero.
+
+    The one home of the f(0+) rule outside the kernel's masks.  f sees
+    the nonzero entries as one contiguous vector, at least 1-d, so an
+    entry gets the bits it gets in a one-element call.  The result has the
+    memory layout of ``x``, which a later reduction's order depends on."""
     arr = np.asarray(x, dtype=float)
+    if arr.flags.c_contiguous and np.count_nonzero(arr) == arr.size:
+        return np.asarray(gen.f(arr.reshape(-1)), dtype=float).reshape(arr.shape)
     out = np.empty_like(arr)
     zero = arr == 0.0
     out[zero] = gen.f_at_zero
@@ -75,10 +82,41 @@ def apply_generator(gen: DivergenceGenerator, x) -> np.ndarray:
     return out
 
 
-def _f_scalar(gen: DivergenceGenerator, x: float) -> float:
-    if x == 0.0:
-        return gen.f_at_zero
-    return float(gen.f(np.array([x]))[0])
+def _values(x):
+    """``x`` as a float array, or as a float when it is a scalar: plain
+    float arithmetic rounds as numpy's does and skips its per-call cost."""
+    arr = np.asarray(x, dtype=float)
+    return arr if arr.ndim else float(arr)
+
+
+def _any(mask) -> bool:
+    """Whether some entry of a boolean array, or a boolean scalar, is true."""
+    return bool(mask.any() if isinstance(mask, np.ndarray) else mask)
+
+
+def _all(mask) -> bool:
+    """Whether every entry of a boolean array, or a boolean scalar, is true."""
+    return bool(mask.all() if isinstance(mask, np.ndarray) else mask)
+
+
+def _clip(x, lo, hi):
+    """min(max(x, lo), hi), elementwise on arrays."""
+    if isinstance(x, np.ndarray) or isinstance(hi, np.ndarray):
+        return np.minimum(np.maximum(x, lo), hi)
+    return min(max(x, lo), hi)
+
+
+def _floor_sum(gen: DivergenceGenerator, x, y, wx, wy):
+    """wx f(x) + wy f(y) elementwise for x and y of one shape, +inf where
+    either f is: the shape of every divergence floor.  Both arguments go
+    through one :func:`apply_generator` call; scalars give a float."""
+    vals = apply_generator(gen, np.array([x, y]))
+    fx, fy = vals[0], vals[1]
+    total = wx * fx + wy * fy
+    if not isinstance(total, np.ndarray):
+        return math.inf if math.isinf(fx) or math.isinf(fy) else float(total)
+    inf = np.isinf(fx) | np.isinf(fy)
+    return np.where(inf, math.inf, total) if inf.any() else total
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +217,10 @@ def eval_divergence(
 
 def divergence_matrix(gen: DivergenceGenerator, pmat, qmat) -> np.ndarray:
     """D_f(P_i||Q_j) = sum_x q_j(x) f(p_i(x)/q_j(x)) for every row P_i of
-    ``pmat`` (N x S) and every row Q_j of ``qmat`` (M x S), as an N x M array.
+    ``pmat`` (..., N, S) and every row Q_j of ``qmat`` (..., M, S), as a
+    (..., N, M) array.  The leading batch axes broadcast against each
+    other, so a stack of B ensembles against one reference each (the paired
+    form) is (B, N, S) against (B, 1, S).
 
     The rows need not be normalized.  Conventions: a point with q = 0 and
     p = 0 contributes nothing; q = 0 with p > 0 makes the divergence +inf;
@@ -189,16 +230,17 @@ def divergence_matrix(gen: DivergenceGenerator, pmat, qmat) -> np.ndarray:
 
     When every mass in both arguments is positive no convention applies, so
     the masks are skipped and every ratio is taken.  On both paths the
-    ratios are written into a fresh C-ordered N x M x S array and the q rows
-    are read C-ordered, so the reduction adds in one order whatever the
-    layout of ``pmat`` and ``qmat`` (a column slice, a Fortran-ordered or a
-    transposed array): the result is bit for bit that of contiguous copies.
+    ratios are written into a fresh C-ordered (..., N, M, S) array and the
+    q rows are read C-ordered, so the reduction adds in one order whatever
+    the layout of ``pmat`` and ``qmat`` (a column slice, a Fortran-ordered
+    or a transposed array) and whatever the batch axes: each pair is bit
+    for bit that of a 2-d call on contiguous copies.
     """
-    p = np.asarray(pmat, dtype=float)[:, None, :]
-    q = np.ascontiguousarray(qmat, dtype=float)[None, :, :]
-    if p.shape[2] != q.shape[2]:
+    p = np.asarray(pmat, dtype=float)[..., :, None, :]
+    q = np.ascontiguousarray(qmat, dtype=float)[..., None, :, :]
+    if p.shape[-1] != q.shape[-1]:
         raise ValueError("support size mismatch")
-    shape = (p.shape[0], q.shape[1], p.shape[2])
+    shape = np.broadcast_shapes(p.shape, q.shape)
     positive = p.size > 0 and q.size > 0 and q.min() > 0.0 and p.min() > 0.0
     if positive:
         vals = gen.f(np.divide(p, q, out=np.empty(shape)))
@@ -211,7 +253,7 @@ def divergence_matrix(gen: DivergenceGenerator, pmat, qmat) -> np.ndarray:
         np.copyto(vals, 0.0, where=~live)
     total = (q[..., None, :] @ vals[..., :, None])[..., 0, 0]
     if not positive:
-        total[(ppos & ~live).any(axis=2)] = math.inf
+        total[(ppos & ~live).any(axis=-1)] = math.inf
     if total.size and not total.min() >= 0.0:  # a NaN total also lands here
         total[(-VALUE_TOL <= total) & (total < 0.0)] = 0.0
     return total
@@ -221,52 +263,75 @@ def total_variation(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     """Half the L1 distance between the mass vectors (always finite)."""
     if p.support_size != q.support_size:
         raise ValueError("support size mismatch")
-    return 0.5 * float(np.abs(p.pmf - q.pmf).sum())
+    return float(total_variations(p.pmf, q.pmf))
+
+
+def total_variations(pmats, qmats) -> np.ndarray:
+    """:func:`total_variation` between paired rows (..., S)."""
+    return 0.5 * np.abs(pmats - qmats).sum(axis=-1)
 
 
 def squared_hellinger(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     """H^2(P, Q) = sum_x (sqrt p - sqrt q)^2, in [0, 2]."""
     if p.support_size != q.support_size:
         raise ValueError("support size mismatch")
-    return float(((np.sqrt(p.pmf) - np.sqrt(q.pmf)) ** 2).sum())
+    return float(squared_hellingers(p.pmf, q.pmf))
 
 
-def uniform_divergence_floor(gen: DivergenceGenerator, n: int, a: float) -> float:
+def squared_hellingers(pmats, qmats) -> np.ndarray:
+    """:func:`squared_hellinger` between paired rows (..., S)."""
+    return ((np.sqrt(pmats) - np.sqrt(qmats)) ** 2).sum(axis=-1)
+
+
+def _first_failing(values, ok) -> float:
+    """The first entry of ``values`` (broadcast against ``ok``) where ``ok``
+    is False, as a float: what an array check names when it refuses."""
+    return float(np.broadcast_to(values, np.shape(ok))[~np.asarray(ok)][0])
+
+
+def _risk_range(n, a, slack: float = 0.0):
+    """n and a as arrays or scalars, after checking every n >= 2 and every
+    a in [-slack, 1 - 1/n + slack] (NaN fails), and 1 - 1/n."""
+    n, a = _values(n), _values(a)
+    if _any(n < 2):
+        raise ValueError("need at least 2 hypotheses")
+    hi = 1.0 - 1.0 / n
+    ok = (-slack <= a) & (a <= hi + slack)
+    if not _all(ok):
+        where = "" if np.ndim(n) else f" for N={n:g}"
+        raise ValueError(f"a={_first_failing(a, ok)!r} outside [0, 1 - 1/N]{where}")
+    return n, a, hi
+
+
+def uniform_divergence_floor(gen: DivergenceGenerator, n, a):
     """f(N(1-a)) + (N-1) f(Na/(N-1)): the least possible divergence sum
     over any reference measure when the uniform-prior testing risk is a.
 
-    Defined for a in [0, 1 - 1/N]; convex and non-increasing in a.
+    Defined for a in [0, 1 - 1/N]; convex and non-increasing in a.  ``n``
+    and ``a`` may be arrays, which broadcast; scalars give a float.
     """
-    if n < 2:
-        raise ValueError("need at least 2 hypotheses")
-    hi = 1.0 - 1.0 / n
-    if not -VALUE_TOL <= a <= hi + VALUE_TOL:
-        raise ValueError(f"a={a!r} outside [0, 1 - 1/N] for N={n}")
-    a = min(max(a, 0.0), hi)
-    first = _f_scalar(gen, n * (1.0 - a))
-    second = _f_scalar(gen, n * a / (n - 1.0))
-    if math.isinf(first) or math.isinf(second):
-        return math.inf
-    return first + (n - 1.0) * second
+    n, a, hi = _risk_range(n, a, slack=VALUE_TOL)
+    return _uniform_floor(gen, n, _clip(a, 0.0, hi))
 
 
-def uniform_divergence_floor_derivative(
-    gen: DivergenceGenerator, n: int, a: float
-) -> float:
-    """d/da of :func:`uniform_divergence_floor`; needs gen.derivative."""
+def _uniform_floor(gen: DivergenceGenerator, n, a):
+    """:func:`uniform_divergence_floor` at checked n and a in [0, 1 - 1/n]."""
+    return _floor_sum(gen, n * (1.0 - a), n * a / (n - 1.0), 1.0, n - 1.0)
+
+
+def uniform_divergence_floor_derivative(gen: DivergenceGenerator, n, a):
+    """d/da of :func:`uniform_divergence_floor`; needs gen.derivative.
+    Takes arrays as the floor does."""
     if gen.derivative is None:
         raise ValueError(f"generator {gen.name!r} has no derivative")
-    hi = 1.0 - 1.0 / n
-    if not 0.0 <= a <= hi:
-        raise ValueError(f"a={a!r} outside [0, 1 - 1/N] for N={n}")
+    n, a, _ = _risk_range(n, a)
     inner = n * a / (n - 1.0)
-    if inner == 0.0:
-        # one-sided slope probed just above zero: a genuinely attained (so
-        # still valid) tangent slope, astronomically steep for generators
-        # whose derivative is unbounded at 0+
-        probe = gen.derivative(np.array([1e-300]))[0]
-        left = float(probe)
-    else:
-        left = float(gen.derivative(np.array([inner]))[0])
-    right = float(gen.derivative(np.array([n * (1.0 - a)]))[0])
-    return n * (left - right)
+    shape = np.shape(inner)
+    inner = np.atleast_1d(inner)
+    # at inner = 0 the one-sided slope is probed just above zero: a
+    # genuinely attained (so still valid) tangent slope, astronomically
+    # steep for generators whose derivative is unbounded at 0+
+    left = gen.derivative(np.where(inner == 0.0, 1e-300, inner))
+    right = gen.derivative(np.atleast_1d(n * (1.0 - a)))
+    out = n * (left - right)
+    return out.reshape(shape) if shape else float(out[0])

@@ -27,7 +27,6 @@ from .distributions import (
     DiscreteDistribution,
     Ensemble,
     stack_pmfs,
-    uniform_mixture,
 )
 from .divergences import (
     VALUE_TOL,
@@ -122,12 +121,8 @@ def informativity_closed_form(gen_name: str, ens: Ensemble) -> InformativityResu
     common support, with value -log sum_x g(x); +inf when the members share
     no support point.
     """
-    pmat = ens.pmf_matrix()
-    n = ens.size
-    if gen_name == "kl":
-        mix, value = _mean_to_mixture(builtin_generator("kl"), ens)
-        return InformativityResult(value, mix, "closed_form")
     if gen_name == "reverse_kl":
+        pmat = ens.pmf_matrix()
         common = np.all(pmat > 0.0, axis=0)
         if not np.any(common):
             return InformativityResult(math.inf, None, "closed_form")
@@ -136,26 +131,34 @@ def informativity_closed_form(gen_name: str, ens: Ensemble) -> InformativityResu
         total = float(geo.sum())
         minimizer = DiscreteDistribution(geo / total)
         return InformativityResult(max(-math.log(total), 0.0), minimizer, "closed_form")
+    q, value = closed_forms(gen_name, ens.pmf_matrix())
+    return InformativityResult(float(value), DiscreteDistribution(q), "closed_form")
+
+
+def closed_forms(gen_name: str, pmats) -> tuple[np.ndarray, np.ndarray]:
+    """The kl, chi2, power:l and hellinger closed forms of
+    :func:`informativity_closed_form` for every ensemble in ``pmats``
+    (..., N, S): the minimizers (..., S), unchecked, and the values (...).
+    Each ensemble gets the bits it gets alone."""
+    n = pmats.shape[-2]
+    if gen_name == "kl":
+        return _mixture_divergence(builtin_generator("kl"), pmats)
     if gen_name == "chi2":
         gen_name = "power:2"
     if gen_name.startswith("power:"):
         l = float(gen_name.split(":", 1)[1])
         if l <= 1.0:
             raise ValueError("power generator needs exponent > 1")
-        s_x = (pmat**l).sum(axis=0) ** (1.0 / l)
-        total = float(s_x.sum())
-        minimizer = DiscreteDistribution(s_x / total)
-        value = (total**l - n) / n
-        method = "closed_form"
-        return InformativityResult(max(value, 0.0), minimizer, method)
+        s_x = (pmats**l).sum(axis=-2) ** (1.0 / l)
+        total = s_x.sum(axis=-1)
+        # float_power is the C library's pow, as Python's ** on floats
+        value = (np.float_power(total, l) - n) / n
+        return s_x / total[..., None], np.maximum(value, 0.0)
     if gen_name in ("hellinger_half", "hellinger_sq"):
-        u = np.sqrt(pmat).sum(axis=0)
-        mass = float((u**2).sum())
-        minimizer = DiscreteDistribution(u**2 / mass)
-        value = 1.0 - math.sqrt(mass) / n
-        if gen_name == "hellinger_sq":
-            value *= 2.0
-        return InformativityResult(max(value, 0.0), minimizer, "closed_form")
+        u2 = np.sqrt(pmats).sum(axis=-2) ** 2
+        mass = u2.sum(axis=-1)
+        value = np.maximum(1.0 - np.sqrt(mass) / n, 0.0)
+        return u2 / mass[..., None], 2.0 * value if gen_name == "hellinger_sq" else value
     raise ValueError(
         f"no closed form for generator {gen_name!r}; "
         f"available: {CLOSED_FORM_GENERATORS}"
@@ -177,17 +180,34 @@ def informativity_tv_exact(ens: Ensemble) -> InformativityResult:
     minimizer, in the plain total-variation form: the minimizer may put no
     mass on a point where some member has mass.
     """
-    pmat = ens.pmf_matrix()
-    n = ens.size
-    lengths = np.diff(np.sort(pmat, axis=0), axis=0, prepend=0.0).ravel()
-    filled = np.cumsum(lengths)
-    cut = int(np.searchsorted(filled, 1.0))
-    take = np.where(np.arange(lengths.size) < cut, lengths, 0.0)
-    if cut < lengths.size:  # else rounding left the largest masses short of 1
-        take[cut] = 1.0 - (filled[cut - 1] if cut else 0.0)
-    q = take.reshape(pmat.shape).sum(axis=0)
-    value = float(np.abs(pmat - q).sum()) / (2.0 * n)
-    return InformativityResult(value, DiscreteDistribution(q), "sorted_breakpoints")
+    q, value = tv_breakpoints(ens.pmf_matrix())
+    return InformativityResult(float(value), DiscreteDistribution(q), "sorted_breakpoints")
+
+
+def tv_breakpoints(pmats) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted-breakpoint solution of :func:`informativity_tv_exact`
+    for every ensemble in ``pmats`` (..., N, S): minimizers (..., S),
+    unchecked, and values (...)."""
+    n = pmats.shape[-2]
+    # segment k runs from the k-th to the (k+1)-th smallest mass (the 0-th is 0)
+    ends = np.sort(pmats, axis=-2)
+    lengths = ends.copy()
+    lengths[..., 1:, :] -= ends[..., :-1, :]
+    lengths = lengths.reshape(lengths.shape[:-2] + (-1,))  # k-major
+    filled = np.cumsum(lengths, axis=-1)
+    # the first segment whose cumulative length reaches 1, as a sorted search
+    cells = np.arange(lengths.shape[-1])
+    cut = (filled < 1.0).sum(axis=-1, keepdims=True)
+    before = cells < cut
+    take = np.where(before, lengths, 0.0)
+    # it takes what is left of the budget, 1 minus the last (so largest)
+    # cumulative length before it; with no such segment rounding left the
+    # largest masses short of 1, and nothing is added
+    left = 1.0 - np.where(before, filled, 0.0).max(axis=-1, keepdims=True)
+    np.copyto(take, left, where=cells == cut)
+    q = take.reshape(pmats.shape).sum(axis=-2)
+    gaps = np.abs(pmats - q[..., None, :])
+    return q, gaps.reshape(gaps.shape[:-2] + (-1,)).sum(axis=-1) / (2.0 * n)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +222,15 @@ def _objective(gen: DivergenceGenerator, pmat: np.ndarray, q: np.ndarray) -> flo
 def _mean_to_mixture(
     gen: DivergenceGenerator, ens: Ensemble
 ) -> tuple[DiscreteDistribution, float]:
-    """The uniform mixture m and (1/N) sum_theta D_f(P_theta||m).
+    """The uniform mixture m and (1/N) sum_theta D_f(P_theta||m); see
+    :func:`_mixture_divergence`."""
+    mix, value = _mixture_divergence(gen, ens.pmf_matrix())
+    return DiscreteDistribution(mix), float(value)
+
+
+def _mixture_divergence(gen: DivergenceGenerator, pmats) -> tuple[np.ndarray, np.ndarray]:
+    """The uniform mixtures m (..., S) of stacked members (..., N, S),
+    unchecked, and (1/N) sum_theta D_f(P_theta||m) (...).
 
     The mixture dominates every member, but averaging can round a
     subnormal mass to 0.  With f(0+) finite, the terms m f(p/m) there have
@@ -212,11 +240,11 @@ def _mean_to_mixture(
     positive floats does not round to 0), so its term m f(0+) is +inf, and
     the masses are kept to say so.
     """
-    mix = uniform_mixture(ens)
-    pmat = ens.pmf_matrix()
-    if math.isfinite(gen.f_at_zero) and mix.pmf.min() == 0.0:
-        pmat = np.where(mix.pmf > 0.0, pmat, 0.0)
-    return mix, _objective(gen, pmat, mix.pmf)
+    mix = pmats.mean(axis=-2)
+    if math.isfinite(gen.f_at_zero) and mix.min() == 0.0:
+        pmats = np.where(mix[..., None, :] > 0.0, pmats, 0.0)
+    divs = divergence_matrix(gen, pmats, mix[..., None, :])
+    return mix, divs.sum(axis=(-2, -1)) / pmats.shape[-2]
 
 
 def _h(

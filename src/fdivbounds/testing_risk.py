@@ -23,12 +23,14 @@ from .distributions import Ensemble
 
 def bayes_risk_exact(ens: Ensemble) -> float:
     """1 - sum_x max_theta w_theta p_theta(x) under the ensemble prior."""
-    return _bayes_risk(ens.weights(), ens.pmf_matrix())
+    return float(bayes_risks(ens.weights(), ens.pmf_matrix()))
 
 
-def _bayes_risk(w: np.ndarray, pmat: np.ndarray) -> float:
-    scored = w[:, None] * pmat
-    return float(1.0 - scored.max(axis=0).sum())
+def bayes_risks(w, pmats) -> np.ndarray:
+    """:func:`bayes_risk_exact` for priors w (..., N) and members
+    (..., N, S), which broadcast; each gets the bits of its own call."""
+    scored = w[..., :, None] * pmats
+    return 1.0 - scored.max(axis=-2).sum(axis=-1)
 
 
 def map_test(ens: Ensemble) -> np.ndarray:
@@ -36,8 +38,12 @@ def map_test(ens: Ensemble) -> np.ndarray:
 
     Ties break to the lowest index, so the assignment is deterministic.
     """
-    scored = ens.weights()[:, None] * ens.pmf_matrix()
-    return scored.argmax(axis=0)
+    return map_tests(ens.weights(), ens.pmf_matrix())
+
+
+def map_tests(w, pmats) -> np.ndarray:
+    """:func:`map_test` for priors w (..., N) and members (..., N, S)."""
+    return (w[..., :, None] * pmats).argmax(axis=-2)
 
 
 def error_probability(ens: Ensemble, choice: np.ndarray) -> float:
@@ -47,10 +53,15 @@ def error_probability(ens: Ensemble, choice: np.ndarray) -> float:
         raise ValueError("test assignment length must match the support size")
     if choice.min() < 0 or choice.max() >= ens.size:
         raise ValueError("test assignment contains an invalid member index")
-    pmat = ens.pmf_matrix()
-    w = ens.weights()
-    correct = w[choice] * pmat[choice, np.arange(ens.support_size)]
-    return float(1.0 - correct.sum())
+    return float(error_probabilities(ens.weights(), ens.pmf_matrix(), choice))
+
+
+def error_probabilities(w, pmats, choice) -> np.ndarray:
+    """:func:`error_probability` for priors w (..., N), members
+    (..., N, S) and checked tests ``choice`` (..., S)."""
+    picked = np.take_along_axis(pmats, choice[..., None, :], axis=-2)[..., 0, :]
+    correct = np.take_along_axis(w, choice, axis=-1) * picked
+    return 1.0 - correct.sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -115,9 +126,11 @@ def minimax_risks(ensembles, tol: float = 1e-6) -> list[MinimaxResult]:
 
         min sum_x t_x  s.t.  t_x >= w_theta p_theta(x),  w in the simplex,
 
-    solved with HiGHS under its own default tolerances.  The duals of the
-    N*S rows t_x >= w_theta p_theta(x), clipped at 0 with each column
-    normalized, are a randomized test delta(theta|x); its worst-case error
+    solved with HiGHS, its primal and dual feasibility tolerances set to
+    min(1e-7, tol / 10) (1e-7 is its default), so a certificate finer than
+    the default can be asked for.  The duals of the N*S rows
+    t_x >= w_theta p_theta(x), clipped at 0 with each column normalized,
+    are a randomized test delta(theta|x); its worst-case error
     1 - min_theta sum_x delta(theta|x) p_theta(x) is the certified upper
     value, and the Bayes risk at the LP's prior the lower one.
 
@@ -150,15 +163,22 @@ def minimax_risks(ensembles, tol: float = 1e-6) -> list[MinimaxResult]:
         groups.append(batch)
     results: list = [None] * len(pmats)
     for group in groups:
-        solved = _solve_prior_lps([pmats[i] for i in group])
+        solved = _solve_prior_lps([pmats[i] for i in group], tol / 10.0)
         for i, (w, duals) in zip(group, solved):
             results[i] = _certify(pmats[i], w, duals, tol)
     return results
 
 
-def _solve_prior_lps(pmats: list) -> list:
-    """One block-diagonal LP over the prior LPs of ``pmats``; per block,
-    the prior part of the solution and the N x S duals of its rows."""
+#: HiGHS's default primal and dual feasibility tolerance
+HIGHS_FEASIBILITY = 1e-7
+
+
+def _solve_prior_lps(pmats: list, feasibility: float) -> list:
+    """One block-diagonal LP over the prior LPs of ``pmats``, solved to a
+    primal and dual feasibility tolerance of min(HIGHS_FEASIBILITY,
+    ``feasibility``); per block, the prior part of the solution and the
+    N x S duals of its rows.  The options are passed only to tighten the
+    default: passing them costs about 0.4 ms a call, 17% of a 2 x 8 solve."""
     ns = np.array([p.shape[0] for p in pmats])
     ss = np.array([p.shape[1] for p in pmats])
     # block k's variables are [w_0..w_{n-1}, t_0..t_{s-1}] from var_off[k];
@@ -194,6 +214,12 @@ def _solve_prior_lps(pmats: list) -> list:
         b_eq=np.ones(len(pmats)),
         bounds=bounds,
         method="highs",
+        options=None
+        if feasibility >= HIGHS_FEASIBILITY
+        else {
+            "primal_feasibility_tolerance": feasibility,
+            "dual_feasibility_tolerance": feasibility,
+        },
     )
     if res.status != 0:
         raise RuntimeError(f"prior maximization failed to converge: {res.message}")
@@ -213,10 +239,10 @@ def _certify(pmat: np.ndarray, w: np.ndarray, duals: np.ndarray, tol: float) -> 
     n = pmat.shape[0]
     w = np.clip(w, 0.0, None)
     w = w / w.sum()
-    value = _bayes_risk(w, pmat)
+    value = float(bayes_risks(w, pmat))
     # the maximum never sits below the uniform-prior Bayes risk
     uniform = np.full(n, 1.0 / n)
-    uniform_value = _bayes_risk(uniform, pmat)
+    uniform_value = float(bayes_risks(uniform, pmat))
     if uniform_value > value + tol:
         raise RuntimeError("solver returned a value below the uniform Bayes risk")
     if uniform_value > value:

@@ -12,18 +12,25 @@ from __future__ import annotations
 
 import functools
 import math
+import time
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, Ensemble, product_distribution, uniform_mixture
+from .distributions import (
+    DiscreteDistribution,
+    Ensemble,
+    check_mass_rows,
+    product_distribution,
+)
 from .divergences import (
     DivergenceGenerator,
     apply_generator,
     builtin_generator,
     default_generators,
+    divergence_matrix,
     eval_divergence,
-    squared_hellinger,
-    total_variation,
+    squared_hellingers,
+    total_variations,
     uniform_divergence_floor,
 )
 from .entropy_bounds import (
@@ -37,26 +44,34 @@ from .entropy_bounds import (
 )
 from .informativity import (
     CoveringFamily,
+    closed_forms,
     covering_approx_error,
     covering_specialization,
     covering_upper_bound,
     informativity_closed_form,
     informativity_numeric,
-    informativity_tv_exact,
     simple_upper_chain,
 )
 from .mixture_bounds import (
+    ensemble_statistics,
     implicit_risk_bound,
-    map_reference_mass,
-    named_bound,
+    map_reference_masses,
     named_bound_from_ensemble,
+    named_risk_bounds,
     tangent_risk_bound,
+    two_point_pairs,
+    two_point_sums,
     two_point_target,
-    two_point_witness,
     weighted_divergence_floor,
-    weighted_divergence_sum,
+    weighted_divergence_sums,
 )
-from .testing_risk import bayes_risk_exact, error_probability, map_test, minimax_risks
+from .testing_risk import (
+    bayes_risk_exact,
+    bayes_risks,
+    error_probabilities,
+    map_tests,
+    minimax_risks,
+)
 from . import constructions as cons
 
 SUITE_NAMES = ("core", "mixture", "jf", "entropy", "constructions")
@@ -74,17 +89,61 @@ def _random_ensemble(
     support_max: int = 12,
     with_prior: bool = False,
 ) -> Ensemble:
+    members, prior = _draw_arrays(rng, n_max, support_max, with_prior)
+    return Ensemble(members=tuple(DiscreteDistribution(row) for row in members), prior=prior)
+
+
+def _draw_arrays(
+    rng: np.random.Generator,
+    n_max: int = 6,
+    support_max: int = 12,
+    with_prior: bool = False,
+) -> tuple:
+    """The draws of :func:`_random_ensemble` as raw arrays, in its order:
+    n flat-Dirichlet members on s points (an n x s array, 2 <= n <= n_max,
+    2 <= s <= support_max) and the flat-Dirichlet prior, or None."""
     n = int(rng.integers(2, n_max + 1))
     s = int(rng.integers(2, support_max + 1))
-    members = _draw_members(rng, n, s)
+    members = rng.dirichlet(np.ones(s), size=n)
     prior = rng.dirichlet(np.ones(n)) if with_prior else None
-    return Ensemble(members=members, prior=prior)
+    return members, prior
 
 
 def _draw_members(rng: np.random.Generator, n: int, s: int) -> tuple:
     """n flat-Dirichlet distributions on s points from one draw; the rows
     come out of the random stream exactly as n single draws would."""
     return tuple(DiscreteDistribution(row) for row in rng.dirichlet(np.ones(s), size=n))
+
+
+def _by_shape(arrays) -> list:
+    """(shape, trial indices) for each shape among ``arrays``, in order of
+    first appearance."""
+    groups: dict = {}
+    for i, arr in enumerate(arrays):
+        groups.setdefault(arr.shape, []).append(i)
+    return [(shape, np.array(idx)) for shape, idx in groups.items()]
+
+
+def _stacked(arrays, idx, name: str = "pmf") -> np.ndarray:
+    """The drawn ``arrays`` at ``idx`` stacked, every row checked as the
+    distribution classes check a pmf or a prior (``check_mass_rows``)."""
+    return check_mass_rows(np.stack([arrays[i] for i in idx]), name)
+
+
+def _fold_min(start: float, values) -> float:
+    """``min(start, v)`` folded over ``values`` in C order, as the builtin
+    does it: a NaN never replaces the running value, and of equal values
+    the first stays (so a 0.0 stays ahead of a later -0.0)."""
+    vals = np.ravel(values)
+    vals = vals[~np.isnan(vals)]
+    if not (vals.size and vals.min() < start):
+        return start
+    return float(vals[np.argmax(vals == vals.min())])
+
+
+def _fold_max(start: float, values) -> float:
+    """``max(start, v)`` folded over ``values``, as :func:`_fold_min`."""
+    return -_fold_min(-start, -np.ravel(values))
 
 
 # ---------------------------------------------------------------------------
@@ -110,34 +169,50 @@ def check_product_marginals(seed: int, trials: int = 50) -> dict:
 
 
 def check_map_achieves_bayes(seed: int, trials: int = 200) -> dict:
+    """The MAP test's error equals the Bayes risk, with and without a
+    prior.  Trials are drawn one by one and scored by shape."""
     rng = np.random.default_rng([seed, 11])
-    worst = 0.0
+    members, priors = [], []
     for _ in range(trials):
-        ens = _random_ensemble(rng, with_prior=bool(rng.integers(0, 2)))
-        gap = abs(error_probability(ens, map_test(ens)) - bayes_risk_exact(ens))
-        worst = max(worst, gap)
+        with_prior = bool(rng.integers(0, 2))
+        pmat, prior = _draw_arrays(rng, with_prior=with_prior)
+        members.append(pmat)
+        priors.append(np.full(len(pmat), 1.0 / len(pmat)) if prior is None else prior)
+    gaps = np.empty(trials)
+    for _, idx in _by_shape(members):
+        pmats, w = _stacked(members, idx), _stacked(priors, idx, "prior")
+        errors = error_probabilities(w, pmats, map_tests(w, pmats))
+        gaps[idx] = np.abs(errors - bayes_risks(w, pmats))
+    worst = _fold_max(0.0, gaps)
     return _record("map_achieves_bayes", worst <= 1e-12, trials=trials, worst_error=worst)
 
 
 def check_bayes_concavity(seed: int, trials: int = 200) -> dict:
+    """The Bayes risk is concave in the prior: at the midpoint of two
+    drawn priors it is at least the mean of theirs."""
     rng = np.random.default_rng([seed, 12])
-    worst = math.inf
+    members, firsts, seconds = [], [], []
     for _ in range(trials):
-        ens = _random_ensemble(rng)
-        w1 = rng.dirichlet(np.ones(ens.size))
-        w2 = rng.dirichlet(np.ones(ens.size))
-        mid = Ensemble(members=ens.members, prior=(w1 + w2) / 2.0)
-        r1 = bayes_risk_exact(Ensemble(members=ens.members, prior=w1))
-        r2 = bayes_risk_exact(Ensemble(members=ens.members, prior=w2))
-        slack = bayes_risk_exact(mid) - (r1 + r2) / 2.0
-        worst = min(worst, slack)
+        pmat, _ = _draw_arrays(rng)
+        members.append(pmat)
+        firsts.append(rng.dirichlet(np.ones(len(pmat))))
+        seconds.append(rng.dirichlet(np.ones(len(pmat))))
+    slacks = np.empty(trials)
+    for _, idx in _by_shape(members):
+        pmats = _stacked(members, idx)
+        w1, w2 = _stacked(firsts, idx, "prior"), _stacked(seconds, idx, "prior")
+        mid = check_mass_rows((w1 + w2) / 2.0, "prior")
+        halves = (bayes_risks(w1, pmats) + bayes_risks(w2, pmats)) / 2.0
+        slacks[idx] = bayes_risks(mid, pmats) - halves
+    worst = _fold_min(math.inf, slacks)
     return _record("bayes_concavity", worst >= -1e-12, trials=trials, worst_slack=worst)
 
 
 def check_minimax_dominates_priors(seed: int, trials: int = 60) -> dict:
     """The certified minimax risk dominates every drawn prior's Bayes risk,
     the uniform one included, stays below 1 - 1/N, and its certificate's
-    gap is at most 1e-9.  All ensembles are solved in one batch."""
+    gap is at most 1e-9.  All ensembles are solved in one batch, and each
+    one's priors are scored against its one matrix."""
     rng = np.random.default_rng([seed, 13])
     tol = 1e-6
     drawn = []
@@ -145,17 +220,15 @@ def check_minimax_dominates_priors(seed: int, trials: int = 60) -> dict:
         ens = _random_ensemble(rng, n_max=4, support_max=8)
         drawn.append((ens, [rng.dirichlet(np.ones(ens.size)) for _ in range(5)]))
     results = minimax_risks([ens for ens, _ in drawn], tol=tol)
-    worst = math.inf
-    worst_gap = 0.0
-    for (ens, priors), res in zip(drawn, results):
-        for w in priors:
-            r = bayes_risk_exact(Ensemble(members=ens.members, prior=w))
-            worst = min(worst, res.value + tol - r)
-        worst = min(
-            worst, res.value - bayes_risk_exact(Ensemble(members=ens.members))
-        )
-        worst = min(worst, 1.0 - 1.0 / ens.size + 1e-12 - res.value)
-        worst_gap = max(worst_gap, res.duality_gap)
+    slacks = np.empty((trials, 7))
+    for t, ((ens, priors), res) in enumerate(zip(drawn, results)):
+        w = check_mass_rows(priors + [ens.weights()], "prior")
+        risks = bayes_risks(w, ens.pmf_matrix())
+        slacks[t, :5] = res.value + tol - risks[:5]
+        slacks[t, 5] = res.value - risks[5]
+        slacks[t, 6] = 1.0 - 1.0 / ens.size + 1e-12 - res.value
+    worst = _fold_min(math.inf, slacks)
+    worst_gap = _fold_max(0.0, [res.duality_gap for res in results])
     return _record(
         "minimax_dominates_priors",
         worst >= -1e-12 and worst_gap <= 1e-9,
@@ -172,57 +245,79 @@ def check_minimax_dominates_priors(seed: int, trials: int = 60) -> dict:
 
 def check_weighted_soundness(seed: int, trials: int = 1000) -> dict:
     """The central sweep: random ensembles, priors, references, and every
-    built-in generator; the weighted divergence sum must dominate the floor."""
+    built-in generator; the weighted divergence sum must dominate the floor.
+    Trials whose MAP reference mass W is 0 or 1 are skipped, and an
+    infinite sum is counted as checked.  One kernel call per shape and
+    generator."""
     rng = np.random.default_rng([seed, 20])
     gens = default_generators()
-    worst = math.inf
-    checked = 0
+    members, priors, refs = [], [], []
     for t in range(trials):
-        ens = _random_ensemble(rng, with_prior=True)
-        if t % 7 == 0 and ens.support_size > 2:
+        pmat, prior = _draw_arrays(rng, with_prior=True)
+        s = pmat.shape[1]
+        if t % 7 == 0 and s > 2:
             # exercise references with a dead point; the sum may be infinite
-            q = rng.dirichlet(np.ones(ens.support_size))
-            q[int(rng.integers(0, ens.support_size))] = 0.0
+            q = rng.dirichlet(np.ones(s))
+            q[int(rng.integers(0, s))] = 0.0
             q = q / q.sum()
         else:
-            q = rng.dirichlet(np.ones(ens.support_size))
-        qd = DiscreteDistribution(q)
-        w_mass = map_reference_mass(ens, qd)
-        if not 0.0 < w_mass < 1.0:
-            continue
-        rbar = bayes_risk_exact(ens)
-        for gen in gens:
-            lhs = weighted_divergence_sum(gen, ens, qd)
-            if math.isinf(lhs):
-                checked += 1
-                continue
-            rhs = weighted_divergence_floor(gen, w_mass, rbar)
-            worst = min(worst, lhs - rhs)
-            checked += 1
+            q = rng.dirichlet(np.ones(s))
+        members.append(pmat)
+        priors.append(prior)
+        refs.append(q)
+    # slack per (trial, generator); NaN where nothing is checked
+    slacks = np.full((trials, len(gens)), math.nan)
+    valid = np.zeros(trials, dtype=bool)
+    for _, idx in _by_shape(members):
+        pmats, w = _stacked(members, idx), _stacked(priors, idx, "prior")
+        qs = _stacked(refs, idx)
+        w_mass = map_reference_masses(w, pmats, qs)
+        keep = (0.0 < w_mass) & (w_mass < 1.0)
+        valid[idx] = keep
+        rbar = bayes_risks(w, pmats)
+        for g, gen in enumerate(gens):
+            lhs = weighted_divergence_sums(gen, w, pmats, qs)
+            live = keep & ~np.isinf(lhs)
+            rhs = weighted_divergence_floor(gen, w_mass[live], rbar[live])
+            slacks[idx[live], g] = lhs[live] - rhs
+    worst = _fold_min(math.inf, slacks)
+    checked = int(valid.sum()) * len(gens)
     return _record(
         "weighted_soundness", worst >= -1e-9, trials=checked, worst_slack=worst
     )
 
 
 def check_uniform_floor_shape(seed: int, trials: int = 40) -> dict:
-    """The uniform divergence floor is non-increasing and midpoint convex."""
+    """The uniform divergence floor is non-increasing and midpoint convex.
+    Each generator's trials are evaluated in two floor calls."""
     rng = np.random.default_rng([seed, 21])
     gens = default_generators()
-    worst = math.inf
-    for _ in range(trials):
-        gen = gens[int(rng.integers(0, len(gens)))]
-        n = int(rng.integers(2, 7))
-        grid = np.linspace(0.0, 1.0 - 1.0 / n, 33)
-        vals = np.array([uniform_divergence_floor(gen, n, a) for a in grid])
-        finite = np.isfinite(vals)
-        diffs = vals[finite][:-1] - vals[finite][1:]
-        if diffs.size:
-            worst = min(worst, float(diffs.min()))
-        for i in range(0, 29, 3):
-            lhs = uniform_divergence_floor(gen, n, (grid[i] + grid[i + 2]) / 2.0)
-            rhs = (vals[i] + vals[i + 2]) / 2.0
-            if math.isfinite(lhs) and math.isfinite(rhs):
-                worst = min(worst, rhs - lhs)
+    picks, ns = np.empty(trials, dtype=int), np.empty(trials, dtype=int)
+    for t in range(trials):
+        picks[t] = int(rng.integers(0, len(gens)))
+        ns[t] = int(rng.integers(2, 7))
+    grids = np.stack([np.linspace(0.0, 1.0 - 1.0 / n, 33) for n in ns])
+    vals = np.empty_like(grids)
+    # midpoints of grid points i and i + 2 for i = 0, 3, ..., 27
+    mid_vals = np.empty((trials, 10))
+    for g in np.unique(picks):
+        sel = picks == g
+        n = ns[sel, None]
+        vals[sel] = uniform_divergence_floor(gens[g], n, grids[sel])
+        mids = (grids[sel, 0:28:3] + grids[sel, 2:30:3]) / 2.0
+        mid_vals[sel] = uniform_divergence_floor(gens[g], n, mids)
+    chords = (vals[:, 0:28:3] + vals[:, 2:30:3]) / 2.0
+    with np.errstate(invalid="ignore"):  # inf - inf where a value is infinite
+        gaps = chords - mid_vals
+    convex = np.where(np.isfinite(mid_vals) & np.isfinite(chords), gaps, math.nan)
+    # per trial: the least decrease between finite neighbours, then the chords
+    slacks = np.full((trials, 11), math.nan)
+    slacks[:, 1:] = convex
+    for t, row in enumerate(vals):
+        finite = row[np.isfinite(row)]
+        if finite.size > 1:
+            slacks[t, 0] = float((finite[:-1] - finite[1:]).min())
+    worst = _fold_min(math.inf, slacks)
     return _record(
         "uniform_floor_shape", worst >= -1e-10, trials=trials, worst_slack=worst
     )
@@ -230,9 +325,12 @@ def check_uniform_floor_shape(seed: int, trials: int = 40) -> dict:
 
 def _two_point_objective(gen, v, a_grid, c_grid):
     """D_f(P1||Q) + D_f(P2||Q) on the two-point family with TV = v, where
-    P1 = (a, 1-a), P2 = (a-v, 1-a+v), Q = (c, 1-c)."""
-    a = a_grid[:, None]
-    c = c_grid[None, :]
+    P1 = (a, 1-a), P2 = (a-v, 1-a+v), Q = (c, 1-c), for every a of
+    ``a_grid`` (..., A) against every c of ``c_grid`` (..., C): an
+    (..., A, C) array, with v (...) broadcast."""
+    v = np.asarray(v)[..., None, None]
+    a = a_grid[..., :, None]
+    c = c_grid[..., None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         total = c * apply_generator(gen, a / c)
         total = total + (1 - c) * apply_generator(gen, (1 - a) / (1 - c))
@@ -241,44 +339,63 @@ def _two_point_objective(gen, v, a_grid, c_grid):
     return total
 
 
+def _larger(x, y):
+    """``max(x, y)`` elementwise as the builtin takes it: y only where it
+    is greater."""
+    return np.where(y > x, y, x)
+
+
+def _smaller(x, y):
+    """``min(x, y)`` elementwise as the builtin takes it."""
+    return np.where(y < x, y, x)
+
+
 def minimize_two_point(gen: DivergenceGenerator, v: float, rounds: int = 4) -> float:
     """Numeric minimum of the two-point divergence sum at total variation v,
     by nested grid refinement (81 points per axis per round)."""
-    a_lo, a_hi = v, 1.0
-    c_lo, c_hi = 1e-9, 1.0 - 1e-9
-    best = math.inf
+    return float(minimize_two_points(gen, np.array([v]), rounds)[0])
+
+
+def minimize_two_points(gen: DivergenceGenerator, vs, rounds: int = 4) -> np.ndarray:
+    """:func:`minimize_two_point` at every total variation in ``vs``, all
+    grids refined together; each gets the bits of its own call."""
+    vs = np.asarray(vs, dtype=float)
+    rows = np.arange(vs.size)
+    a_lo, a_hi = vs, np.ones(vs.size)
+    c_lo, c_hi = np.full(vs.size, 1e-9), np.full(vs.size, 1.0 - 1e-9)
+    best = np.full(vs.size, math.inf)
     for _ in range(rounds):
-        a_grid = np.linspace(a_lo, a_hi, 81)
-        c_grid = np.linspace(c_lo, c_hi, 81)
-        vals = _two_point_objective(gen, v, a_grid, c_grid)
+        a_grid = np.stack([np.linspace(lo, hi, 81) for lo, hi in zip(a_lo, a_hi)])
+        c_grid = np.stack([np.linspace(lo, hi, 81) for lo, hi in zip(c_lo, c_hi)])
+        vals = _two_point_objective(gen, vs, a_grid, c_grid).reshape(vs.size, -1)
         vals = np.where(np.isnan(vals), math.inf, vals)
-        idx = np.unravel_index(np.argmin(vals), vals.shape)
-        best = min(best, float(vals[idx]))
+        at = vals.argmin(axis=1)
+        best = _smaller(best, vals[rows, at])
         a_step = (a_hi - a_lo) / 80.0
         c_step = (c_hi - c_lo) / 80.0
-        a_c, c_c = float(a_grid[idx[0]]), float(c_grid[idx[1]])
-        a_lo, a_hi = max(v, a_c - 2 * a_step), min(1.0, a_c + 2 * a_step)
-        c_lo, c_hi = max(1e-12, c_c - 2 * c_step), min(1.0 - 1e-12, c_c + 2 * c_step)
+        a_c, c_c = a_grid[rows, at // 81], c_grid[rows, at % 81]
+        a_lo, a_hi = _larger(vs, a_c - 2 * a_step), _smaller(1.0, a_c + 2 * a_step)
+        c_lo, c_hi = _larger(1e-12, c_c - 2 * c_step), _smaller(1.0 - 1e-12, c_c + 2 * c_step)
     return best
 
 
 def check_two_point_sharpness(seed: int, trials: int = 11) -> dict:
     """The constructive witness hits f(1+V)+f(1-V) to 1e-12 and the numeric
-    minimum over two-point instances agrees to 1e-6."""
+    minimum over two-point instances agrees to 1e-6.  Per generator, all
+    total variations are evaluated together."""
     del seed  # deterministic grid check
     gens = [builtin_generator(g) for g in ("kl", "chi2", "power:3")]
-    worst_witness = 0.0
-    worst_numeric = 0.0
-    floor_slack = math.inf
     v_grid = np.round(np.linspace(0.0, 1.0, trials), 10)
-    for v in v_grid:
-        for gen in gens:
-            target = two_point_target(float(v), gen)
-            _, _, _, achieved = two_point_witness(float(v), gen)
-            worst_witness = max(worst_witness, abs(achieved - target))
-            numeric = minimize_two_point(gen, float(v))
-            worst_numeric = max(worst_numeric, abs(numeric - target))
-            floor_slack = min(floor_slack, numeric - target)
+    pairs = check_mass_rows(two_point_pairs(v_grid))
+    # (v, generator) entries, v-major as the checks run
+    witness, numeric = np.empty((trials, len(gens))), np.empty((trials, len(gens)))
+    for g, gen in enumerate(gens):
+        target = two_point_target(v_grid, gen)
+        witness[:, g] = np.abs(two_point_sums(gen, pairs) - target)
+        numeric[:, g] = minimize_two_points(gen, v_grid) - target
+    worst_witness = _fold_max(0.0, witness)
+    worst_numeric = _fold_max(0.0, np.abs(numeric))
+    floor_slack = _fold_min(math.inf, numeric)
     passed = worst_witness <= 1e-12 and worst_numeric <= 1e-6 and floor_slack >= -1e-9
     return _record(
         "two_point_sharpness",
@@ -292,23 +409,31 @@ def check_two_point_sharpness(seed: int, trials: int = 11) -> dict:
 
 def check_pair_inequalities(seed: int, trials: int = 1000) -> dict:
     """Pinsker, the mixture-KL/total-variation inequality, and the
-    Hellinger/total-variation inequality on random pairs."""
+    Hellinger/total-variation inequality on random pairs, scored by
+    support size."""
     rng = np.random.default_rng([seed, 22])
     kl = builtin_generator("kl")
-    worst = math.inf
+    pairs = []
     for _ in range(trials):
         s = int(rng.integers(2, 17))
-        p1 = DiscreteDistribution(rng.dirichlet(np.ones(s)))
-        p2 = DiscreteDistribution(rng.dirichlet(np.ones(s)))
-        v = total_variation(p1, p2)
-        worst = min(worst, eval_divergence(kl, p1, p2) - 2.0 * v * v)
-        mix = DiscreteDistribution((p1.pmf + p2.pmf) / 2.0)
-        lhs = eval_divergence(kl, p1, mix) + eval_divergence(kl, p2, mix)
-        rhs = (1 + v) * math.log1p(v) + (1 - v) * math.log1p(-v) if v < 1 else math.inf
-        if math.isfinite(rhs):
-            worst = min(worst, lhs - rhs)
-        h_sq = squared_hellinger(p1, p2)
-        worst = min(worst, math.sqrt(h_sq) * math.sqrt(1 - h_sq / 4.0) - v)
+        pairs.append(np.stack([rng.dirichlet(np.ones(s)), rng.dirichlet(np.ones(s))]))
+    # per trial: Pinsker, the mixture inequality (NaN where vacuous), Hellinger
+    slacks = np.full((trials, 3), math.nan)
+    for _, idx in _by_shape(pairs):
+        both = _stacked(pairs, idx)
+        p1, p2 = both[:, 0], both[:, 1]
+        v = total_variations(p1, p2)
+        slacks[idx, 0] = divergence_matrix(kl, p1[:, None], p2[:, None])[:, 0, 0] - 2.0 * v * v
+        mix = check_mass_rows((p1 + p2) / 2.0)
+        to_mix = divergence_matrix(kl, both, mix[:, None])
+        lhs = to_mix[:, 0, 0] + to_mix[:, 1, 0]
+        for i, t in enumerate(idx):
+            if v[i] < 1:
+                rhs = (1 + v[i]) * math.log1p(v[i]) + (1 - v[i]) * math.log1p(-v[i])
+                slacks[t, 1] = lhs[i] - rhs
+        h_sq = squared_hellingers(p1, p2)
+        slacks[idx, 2] = np.sqrt(h_sq) * np.sqrt(1 - h_sq / 4.0) - v
+    worst = _fold_min(math.inf, slacks)
     return _record(
         "pair_inequalities", worst >= -1e-12, trials=trials, worst_slack=worst
     )
@@ -333,16 +458,22 @@ def check_pinsker_constant(seed: int) -> dict:
 
 def check_named_bound_soundness(seed: int, trials: int = 1000) -> dict:
     """Every named bound fed exact ensemble statistics stays below the exact
-    uniform-prior Bayes risk; the chi2 bound is tight on identical members."""
+    uniform-prior Bayes risk; the chi2 bound is tight on identical members.
+    Statistics and bounds are computed per shape, one family at a time."""
     rng = np.random.default_rng([seed, 23])
-    worst = math.inf
     families = ("fano", "chi2", "hellinger", "tv", "power_l")
-    for _ in range(trials):
-        ens = _random_ensemble(rng, n_max=5, support_max=8)
-        rbar = bayes_risk_exact(Ensemble(members=ens.members))
-        for fam in families:
-            report = named_bound_from_ensemble(fam, ens)
-            worst = min(worst, rbar - report.lower_bound)
+    members = [_draw_arrays(rng, n_max=5, support_max=8)[0] for _ in range(trials)]
+    slacks = np.empty((trials, len(families)))
+    for (n, _), idx in _by_shape(members):
+        pmats = _stacked(members, idx)
+        rbar = bayes_risks(np.full(n, 1.0 / n), pmats)
+        for f, fam in enumerate(families):
+            stat, minimizers = ensemble_statistics(fam, pmats)
+            if minimizers is not None:
+                check_mass_rows(minimizers)
+            bound = np.minimum(np.maximum(named_risk_bounds(fam, n, stat), 0.0), 1.0)
+            slacks[idx, f] = rbar - bound
+    worst = _fold_min(math.inf, slacks)
     member = DiscreteDistribution(np.array([0.3, 0.7]))
     ident = Ensemble(members=(member, member, member))
     tight = named_bound_from_ensemble("chi2", ident).lower_bound
@@ -358,22 +489,36 @@ def check_named_bound_soundness(seed: int, trials: int = 1000) -> dict:
 
 def check_implicit_vs_oracle(seed: int, trials: int = 120) -> dict:
     """Inverting the uniform floor at the exact informativity never beats the
-    exact Bayes risk; the tangent relaxation never beats the inversion."""
+    exact Bayes risk; the tangent relaxation never beats the inversion.
+    The generator cycles with the trial; informativities are computed per
+    shape and generator, and each generator's bisections run together."""
     rng = np.random.default_rng([seed, 24])
-    worst = math.inf
-    worst_tangent = math.inf
+    names = ("kl", "chi2", "hellinger_half", "power:3")
+    members, anchors = [], np.empty(trials)
     for t in range(trials):
-        ens = _random_ensemble(rng, n_max=5, support_max=8)
-        n = ens.size
-        rbar = bayes_risk_exact(Ensemble(members=ens.members))
-        name = ("kl", "chi2", "hellinger_half", "power:3")[t % 4]
+        pmat, _ = _draw_arrays(rng, n_max=5, support_max=8)
+        members.append(pmat)
+        anchors[t] = float(rng.uniform(0.0, 1.0 - 1.0 / len(pmat) - 1e-6))
+    cycle = np.arange(trials) % len(names)
+    ns = np.array([len(pmat) for pmat in members])
+    rbar, totals = np.empty(trials), np.empty(trials)
+    for (n, _), idx in _by_shape(members):
+        pmats = _stacked(members, idx)
+        rbar[idx] = bayes_risks(np.full(n, 1.0 / n), pmats)
+        for k, name in enumerate(names):
+            sel = cycle[idx] == k
+            if sel.any():
+                minimizers, values = closed_forms(name, pmats[sel])
+                check_mass_rows(minimizers)
+                totals[idx[sel]] = n * values
+    bounds, tangents = np.empty(trials), np.empty(trials)
+    for k, name in enumerate(names):
+        sel = cycle == k
         gen = builtin_generator(name)
-        total = n * informativity_closed_form(name, ens).value
-        bound = implicit_risk_bound(gen, n, total)
-        worst = min(worst, rbar - bound)
-        a = float(rng.uniform(0.0, 1.0 - 1.0 / n - 1e-6))
-        tangent = tangent_risk_bound(gen, n, total, a)
-        worst_tangent = min(worst_tangent, bound - tangent)
+        bounds[sel] = implicit_risk_bound(gen, ns[sel], totals[sel])
+        tangents[sel] = tangent_risk_bound(gen, ns[sel], totals[sel], anchors[sel])
+    worst = _fold_min(math.inf, rbar - bounds)
+    worst_tangent = _fold_min(math.inf, bounds - tangents)
     return _record(
         "implicit_vs_oracle",
         worst >= -1e-9 and worst_tangent >= -1e-9,
@@ -427,12 +572,12 @@ def grid_informativity(gen: DivergenceGenerator, ens: Ensemble, step: float = 1e
 def _terms(gen: DivergenceGenerator, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """q f(p/q) cell by cell, p broadcast against q, evaluated apart from
     :func:`.divergences.divergence_matrix` so that the oracle is
-    independent of it: f(0+) where p = 0 < q, and where q = 0 the term is
-    +inf if p > 0, else 0."""
+    independent of it: f(0+) where p = 0 < q (through
+    :func:`.divergences.apply_generator`), and where q = 0 the term is +inf
+    if p > 0, else 0."""
     live = q > 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = p / np.where(live, q, 1.0)
-        vals = np.where(ratio == 0, gen.f_at_zero, gen.f(ratio))
+        vals = apply_generator(gen, p / np.where(live, q, 1.0))
         return np.where(live, q * vals, np.where(p > 0, np.inf, 0.0))
 
 
@@ -541,18 +686,28 @@ def check_informativity_oracles(
 
 
 def check_compensation_identity(seed: int, trials: int = 200) -> dict:
-    """sum KL(P_theta||Q) = sum KL(P_theta||mixture) + N KL(mixture||Q)."""
+    """sum KL(P_theta||Q) = sum KL(P_theta||mixture) + N KL(mixture||Q),
+    with three kernel calls per shape; each sum over members is added in
+    member order."""
     rng = np.random.default_rng([seed, 31])
     kl = builtin_generator("kl")
-    worst = 0.0
+    members, refs = [], []
     for _ in range(trials):
-        ens = _random_ensemble(rng, n_max=5, support_max=8)
-        q = DiscreteDistribution(rng.dirichlet(np.ones(ens.support_size)))
-        mix = uniform_mixture(ens)
-        lhs = sum(eval_divergence(kl, m, q) for m in ens.members)
-        rhs = sum(eval_divergence(kl, m, mix) for m in ens.members)
-        rhs += ens.size * eval_divergence(kl, mix, q)
-        worst = max(worst, abs(lhs - rhs))
+        pmat, _ = _draw_arrays(rng, n_max=5, support_max=8)
+        members.append(pmat)
+        refs.append(rng.dirichlet(np.ones(pmat.shape[1])))
+    errors = np.empty(trials)
+    for (n, _), idx in _by_shape(members):
+        pmats, qs = _stacked(members, idx), _stacked(refs, idx)[:, None]
+        mix = check_mass_rows(pmats.mean(axis=1))[:, None]
+        to_q = divergence_matrix(kl, pmats, qs)[..., 0]
+        to_mix = divergence_matrix(kl, pmats, mix)[..., 0]
+        lhs, rhs = to_q[:, 0], to_mix[:, 0]
+        for i in range(1, n):
+            lhs, rhs = lhs + to_q[:, i], rhs + to_mix[:, i]
+        rhs = rhs + n * divergence_matrix(kl, mix, qs)[:, 0, 0]
+        errors[idx] = np.abs(lhs - rhs)
+    worst = _fold_max(0.0, errors)
     return _record(
         "compensation_identity", worst <= 1e-10, trials=trials, worst_error=worst
     )
@@ -1019,53 +1174,53 @@ def _scaled(trials, default):
 
 def _suite_core(seed: int, trials=None) -> list:
     return [
-        check_product_marginals(seed, _scaled(trials, 50)),
-        check_map_achieves_bayes(seed, _scaled(trials, 200)),
-        check_bayes_concavity(seed, _scaled(trials, 200)),
-        check_minimax_dominates_priors(seed, min(_scaled(trials, 60), 200)),
+        functools.partial(check_product_marginals, seed, _scaled(trials, 50)),
+        functools.partial(check_map_achieves_bayes, seed, _scaled(trials, 200)),
+        functools.partial(check_bayes_concavity, seed, _scaled(trials, 200)),
+        functools.partial(check_minimax_dominates_priors, seed, min(_scaled(trials, 60), 200)),
     ]
 
 
 def _suite_mixture(seed: int, trials=None) -> list:
     return [
-        check_weighted_soundness(seed, _scaled(trials, 400)),
-        check_uniform_floor_shape(seed, _scaled(trials, 40)),
-        check_two_point_sharpness(seed),
-        check_pair_inequalities(seed, _scaled(trials, 400)),
-        check_pinsker_constant(seed),
-        check_named_bound_soundness(seed, _scaled(trials, 400)),
-        check_implicit_vs_oracle(seed, _scaled(trials, 120)),
+        functools.partial(check_weighted_soundness, seed, _scaled(trials, 400)),
+        functools.partial(check_uniform_floor_shape, seed, _scaled(trials, 40)),
+        functools.partial(check_two_point_sharpness, seed),
+        functools.partial(check_pair_inequalities, seed, _scaled(trials, 400)),
+        functools.partial(check_pinsker_constant, seed),
+        functools.partial(check_named_bound_soundness, seed, _scaled(trials, 400)),
+        functools.partial(check_implicit_vs_oracle, seed, _scaled(trials, 120)),
     ]
 
 
 def _suite_jf(seed: int, trials=None) -> list:
     return [
-        check_informativity_oracles(seed, min(_scaled(trials, 60), 200)),
-        check_compensation_identity(seed, _scaled(trials, 200)),
-        check_upper_chain(seed, _scaled(trials, 150)),
-        check_covering_validity(seed, _scaled(trials, 300)),
+        functools.partial(check_informativity_oracles, seed, min(_scaled(trials, 60), 200)),
+        functools.partial(check_compensation_identity, seed, _scaled(trials, 200)),
+        functools.partial(check_upper_chain, seed, _scaled(trials, 150)),
+        functools.partial(check_covering_validity, seed, _scaled(trials, 300)),
     ]
 
 
 def _suite_entropy(seed: int, trials=None) -> list:
     return [
-        check_entropy_arithmetic(),
-        check_entropy_monotonicity(),
-        check_entropy_finite_chain(seed, _scaled(trials, 60)),
-        check_rate_contrast(),
-        check_ball_volumetrics(),
+        functools.partial(check_entropy_arithmetic),
+        functools.partial(check_entropy_monotonicity),
+        functools.partial(check_entropy_finite_chain, seed, _scaled(trials, 60)),
+        functools.partial(check_rate_contrast),
+        functools.partial(check_ball_volumetrics),
     ]
 
 
 def _suite_constructions(seed: int, trials=None) -> list:
     return [
-        check_gilbert_varshamov_count(),
-        check_code_invariants(seed),
-        check_spectral_separation(seed, min(_scaled(trials, 100), 100)),
-        check_kl_frobenius(seed, min(_scaled(trials, 60), 100)),
-        check_cap_formulas(),
-        check_support_packing(seed),
-        check_covariance_smoke(seed),
+        functools.partial(check_gilbert_varshamov_count),
+        functools.partial(check_code_invariants, seed),
+        functools.partial(check_spectral_separation, seed, min(_scaled(trials, 100), 100)),
+        functools.partial(check_kl_frobenius, seed, min(_scaled(trials, 60), 100)),
+        functools.partial(check_cap_formulas),
+        functools.partial(check_support_packing, seed),
+        functools.partial(check_covariance_smoke, seed),
     ]
 
 
@@ -1078,8 +1233,12 @@ _SUITES = {
 }
 
 
-def run_suite(name: str = "all", seed: int = 0, trials=None) -> dict:
-    """Run one suite (or all) and return a deterministic report."""
+def run_suite(name: str = "all", seed: int = 0, trials=None, timings=None) -> dict:
+    """Run one suite (or all) and return a deterministic report.
+
+    ``timings``, when a dict, receives each check's wall time in seconds
+    (``time.perf_counter``) as ``timings[suite][check]``; the report itself
+    carries no time."""
     if name == "all":
         names = SUITE_NAMES
     elif name in _SUITES:
@@ -1088,7 +1247,14 @@ def run_suite(name: str = "all", seed: int = 0, trials=None) -> dict:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
     suites = {}
     for suite_name in names:
-        checks = _SUITES[suite_name](seed, trials)
+        checks = []
+        for check in _SUITES[suite_name](seed, trials):
+            start = time.perf_counter()
+            checks.append(check())
+            if timings is not None:
+                timings.setdefault(suite_name, {})[checks[-1]["name"]] = (
+                    time.perf_counter() - start
+                )
         suites[suite_name] = {
             "checks": checks,
             "pass": all(c["pass"] for c in checks),

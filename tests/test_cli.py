@@ -556,3 +556,23 @@ class TestDispatchCoverage:
                 choices = set(action.choices)
                 break
         assert choices == set(COMMAND_OPERATIONS)
+
+
+class TestVerifyTimings:
+    def test_timings_out_leaves_stdout_byte_identical(self, tmp_path, capsys):
+        assert main(["verify", "--suite", "all", "--seed", "3"]) == 0
+        plain = capsys.readouterr().out
+        path = tmp_path / "timings.json"
+        assert main(["verify", "--suite", "all", "--seed", "3", "--timings-out", str(path)]) == 0
+        assert capsys.readouterr().out == plain
+        timings = json.loads(path.read_text())
+        report = json.loads(plain)
+        assert sorted(timings) == sorted(report["suites"])
+        for suite, checks in report["suites"].items():
+            assert list(timings[suite]) == [c["name"] for c in checks["checks"]]
+            assert all(isinstance(s, float) and s >= 0.0 for s in timings[suite].values())
+
+    def test_timings_out_unwritable_path_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "timings.json"
+        assert main(["verify", "--suite", "entropy", "--timings-out", str(path)]) == 1
+        assert "error:" in capsys.readouterr().err

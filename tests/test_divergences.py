@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fdivbounds.distributions import DiscreteDistribution
 from fdivbounds.divergences import (
     DivergenceGenerator,
+    apply_generator,
     builtin_generator,
     default_generators,
     divergence_matrix,
@@ -17,6 +18,7 @@ from fdivbounds.divergences import (
     uniform_divergence_floor,
     uniform_divergence_floor_derivative,
 )
+from fdivbounds.mixture_bounds import two_point_target, weighted_divergence_floor
 
 
 def dist(*vals):
@@ -354,3 +356,168 @@ class TestDivergenceMatrix:
     def test_support_mismatch(self):
         with pytest.raises(ValueError, match="support"):
             divergence_matrix(builtin_generator("kl"), np.ones((2, 3)) / 3, np.ones((1, 2)) / 2)
+
+
+def f_one(gen, x):
+    """f at one point by a one-element call, f(0+) at 0: the scalar rule
+    every array floor must reproduce bit for bit."""
+    return gen.f_at_zero if x == 0.0 else float(gen.f(np.array([x]))[0])
+
+
+def floor_one(gen, x, y, wx, wy):
+    """wx f(x) + wy f(y) from scalar f values, +inf where either is."""
+    first, second = f_one(gen, x), f_one(gen, y)
+    if math.isinf(first) or math.isinf(second):
+        return math.inf
+    return wx * first + wy * second
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestBatchAxes:
+    """The batched kernel and the array floors give, element by element,
+    the bits of their one-instance forms."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        b=st.integers(1, 5),
+        n=st.integers(1, 5),
+        m=st.integers(1, 4),
+        s=st.integers(1, 24),
+        zeros=st.sampled_from([0.0, 0.0, 0.1, 0.4]),
+        dead=st.booleans(),
+        near=st.booleans(),
+        gen=st.sampled_from(default_generators()),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batched_kernel_bit_equal_to_2d_calls(
+        self, b, n, m, s, zeros, dead, near, gen, seed
+    ):
+        rng = np.random.default_rng(seed)
+        pmat = rng.dirichlet(np.ones(s), size=(b, n))
+        pmat[rng.random(pmat.shape) < zeros] = 0.0
+        if near:  # references a hair from the members: Jensen slack near 0
+            qmat = pmat[:, np.arange(m) % n] * (1.0 + 1e-9 * rng.standard_normal((b, m, s)))
+        else:
+            qmat = rng.dirichlet(np.ones(s), size=(b, m))
+            qmat[rng.random(qmat.shape) < zeros] = 0.0
+        if dead:  # a dead reference point: +inf wherever p has mass there
+            qmat[..., 0] = 0.0
+        with np.errstate(over="ignore"):
+            got = divergence_matrix(gen, pmat, qmat)
+            each = np.stack([divergence_matrix(gen, pmat[i], qmat[i]) for i in range(b)])
+            shared = divergence_matrix(gen, pmat, qmat[0])
+            each_shared = np.stack([divergence_matrix(gen, p, qmat[0]) for p in pmat])
+        assert got.shape == (b, n, m)
+        assert got.tobytes() == each.tobytes()
+        assert shared.tobytes() == each_shared.tobytes()
+
+    def test_batched_kernel_reaches_every_convention(self):
+        kl = builtin_generator("kl")
+        pmat = np.array([[[0.0, 0.5, 0.5], [0.2, 0.0, 0.8]], [[0.3, 0.3, 0.4], [0.3, 0.3, 0.4]]])
+        qmat = np.array([[[0.25, 0.25, 0.5]], [[0.0, 0.5, 0.5]]])
+        got = divergence_matrix(kl, pmat, qmat)
+        assert got.shape == (2, 2, 1)
+        assert math.isinf(got[1, 0, 0]) and math.isinf(got[1, 1, 0])
+        for i in range(2):
+            assert np.array_equal(got[i], pair_loop(kl, pmat[i], qmat[i]))
+        assert math.isfinite(got[0, 0, 0]) and math.isfinite(got[0, 1, 0])
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        gen=st.sampled_from(default_generators()),
+        k=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_array_floors_equal_scalar_rule(self, gen, k, seed):
+        rng = np.random.default_rng(seed)
+        n = rng.integers(2, 9, size=k)
+        hi = 1.0 - 1.0 / n
+        a = rng.uniform(0.0, 1.0, size=k) * hi
+        a[rng.random(k) < 0.2] = 0.0
+        ends = rng.random(k) < 0.2
+        a[ends] = hi[ends]
+        w = rng.uniform(0.0, 1.0, size=k)
+        w[w == 0.0] = 0.5
+        r = rng.uniform(0.0, 1.0, size=k)
+        r[rng.random(k) < 0.2] = 0.0
+        v = rng.uniform(0.0, 1.0, size=k)
+        v[rng.random(k) < 0.2] = 1.0
+        uniform = uniform_divergence_floor(gen, n, a)
+        weighted = weighted_divergence_floor(gen, w, r)
+        target = two_point_target(v, gen)
+        for i in range(k):
+            ni, ai = int(n[i]), float(a[i])
+            expect = floor_one(gen, ni * (1.0 - ai), ni * ai / (ni - 1.0), 1.0, ni - 1.0)
+            assert same_bits(uniform[i], expect)
+            assert same_bits(uniform_divergence_floor(gen, ni, ai), expect)
+            wi, ri = float(w[i]), float(r[i])
+            expect = floor_one(gen, (1.0 - ri) / wi, ri / (1.0 - wi), wi, 1.0 - wi)
+            assert same_bits(weighted[i], expect)
+            assert same_bits(weighted_divergence_floor(gen, wi, ri), expect)
+            vi = float(v[i])
+            expect = floor_one(gen, 1.0 + vi, 1.0 - vi, 1.0, 1.0)
+            assert same_bits(target[i], expect)
+            assert same_bits(two_point_target(vi, gen), expect)
+        if gen.derivative is not None:
+            slopes = uniform_divergence_floor_derivative(gen, n, a)
+            for i in range(k):
+                ni, ai = int(n[i]), float(a[i])
+                inner = ni * ai / (ni - 1.0)
+                left = float(gen.derivative(np.array([inner if inner else 1e-300]))[0])
+                right = float(gen.derivative(np.array([ni * (1.0 - ai)]))[0])
+                assert same_bits(slopes[i], ni * (left - right))
+
+    @pytest.mark.parametrize("layout", ["C", "F", "columns", "columns with a zero"])
+    def test_apply_generator_keeps_the_input_layout(self, layout):
+        """A later reduction adds in an order set by the memory layout (an
+        axis-0 mean of a Fortran-ordered 8-row array is a pairwise sum),
+        so the result keeps the layout ``np.empty_like`` gives."""
+        kl = builtin_generator("kl")
+        base = np.random.default_rng(3).uniform(0.1, 2.0, size=(8, 6))
+        if layout == "columns with a zero":
+            base[0, 0] = 0.0
+        x = base if layout == "C" else np.asfortranarray(base)
+        if layout.startswith("columns"):
+            x = base[:, np.array([True, False, True, True, False, True])]
+        got = apply_generator(kl, x)
+        assert got.strides == np.empty_like(x).strides
+        for (i, j), v in np.ndenumerate(x):
+            assert same_bits(got[i, j], f_one(kl, v))
+
+    def test_apply_generator_takes_f_zero_only_at_zero(self):
+        kl = builtin_generator("kl")
+        x = np.array([[0.0, 0.5], [2.0, 0.0]])
+        got = apply_generator(kl, x)
+        assert got[0, 0] == 0.0 and got[1, 1] == 0.0
+        assert same_bits(got[0, 1], f_one(kl, 0.5)) and same_bits(got[1, 0], f_one(kl, 2.0))
+        assert same_bits(apply_generator(kl, 0.5), f_one(kl, 0.5))
+
+
+class TestFloorInputChecks:
+    """The floors refuse bad input by name, elementwise in array form."""
+
+    def test_derivative_needs_two_hypotheses(self):
+        with pytest.raises(ValueError, match="need at least 2 hypotheses"):
+            uniform_divergence_floor_derivative(builtin_generator("kl"), 1, 0.0)
+        with pytest.raises(ValueError, match="need at least 2 hypotheses"):
+            uniform_divergence_floor(builtin_generator("kl"), np.array([2, 1]), 0.0)
+
+    @pytest.mark.parametrize("v", [1.5, -0.1, math.nan])
+    def test_two_point_target_refuses_v_outside_unit_interval(self, v):
+        chi2 = builtin_generator("chi2")
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            two_point_target(v, chi2)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            two_point_target(np.array([0.3, v]), chi2)
+
+    def test_array_checks_name_the_first_bad_element(self):
+        kl = builtin_generator("kl")
+        with pytest.raises(ValueError, match="a=0.75 outside"):
+            uniform_divergence_floor(kl, 2, np.array([0.1, 0.75, 0.9]))
+        with pytest.raises(ValueError, match="a=nan outside"):
+            uniform_divergence_floor(kl, 3, np.array([0.1, math.nan]))
+        with pytest.raises(ValueError, match="W=1.0"):
+            weighted_divergence_floor(kl, np.array([0.5, 1.0]), 0.2)

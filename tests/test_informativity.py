@@ -702,3 +702,36 @@ def test_one_dirichlet_call_draws_the_same_members():
     single = np.random.default_rng([3, 30])
     for member in batched:
         assert np.array_equal(member.pmf, single.dirichlet(np.ones(5)))
+
+
+class TestStackedClosedForms:
+    """The stacked closed forms and sorted breakpoints give every ensemble
+    the bits of its one-ensemble result."""
+
+    @pytest.mark.parametrize(
+        "name", ["kl", "chi2", "hellinger_half", "hellinger_sq", "power:3", "power:1.5"]
+    )
+    def test_closed_forms_equal_one_ensemble_results(self, name):
+        rng = np.random.default_rng(51)
+        for n, s in ((2, 2), (3, 7), (5, 9)):
+            pmats = rng.dirichlet(np.ones(s), size=(20, n))
+            pmats[::4, 0, 0] = 0.0  # zero masses, one row renormalized
+            pmats[::4, 0] /= pmats[::4, 0].sum(axis=1, keepdims=True)
+            minimizers, values = informativity.closed_forms(name, pmats)
+            for i in range(20):
+                ens = Ensemble(members=tuple(DiscreteDistribution(r) for r in pmats[i]))
+                one = informativity_closed_form(name, ens)
+                assert values[i].tobytes() == np.float64(one.value).tobytes()
+                assert minimizers[i].tobytes() == one.minimizer.pmf.tobytes()
+
+    def test_tv_breakpoints_equal_one_ensemble_results(self):
+        rng = np.random.default_rng(52)
+        for n, s in ((2, 3), (4, 4), (5, 8)):
+            pmats = rng.dirichlet(np.ones(s), size=(20, n))
+            pmats[1] = pmats[1, :1]  # identical members
+            minimizers, values = informativity.tv_breakpoints(pmats)
+            for i in range(20):
+                ens = Ensemble(members=tuple(DiscreteDistribution(r) for r in pmats[i]))
+                one = informativity_tv_exact(ens)
+                assert values[i].tobytes() == np.float64(one.value).tobytes()
+                assert minimizers[i].tobytes() == one.minimizer.pmf.tobytes()

@@ -6,15 +6,21 @@ import pytest
 from fdivbounds.distributions import DiscreteDistribution, Ensemble
 from fdivbounds.divergences import builtin_generator, default_generators, total_variation
 from fdivbounds.mixture_bounds import (
+    ensemble_statistics,
     implicit_risk_bound,
     map_reference_mass,
+    map_reference_masses,
     named_bound,
     named_bound_from_ensemble,
+    named_risk_bounds,
     tangent_risk_bound,
     two_point_target,
     two_point_witness,
+    two_point_pairs,
+    two_point_sums,
     weighted_divergence_floor,
     weighted_divergence_sum,
+    weighted_divergence_sums,
 )
 from fdivbounds.testing_risk import bayes_risk_exact
 from fdivbounds.verify import check_weighted_soundness, minimize_two_point
@@ -302,3 +308,95 @@ class TestTwoPointWitness:
                 target = two_point_target(v, gen)
                 assert numeric >= target - 1e-9
                 assert numeric == pytest.approx(target, abs=1e-6)
+
+
+def _same_bits(got, expect) -> bool:
+    return np.asarray(got, dtype=float).tobytes() == np.asarray(expect, dtype=float).tobytes()
+
+
+class TestArrayForms:
+    """Each array form gives every element the bits of its one-object call."""
+
+    def test_implicit_and_tangent_bounds_take_their_scalar_steps(self):
+        rng = np.random.default_rng(41)
+        for name in ("kl", "chi2", "hellinger_half", "power:3", "reverse_kl"):
+            gen = builtin_generator(name)
+            n = rng.integers(2, 7, size=60)
+            totals = rng.exponential(1.0, size=60)
+            totals[::7] = 0.0
+            totals[3::11] = math.inf
+            totals[5::13] = 1e6
+            anchors = rng.uniform(0.0, 1.0, size=60) * (1.0 - 1.0 / n - 1e-6)
+            bounds = implicit_risk_bound(gen, n, totals)
+            tangents = tangent_risk_bound(gen, n, totals, anchors)
+            for i in range(60):
+                ni, ti = int(n[i]), float(totals[i])
+                assert _same_bits(bounds[i], implicit_risk_bound(gen, ni, ti))
+                assert _same_bits(tangents[i], tangent_risk_bound(gen, ni, ti, float(anchors[i])))
+
+    def test_implicit_bound_broadcasts_one_count(self):
+        sums = np.array([0.0, 0.3, 2.0])
+        got = implicit_risk_bound(CHI2, 4, sums)
+        assert got.shape == (3,)
+        assert [implicit_risk_bound(CHI2, 4, float(s)) for s in sums] == list(got)
+
+    def test_weighted_sums_equal_one_instance_calls(self):
+        rng = np.random.default_rng(42)
+        w = rng.dirichlet(np.ones(4), size=30)
+        pmats = rng.dirichlet(np.ones(6), size=(30, 4))
+        qs = rng.dirichlet(np.ones(6), size=30)
+        qs[::5, 2] = 0.0  # dead reference points: some sums are infinite
+        qs /= qs.sum(axis=1, keepdims=True)
+        # in instance 5 only member 1 has mass at the dead point, and it has
+        # no weight: it is skipped, so that sum stays finite
+        w[5, 1] = 0.0
+        w[5] /= w[5].sum()
+        pmats[5, [0, 2, 3], 2] = 0.0
+        pmats[5] /= pmats[5].sum(axis=1, keepdims=True)
+        for gen in default_generators():
+            sums = weighted_divergence_sums(gen, w, pmats, qs)
+            masses = map_reference_masses(w, pmats, qs)
+            for i in range(30):
+                ens = Ensemble(
+                    members=tuple(DiscreteDistribution(r) for r in pmats[i]), prior=w[i]
+                )
+                q = DiscreteDistribution(qs[i])
+                assert _same_bits(sums[i], weighted_divergence_sum(gen, ens, q))
+                assert _same_bits(masses[i], map_reference_mass(ens, q))
+        assert math.isfinite(weighted_divergence_sums(KL, w, pmats, qs)[5])
+        assert math.isinf(weighted_divergence_sums(KL, w, pmats, qs)[0])
+
+    def test_named_bounds_equal_their_reports(self):
+        rng = np.random.default_rng(43)
+        for n, s in ((2, 3), (3, 5), (5, 8)):
+            pmats = rng.dirichlet(np.ones(s), size=(25, n))
+            for family in ("fano", "chi2", "hellinger", "tv", "power_l"):
+                stats, _ = ensemble_statistics(family, pmats)
+                values = named_risk_bounds(family, n, stats)
+                for i in range(25):
+                    ens = Ensemble(members=tuple(DiscreteDistribution(r) for r in pmats[i]))
+                    report = named_bound_from_ensemble(family, ens)
+                    assert _same_bits(min(max(values[i], 0.0), 1.0), report.lower_bound)
+                    key = "h_sq" if family == "hellinger" else (
+                        "avg_kl" if family == "fano" else "divergence_sum"
+                    )
+                    assert _same_bits(stats[i], report.inputs[key])
+
+    def test_named_risk_bounds_refuse_bad_statistics(self):
+        with pytest.raises(ValueError, match="divergence_sum is NaN"):
+            named_risk_bounds("chi2", 3, np.array([0.1, math.nan]))
+        with pytest.raises(ValueError, match="hellinger needs"):
+            named_risk_bounds("hellinger", 3, np.array([0.1, 2.5]))
+        with pytest.raises(ValueError, match="tv needs"):
+            named_risk_bounds("tv", 3, np.array([-0.1]))
+
+    def test_two_point_sums_equal_witnesses(self):
+        v = np.round(np.linspace(0.0, 1.0, 11), 10)
+        pairs = two_point_pairs(v)
+        for name in ("kl", "chi2", "power:3", "reverse_kl"):
+            gen = builtin_generator(name)
+            sums = two_point_sums(gen, pairs)
+            for i, vi in enumerate(v):
+                p1, p2, _, achieved = two_point_witness(float(vi), gen)
+                assert _same_bits(sums[i], achieved)
+                assert np.array_equal(pairs[i], [p1.pmf, p2.pmf])

@@ -258,3 +258,30 @@ class TestVerifyCheck:
         rec = verify.check_minimax_dominates_priors(0, trials=20)
         assert rec["pass"] is False
         assert rec["worst_gap"] == 2e-9
+
+
+class TestStackedRisks:
+    def test_stacked_risks_equal_one_ensemble_calls(self):
+        rng = np.random.default_rng(61)
+        w = rng.dirichlet(np.ones(3), size=40)
+        pmats = rng.dirichlet(np.ones(5), size=(40, 3))
+        risks = testing_risk.bayes_risks(w, pmats)
+        tests = testing_risk.map_tests(w, pmats)
+        errors = testing_risk.error_probabilities(w, pmats, tests)
+        for i in range(40):
+            ens = ens_of(*pmats[i], prior=w[i])
+            assert risks[i].tobytes() == np.float64(bayes_risk_exact(ens)).tobytes()
+            assert np.array_equal(tests[i], map_test(ens))
+            assert errors[i].tobytes() == np.float64(error_probability(ens, tests[i])).tobytes()
+
+
+class TestMinimaxTolerance:
+    def test_tol_below_highs_default_is_certified(self):
+        """At the default tolerance this 20 x 1000 ensemble certifies a gap
+        of about 1.4e-7, HiGHS's own feasibility tolerance; a tol of 1e-8
+        tightens the solve to match."""
+        rows = np.random.default_rng(3).dirichlet(np.ones(1000), size=20)
+        ens = ens_of(*rows)
+        assert minimax_risk(ens).duality_gap > 1e-8
+        res = minimax_risk(ens, tol=1e-8)
+        assert 0.0 <= res.duality_gap <= 1e-8

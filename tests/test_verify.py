@@ -1,0 +1,96 @@
+"""The helpers of the shape-batched verify sweeps."""
+
+import math
+
+import numpy as np
+import pytest
+
+from fdivbounds import verify
+from fdivbounds.distributions import DiscreteDistribution, check_mass_rows
+from fdivbounds.divergences import builtin_generator
+
+
+def builtin_min_fold(start, values):
+    for v in values:
+        start = min(start, v)
+    return start
+
+
+def builtin_max_fold(start, values):
+    for v in values:
+        start = max(start, v)
+    return start
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [0.5, -0.2, 0.1],
+        [0.0, -0.0, 1.0],
+        [-0.0, 0.0],
+        [math.nan, 0.3, math.nan, -1.0],
+        [math.nan],
+        [],
+        [math.inf, -math.inf, 2.0],
+    ],
+)
+@pytest.mark.parametrize("start", [math.inf, 0.0, -0.0, -math.inf])
+def test_folds_match_the_builtins(values, start):
+    got_min = verify._fold_min(start, np.array(values, dtype=float))
+    got_max = verify._fold_max(start, np.array(values, dtype=float))
+    want_min = builtin_min_fold(start, values)
+    want_max = builtin_max_fold(start, values)
+    assert math.copysign(1.0, got_min) == math.copysign(1.0, want_min)
+    assert got_min == want_min
+    assert math.copysign(1.0, got_max) == math.copysign(1.0, want_max)
+    assert got_max == want_max
+
+
+def test_minimize_two_points_equals_one_at_a_time():
+    v = np.round(np.linspace(0.0, 1.0, 11), 10)
+    for name in ("kl", "chi2", "power:3"):
+        gen = builtin_generator(name)
+        together = verify.minimize_two_points(gen, v)
+        for i, vi in enumerate(v):
+            assert together[i].tobytes() == np.float64(verify.minimize_two_point(gen, float(vi))).tobytes()
+
+
+def test_draw_arrays_follow_the_ensemble_stream():
+    a, b = np.random.default_rng(7), np.random.default_rng(7)
+    for with_prior in (False, True, True, False):
+        members, prior = verify._draw_arrays(a, with_prior=with_prior)
+        ens = verify._random_ensemble(b, with_prior=with_prior)
+        assert np.array_equal(members, ens.pmf_matrix())
+        assert (prior is None) == (ens.prior is None)
+        if prior is not None:
+            assert np.array_equal(prior, ens.prior)
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ([0.5, math.nan], "non-finite"),
+        ([1.2, -0.2], "negative probability"),
+        ([0.5, 0.6], "sums to"),
+    ],
+)
+def test_mass_rows_refused_as_the_class_refuses(row, message):
+    with pytest.raises(ValueError, match=message):
+        DiscreteDistribution(np.array(row))
+    rows = np.array([[0.25, 0.75], row])
+    with pytest.raises(ValueError, match=message):
+        check_mass_rows(rows)
+
+
+def test_prior_rows_refused_by_name():
+    with pytest.raises(ValueError, match="negative prior entry"):
+        check_mass_rows(np.array([[1.5, -0.5]]), "prior")
+    with pytest.raises(ValueError, match="prior sums to"):
+        check_mass_rows(np.array([[0.5, 0.4]]), "prior")
+
+
+def test_by_shape_groups_in_first_appearance_order():
+    arrays = [np.zeros((2, 3)), np.zeros((3, 3)), np.zeros((2, 3)), np.zeros((2, 4))]
+    groups = verify._by_shape(arrays)
+    assert [shape for shape, _ in groups] == [(2, 3), (3, 3), (2, 4)]
+    assert [list(idx) for _, idx in groups] == [[0, 2], [1], [3]]
