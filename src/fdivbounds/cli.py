@@ -18,7 +18,7 @@ import numpy as np
 
 from . import constructions, divergences, entropy_bounds, informativity
 from . import mixture_bounds, testing_risk, verify
-from .distributions import load_distribution, load_ensemble
+from .distributions import Ensemble, load_distribution, load_ensemble, product_distribution
 from .report import _jsonable
 
 #: subcommand -> the public operations it exercises (coverage-tested)
@@ -138,8 +138,6 @@ def _cmd_divergence(args) -> int:
     p = load_distribution(args.p)
     q = load_distribution(args.q)
     if args.product_power > 1:
-        from .distributions import product_distribution
-
         p = product_distribution(p, args.product_power)
         q = product_distribution(q, args.product_power)
     value = divergences.eval_divergence(gen, p, q)
@@ -154,8 +152,6 @@ def _cmd_divergence(args) -> int:
 def _cmd_bayes_risk(args) -> int:
     ens = load_ensemble(args.ensemble)
     if args.prior is not None:
-        from .distributions import Ensemble
-
         prior = np.array([float(v) for v in args.prior.split(",")])
         ens = Ensemble(members=ens.members, prior=prior, labels=ens.labels)
     value = testing_risk.bayes_risk_exact(ens)
@@ -240,13 +236,10 @@ def _cmd_jf(args) -> int:
     ens = load_ensemble(args.ensemble)
     if args.method == "closed":
         res = informativity.informativity_closed_form(args.gen, ens)
-    elif args.gen == "tv":
-        res = informativity.informativity_tv_exact(ens)
-    else:
-        gen = divergences.builtin_generator(args.gen)
+    gen = divergences.builtin_generator(args.gen)
+    if args.method == "numeric":
         res = informativity.informativity_numeric(gen, ens, tol=args.tol)
     out = res.to_json()
-    gen = divergences.builtin_generator(args.gen)
     chain = informativity.simple_upper_chain(gen, ens)
     out["upper_chain"] = {
         "to_mixture": chain[0],

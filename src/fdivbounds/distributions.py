@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -17,28 +16,8 @@ import numpy as np
 
 #: accepted normalization error on user-supplied vectors
 INPUT_TOL = 1e-9
-#: normalization error expected of internally constructed vectors
-INTERNAL_TOL = 1e-12
 #: default cap on the number of points of a product sample space
 DEFAULT_PRODUCT_CAP = 10**6
-
-
-def _as_vector(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name} must be a nonempty 1-d vector")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} has a non-finite entry")
-    return arr
-
-
-def _plain_masses(arr: np.ndarray, total: float) -> bool:
-    """Whether ``arr``, whose sum is ``total``, is a nonempty 1-d vector of
-    non-negative entries with a finite sum.  One sum and one min decide it,
-    so a valid vector skips the checks that name a fault; any other vector
-    runs them in the order shape, non-finite, negative, sum (a finite vector
-    whose sum overflows reaches the last)."""
-    return arr.ndim == 1 and arr.size > 0 and math.isfinite(total) and arr.min() >= 0.0
 
 
 def stack_pmfs(dists: Sequence["DiscreteDistribution"]) -> np.ndarray:
@@ -49,28 +28,42 @@ def stack_pmfs(dists: Sequence["DiscreteDistribution"]) -> np.ndarray:
     return mat
 
 
-def check_mass_rows(rows, name: str = "pmf") -> np.ndarray:
-    """Stacked mass vectors (..., S) as a float array, each row checked as
-    ``DiscreteDistribution`` checks its pmf (``name="pmf"``) or ``Ensemble``
-    its prior (``name="prior"``): every entry finite and non-negative, and
-    every row sum within INPUT_TOL of 1.  The row sums are the ones those
-    classes take, bit for bit; a refusal names the first bad row's fault
-    in their words."""
+def check_mass_rows(rows, name: str = "pmf", length: Optional[int] = None) -> np.ndarray:
+    """Stacked mass vectors (..., S) as a float array, every row checked:
+    the one rule for what a pmf (``name="pmf"``) or a prior
+    (``name="prior"``, with the member count as ``length``) may be.
+    ``DiscreteDistribution`` and ``Ensemble`` call it on their one row.
+
+    A valid stack is accepted on one sum and one min: every row sum within
+    INPUT_TOL of 1 and a min of at least 0 leave no room for a non-finite
+    entry (+inf makes its row sum infinite, NaN and -inf fail the min).
+    Any other stack is refused by the first failing check of the order
+    shape (a scalar, or rows of no entries), non-finite entry, row length
+    (when ``length`` is given), negative entry, row sum; the sum check
+    names the first row sum off by more than INPUT_TOL, so a finite row
+    whose sum overflows is refused there."""
     arr = np.asarray(rows, dtype=float)
-    if arr.ndim == 0 or arr.shape[-1] == 0:
-        raise ValueError(f"{name} must be a nonempty 1-d vector")
-    if arr.size == 0:
+    ndim = arr.ndim
+    if not (ndim and arr.size):
+        if ndim == 0 or arr.shape[-1] == 0:
+            raise ValueError(f"{name} must be a nonempty 1-d vector")
+        return arr  # a stack of no rows
+    # one row's sum as a float: numpy scalar arithmetic and any() would cost
+    # more than the sum itself
+    totals = float(arr.sum()) if ndim == 1 else arr.sum(axis=-1)
+    off = abs(totals - 1.0) > INPUT_TOL
+    fits = length is None or arr.shape[-1] == length
+    if fits and not (off if ndim == 1 else off.any()) and arr.min() >= 0.0:
         return arr
-    totals = arr.sum(axis=-1)
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} has a non-finite entry")
+    if not fits:
+        raise ValueError(f"{name} length does not match member count")
     if arr.min() < 0:
         detail = f"probability entry (min {arr.min()!r})" if name == "pmf" else f"{name} entry"
         raise ValueError(f"negative {detail}")
-    off = np.abs(totals - 1.0) > INPUT_TOL
-    if off.any():
-        raise ValueError(f"{name} sums to {float(totals[off][0])!r}, not 1")
-    return arr
+    first = float(np.ravel(totals)[np.ravel(off)][0])
+    raise ValueError(f"{name} sums to {first!r}, not 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,13 +74,9 @@ class DiscreteDistribution:
 
     def __post_init__(self):
         arr = np.array(self.pmf, dtype=float)
-        total = float(arr.sum())
-        if not _plain_masses(arr, total):
-            _as_vector(arr, "pmf")
-            if np.any(arr < 0):
-                raise ValueError(f"negative probability entry (min {arr.min()!r})")
-        if abs(total - 1.0) > INPUT_TOL:
-            raise ValueError(f"pmf sums to {total!r}, not 1")
+        if arr.ndim != 1:
+            raise ValueError("pmf must be a nonempty 1-d vector")
+        check_mass_rows(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "pmf", arr)
 
@@ -127,16 +116,9 @@ class Ensemble:
         object.__setattr__(self, "members", members)
         if self.prior is not None:
             w = np.array(self.prior, dtype=float)
-            total = float(w.sum())
-            plain = _plain_masses(w, total)
-            if not plain:
-                _as_vector(w, "prior")
-            if w.size != len(members):
-                raise ValueError("prior length does not match member count")
-            if not plain and np.any(w < 0):
-                raise ValueError("negative prior entry")
-            if abs(total - 1.0) > INPUT_TOL:
-                raise ValueError(f"prior sums to {total!r}, not 1")
+            if w.ndim != 1:
+                raise ValueError("prior must be a nonempty 1-d vector")
+            check_mass_rows(w, "prior", len(members))
             w.setflags(write=False)
             object.__setattr__(self, "prior", w)
         if self.labels is not None:

@@ -40,7 +40,6 @@ class DivergenceGenerator:
     f: Callable[[np.ndarray], np.ndarray]
     f_at_zero: float
     derivative: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    strictly_convex: bool = True
     h: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
@@ -173,7 +172,6 @@ _FIXED_GENERATORS = {
         f=lambda x: np.abs(x - 1.0) / 2.0,
         f_at_zero=0.5,
         derivative=None,
-        strictly_convex=False,
     ),
     "reverse_kl": DivergenceGenerator(
         name="reverse_kl",

@@ -63,10 +63,6 @@ def power_loss(exponent: float = 2.0) -> LossSpec:
     return LossSpec(lambda x: x**exponent, name=f"power{exponent:g}")
 
 
-IDENTITY_LOSS = power_loss(1.0)
-SQUARED_LOSS = power_loss(2.0)
-
-
 @dataclass(frozen=True)
 class EntropyProfile:
     """Packing/covering bounds with their validity regions.

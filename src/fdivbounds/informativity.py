@@ -26,6 +26,7 @@ import numpy as np
 from .distributions import (
     DiscreteDistribution,
     Ensemble,
+    distribution_from_json,
     stack_pmfs,
 )
 from .divergences import (
@@ -217,15 +218,6 @@ def tv_breakpoints(pmats) -> tuple[np.ndarray, np.ndarray]:
 
 def _objective(gen: DivergenceGenerator, pmat: np.ndarray, q: np.ndarray) -> float:
     return float(divergence_matrix(gen, pmat, q[None]).sum()) / pmat.shape[0]
-
-
-def _mean_to_mixture(
-    gen: DivergenceGenerator, ens: Ensemble
-) -> tuple[DiscreteDistribution, float]:
-    """The uniform mixture m and (1/N) sum_theta D_f(P_theta||m); see
-    :func:`_mixture_divergence`."""
-    mix, value = _mixture_divergence(gen, ens.pmf_matrix())
-    return DiscreteDistribution(mix), float(value)
 
 
 def _mixture_divergence(gen: DivergenceGenerator, pmats) -> tuple[np.ndarray, np.ndarray]:
@@ -487,10 +479,10 @@ def simple_upper_chain(
     """Three nested upper bounds on the informativity: the mean divergence
     to the uniform mixture, the mean pairwise divergence (diagonal included),
     and the max pairwise divergence.  +inf entries are legitimate; masses
-    that averaging rounds to 0 are handled as in :func:`_mean_to_mixture`."""
+    that averaging rounds to 0 are handled as in :func:`_mixture_divergence`."""
     pmat = ens.pmf_matrix()
     n = ens.size
-    _, to_mixture = _mean_to_mixture(gen, ens)
+    to_mixture = float(_mixture_divergence(gen, pmat)[1])
     pairwise = divergence_matrix(gen, pmat, pmat)
     np.fill_diagonal(pairwise, 0.0)
     pair_avg = float(pairwise.sum()) / (n * n)
@@ -563,8 +555,6 @@ def covering_specialization(kind: str, m: int, approx_error: float, l: float = 2
 
 
 def covering_family_from_json(obj: dict) -> CoveringFamily:
-    from .distributions import distribution_from_json
-
     if isinstance(obj, dict) and "candidates" in obj:
         cands = tuple(distribution_from_json(c) for c in obj["candidates"])
         assn = tuple(obj["assignment"]) if "assignment" in obj else None

@@ -15,10 +15,12 @@ two-point witness live here as well.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 
+from . import informativity
 from .distributions import DiscreteDistribution, Ensemble
 from .divergences import (
     DivergenceGenerator,
@@ -51,10 +53,32 @@ def _not_nan(name: str, value) -> float:
     return value
 
 
+def _divergence_sums(divergence_sum):
+    """``divergence_sum`` as a float array or a float, after refusing a NaN
+    or a negative entry."""
+    total = _values(divergence_sum)
+    if _any(np.isnan(total)):
+        raise ValueError("divergence_sum is NaN")
+    if _any(total < 0):
+        raise ValueError("divergence sum must be nonnegative")
+    return total
+
+
+def _total_variations(v):
+    """``v`` as a float array or a float, after refusing an entry outside
+    [0, 1] or NaN."""
+    v = _values(v)
+    if not _all((0.0 <= v) & (v <= 1.0)):
+        raise ValueError("total variation must lie in [0, 1]")
+    return v
+
+
 def weighted_divergence_floor(gen: DivergenceGenerator, w_mass, bayes_risk):
     """W f((1-rbar)/W) + (1-W) f(rbar/(1-W)) for W in (0, 1).  ``w_mass``
     and ``bayes_risk`` may be arrays, which broadcast; scalars give a
-    float."""
+    float.  A W so small (subnormal) that (1-rbar)/W overflows is refused
+    by name: the floor there is finite, so the +inf that W f(+inf) reads
+    would not bound it."""
     w, r = _values(w_mass), _values(bayes_risk)
     ok = (0.0 < w) & (w < 1.0)
     if not _all(ok):
@@ -62,7 +86,12 @@ def weighted_divergence_floor(gen: DivergenceGenerator, w_mass, bayes_risk):
     ok = (0.0 <= r) & (r <= 1.0)
     if not _all(ok):
         raise ValueError(f"bayes risk {_first_failing(r, ok)!r} outside [0, 1]")
-    return _floor_sum(gen, (1.0 - r) / w, r / (1.0 - w), w, 1.0 - w)
+    with np.errstate(over="ignore"):  # an overflowing ratio is refused below
+        ratio = (1.0 - r) / w
+    ok = ratio < math.inf
+    if not _all(ok):
+        raise ValueError(f"W={_first_failing(w, ok)!r} is so small that (1 - rbar)/W overflows")
+    return _floor_sum(gen, ratio, r / (1.0 - w), w, 1.0 - w)
 
 
 def map_reference_mass(ens: Ensemble, q: DiscreteDistribution) -> float:
@@ -118,13 +147,10 @@ def implicit_risk_bound(gen: DivergenceGenerator, n, divergence_sum):
     element is bisected under its own stop test, so it takes the steps it
     would take alone; scalars give a float.
     """
-    n, total = _values(n), _values(divergence_sum)
+    n = _values(n)
     if _any(n < 2):
         raise ValueError("need at least 2 hypotheses")
-    if _any(np.isnan(total)):
-        raise ValueError("divergence_sum is NaN")
-    if _any(total < 0):
-        raise ValueError("divergence sum must be nonnegative")
+    total = _divergence_sums(divergence_sum)
     hi = 1.0 - 1.0 / n
     # lo keeps floor(lo) >= sum and up keeps floor(up) < sum; an element
     # stays at hi when the floor there still reaches its sum, and at 0 when
@@ -154,11 +180,7 @@ def tangent_risk_bound(gen: DivergenceGenerator, n, divergence_sum, a):
     ok = (0.0 <= a) & (a < hi)
     if not _all(ok):
         raise ValueError(f"a={_first_failing(a, ok)!r} must lie in [0, 1 - 1/N)")
-    total = _values(divergence_sum)
-    if _any(np.isnan(total)):
-        raise ValueError("divergence_sum is NaN")
-    if _any(total < 0):
-        raise ValueError("divergence sum must be nonnegative")
+    total = _divergence_sums(divergence_sum)
     slope = uniform_divergence_floor_derivative(gen, n, a)
     if _any(slope == 0.0):
         raise ValueError("zero slope: a is too close to 1 - 1/N")
@@ -280,18 +302,16 @@ def ensemble_statistics(family: str, pmats, exponent: float = 3.0):
     (closed forms; the sorted-breakpoint solver for tv), and hellinger the
     average pairwise squared Hellinger distance, diagonal included.
     """
-    from . import informativity as inf_mod
-
     n = pmats.shape[-2]
     if family == "hellinger":
         roots = np.sqrt(pmats)
         gram = roots @ np.swapaxes(roots, -1, -2)
         return (2.0 - 2.0 * gram).mean(axis=(-2, -1)), None
     if family == "tv":
-        q, value = inf_mod.tv_breakpoints(pmats)
+        q, value = informativity.tv_breakpoints(pmats)
     else:
         name = {"fano": "kl", "chi2": "chi2", "power_l": f"power:{exponent:g}"}[family]
-        q, value = inf_mod.closed_forms(name, pmats)
+        q, value = informativity.closed_forms(name, pmats)
     return (value, q) if family == "fano" else (n * value, q)
 
 
@@ -303,13 +323,11 @@ def named_bound_from_ensemble(family: str, ens: Ensemble, **extra) -> BoundRepor
     average pairwise squared Hellinger distance (diagonal included); see
     :func:`ensemble_statistics`.
     """
-    from . import informativity as inf_mod
-
     n = ens.size
     if family == "reverse_kl_tv":
         if n != 2:
             raise ValueError("reverse_kl_tv applies to two-member ensembles")
-        res = inf_mod.informativity_closed_form("reverse_kl", ens)
+        res = informativity.informativity_closed_form("reverse_kl", ens)
         report = named_bound("reverse_kl_tv", divergence_sum=2.0 * res.value)
     elif family in _FAMILY_STATISTIC:
         l = float(extra.get("exponent", 3.0))
@@ -325,16 +343,8 @@ def named_bound_from_ensemble(family: str, ens: Ensemble, **extra) -> BoundRepor
         raise ValueError(
             f"unknown bound family {family!r}; choose from {NAMED_FAMILIES}"
         )
-    inter = dict(report.intermediates)
-    inter["statistic_source"] = "exact ensemble computation"
-    return BoundReport(
-        family=report.family,
-        lower_bound=report.lower_bound,
-        inputs=report.inputs,
-        intermediates=inter,
-        vacuous=report.vacuous,
-        notes=report.notes,
-    )
+    inter = {**report.intermediates, "statistic_source": "exact ensemble computation"}
+    return dataclasses.replace(report, intermediates=inter)
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +359,7 @@ def two_point_pairs(v) -> np.ndarray:
     """The witness members P1 = ((1+v)/2, (1-v)/2) and P2 swapped for each
     total variation in ``v``, as a (..., 2, 2) array; v outside [0, 1] or
     NaN is refused."""
-    v = np.asarray(v, dtype=float)
-    if not np.all((0.0 <= v) & (v <= 1.0)):
-        raise ValueError("total variation must lie in [0, 1]")
+    v = _total_variations(v)
     up, down = (1.0 + v) / 2.0, (1.0 - v) / 2.0
     return np.stack([np.stack([up, down], -1), np.stack([down, up], -1)], -2)
 
@@ -378,7 +386,5 @@ def two_point_target(v, gen: DivergenceGenerator):
     """f(1+v) + f(1-v): the sharp value of the two-point divergence sum.
     ``v`` may be an array; v outside [0, 1] or NaN is refused, as
     :func:`two_point_witness` refuses it."""
-    v = _values(v)
-    if not _all((0.0 <= v) & (v <= 1.0)):
-        raise ValueError("total variation must lie in [0, 1]")
+    v = _total_variations(v)
     return _floor_sum(gen, 1.0 + v, 1.0 - v, 1.0, 1.0)

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 def _jsonable(value):
-    import math
-
-    import numpy as np
-
     if isinstance(value, (np.floating, np.integer)):
         value = value.item()
     if isinstance(value, float) and math.isinf(value):

@@ -350,13 +350,17 @@ def _smaller(x, y):
     return np.where(y < x, y, x)
 
 
-def minimize_two_point(gen: DivergenceGenerator, v: float, rounds: int = 4) -> float:
+#: refinement rounds of the two-point grid minimizer
+_TWO_POINT_ROUNDS = 4
+
+
+def minimize_two_point(gen: DivergenceGenerator, v: float) -> float:
     """Numeric minimum of the two-point divergence sum at total variation v,
     by nested grid refinement (81 points per axis per round)."""
-    return float(minimize_two_points(gen, np.array([v]), rounds)[0])
+    return float(minimize_two_points(gen, np.array([v]))[0])
 
 
-def minimize_two_points(gen: DivergenceGenerator, vs, rounds: int = 4) -> np.ndarray:
+def minimize_two_points(gen: DivergenceGenerator, vs) -> np.ndarray:
     """:func:`minimize_two_point` at every total variation in ``vs``, all
     grids refined together; each gets the bits of its own call."""
     vs = np.asarray(vs, dtype=float)
@@ -364,7 +368,7 @@ def minimize_two_points(gen: DivergenceGenerator, vs, rounds: int = 4) -> np.nda
     a_lo, a_hi = vs, np.ones(vs.size)
     c_lo, c_hi = np.full(vs.size, 1e-9), np.full(vs.size, 1.0 - 1e-9)
     best = np.full(vs.size, math.inf)
-    for _ in range(rounds):
+    for _ in range(_TWO_POINT_ROUNDS):
         a_grid = np.stack([np.linspace(lo, hi, 81) for lo, hi in zip(a_lo, a_hi)])
         c_grid = np.stack([np.linspace(lo, hi, 81) for lo, hi in zip(c_lo, c_hi)])
         vals = _two_point_objective(gen, vs, a_grid, c_grid).reshape(vs.size, -1)

@@ -352,6 +352,11 @@ class TestSubcommands:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_floor_at_subnormal_mass_exit_code(self, capsys):
+        code = main(["bound", "--family", "floor", "--gen", "kl", "--stats", "W=1e-320,rbar=0.5"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     @pytest.mark.parametrize(
         "model,theta0,theta1", [("uniform_scale", "1", "1000"), ("uniform_shift", "1000", "0")]
     )
@@ -401,6 +406,14 @@ class TestSubcommands:
     def test_bad_tol_exit_code(self, files, capsys, command, tol):
         extra = ["--gen", "chi2"] if command == "jf" else []
         code = main([command, str(files["ens"]), *extra, "--tol", tol])
+        assert code == 1
+        assert "tol must be a positive finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+    def test_bad_tol_exit_code_for_tv(self, files, capsys, tol):
+        """jf --gen tv checks --tol as every other generator does, although
+        the exact solver it routes to needs no tolerance."""
+        code = main(["jf", str(files["ens"]), "--gen", "tv", "--tol", tol])
         assert code == 1
         assert "tol must be a positive finite number" in capsys.readouterr().err
 

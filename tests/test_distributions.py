@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fdivbounds.distributions import (
     DiscreteDistribution,
     Ensemble,
+    check_mass_rows,
     distribution_from_json,
     ensemble_from_json,
     product_distribution,
@@ -285,6 +286,30 @@ class TestConstructorRejection:
             with pytest.raises(ValueError) as err:
                 covering_family_from_json({"candidates": [{"pmf": c} for c in candidates]})
             assert str(err.value) == expected
+
+    @_PROPERTY
+    @given(_mass_vectors(), st.sampled_from(["pmf", "prior"]))
+    def test_check_mass_rows(self, values, name):
+        """The stack check refuses a one-row stack, and a two-row stack whose
+        second row is the bad one, with the constructors' message; the 1-d
+        guard for other shapes stays with the classes."""
+        assume(np.ndim(values) == 1)
+        if name == "pmf":
+            length, expected = None, _pmf_error(values)
+        else:
+            length = len(_BASE)
+            expected = _expected_error(
+                values, "prior", lambda arr: "negative prior entry", length=length
+            )
+        good = [1.0 / len(values)] * len(values) if values else []
+        for rows in ([values], [good, values]):
+            if expected is None:
+                checked = check_mass_rows(np.array(rows), name, length)
+                assert np.array_equal(checked, np.array(rows, dtype=float))
+            else:
+                with pytest.raises(ValueError) as err:
+                    check_mass_rows(np.array(rows), name, length)
+                assert str(err.value) == expected
 
     def test_overflowing_sum_reports_the_sum(self):
         with pytest.raises(ValueError) as err:

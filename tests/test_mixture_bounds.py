@@ -45,6 +45,24 @@ class TestWeightedDivergenceFloor:
             math.log(2.0), abs=1e-15
         )
 
+    @pytest.mark.parametrize("name", ["kl", "reverse_kl"])
+    def test_subnormal_mass_refused_by_name(self, name):
+        """At W = 1e-320, (1 - rbar)/W overflows although the floor is
+        finite (about 368 for kl), so +inf would not be a lower bound."""
+        gen = builtin_generator(name)
+        with pytest.raises(ValueError, match="W=1e-320 is so small"):
+            weighted_divergence_floor(gen, 1e-320, 0.5)
+        with pytest.raises(ValueError, match="W=1e-320 is so small"):
+            weighted_divergence_floor(gen, np.array([0.5, 1e-320]), 0.5)
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [("kl", 150.0 * math.log(10.0) - math.log(2.0)), ("reverse_kl", math.log(2.0))],
+    )
+    def test_tiny_normal_mass_stays_finite(self, name, value):
+        floor = weighted_divergence_floor(builtin_generator(name), 1e-300, 0.5)
+        assert floor == pytest.approx(value, rel=1e-12)
+
     @pytest.mark.parametrize("w", [0.0, 1.0, -0.1, 1.1])
     def test_degenerate_mass_rejected(self, w):
         with pytest.raises(ValueError):
