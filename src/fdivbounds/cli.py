@@ -1,7 +1,11 @@
 """Command-line front end.
 
-Every library operation is reachable from exactly one subcommand; the
-``COMMAND_OPERATIONS`` table records the mapping and is itself under test.
+``COMMAND_OPERATIONS`` files every public library operation under exactly
+one subcommand, and a test checks that it covers the public names once
+each.  It is a filing, not a call path: seven operations are library-only,
+reached by no subcommand (``uniform_divergence_floor``, ``validate``,
+``uniform_mixture``, ``entropy_risk_bound``, ``spectral_separation``,
+``gaussian_kl`` and ``kl_frobenius_check``).
 Output is JSON on stdout (CSV for grid sweeps), deterministic for fixed
 flags and seed.  Exit codes: 0 success, 1 computation error, 2 usage error.
 """
@@ -21,7 +25,7 @@ from . import mixture_bounds, testing_risk, verify
 from .distributions import Ensemble, load_distribution, load_ensemble, product_distribution
 from .report import _jsonable
 
-#: subcommand -> the public operations it exercises (coverage-tested)
+#: subcommand -> the public operations filed under it (partition-tested)
 COMMAND_OPERATIONS = {
     "divergence": (
         "builtin_generator",
@@ -77,10 +81,6 @@ COMMAND_OPERATIONS = {
 }
 
 SEED_ENV_VAR = "FDIVBOUNDS_SEED"
-
-
-def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
 
 
 def _emit(obj) -> None:
@@ -414,7 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    seed = _default_seed()
+    # a string default: argparse applies type=int to it only when --seed is
+    # absent, so a malformed environment value is a usage error there alone
+    seed = os.environ.get(SEED_ENV_VAR, "0")
 
     sp = sub.add_parser("divergence", help="evaluate D_f(P||Q) between two pmfs")
     sp.add_argument("--gen", default="kl", help="kl|chi2|hellinger_half|hellinger_sq|tv|power:l|reverse_kl")

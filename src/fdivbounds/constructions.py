@@ -360,14 +360,6 @@ class KlFrobeniusReport:
     tail_bound: float
     c_spec: float
 
-    def to_json(self) -> dict:
-        return {
-            "exact_kl": self.exact_kl,
-            "frobenius_sq": self.frobenius_sq,
-            "tail_bound": self.tail_bound,
-            "c_spec": self.c_spec,
-        }
-
 
 def _quadratic_form_constant(sigma0: np.ndarray, sigma1: np.ndarray) -> float:
     """C with KL(N(0,S0)||N(0,S1)) <= C ||S0 - S1||_F^2, from the extreme

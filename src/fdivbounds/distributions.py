@@ -16,7 +16,7 @@ import numpy as np
 
 #: accepted normalization error on user-supplied vectors
 INPUT_TOL = 1e-9
-#: default cap on the number of points of a product sample space
+#: cap on the number of points of a product sample space
 DEFAULT_PRODUCT_CAP = 10**6
 
 
@@ -172,9 +172,7 @@ def uniform_mixture(ens: Ensemble) -> DiscreteDistribution:
     return DiscreteDistribution(ens.pmf_matrix().mean(axis=0))
 
 
-def product_distribution(
-    base: DiscreteDistribution, n: int, max_points: int = DEFAULT_PRODUCT_CAP
-) -> DiscreteDistribution:
+def product_distribution(base: DiscreteDistribution, n: int) -> DiscreteDistribution:
     """The n-fold product of ``base`` in lexicographic order.
 
     Point (x_1, ..., x_n) of the product space sits at index
@@ -184,9 +182,9 @@ def product_distribution(
     if n < 1:
         raise ValueError("n must be a positive integer")
     size = base.support_size**n
-    if size > max_points:
+    if size > DEFAULT_PRODUCT_CAP:
         raise ValueError(
-            f"product space has {size} points, above the cap {max_points}"
+            f"product space has {size} points, above the cap {DEFAULT_PRODUCT_CAP}"
         )
     out = np.ones(1)
     for _ in range(n):

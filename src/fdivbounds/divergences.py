@@ -66,18 +66,18 @@ def _check_midpoint_convexity(gen: "DivergenceGenerator") -> None:
 def apply_generator(gen: DivergenceGenerator, x) -> np.ndarray:
     """Evaluate f elementwise, routing exact zeros through f_at_zero.
 
-    The one home of the f(0+) rule outside the kernel's masks.  f sees
+    The only home of the f(0+) rule: :func:`divergence_matrix` and the
+    divergence floors read f_at_zero through it and nowhere else.  f sees
     the nonzero entries as one contiguous vector, at least 1-d, so an
     entry gets the bits it gets in a one-element call.  The result has the
     memory layout of ``x``, which a later reduction's order depends on."""
     arr = np.asarray(x, dtype=float)
     if arr.flags.c_contiguous and np.count_nonzero(arr) == arr.size:
         return np.asarray(gen.f(arr.reshape(-1)), dtype=float).reshape(arr.shape)
-    out = np.empty_like(arr)
-    zero = arr == 0.0
-    out[zero] = gen.f_at_zero
-    if np.any(~zero):
-        out[~zero] = gen.f(arr[~zero])
+    out = np.full_like(arr, gen.f_at_zero)
+    live = arr != 0.0
+    if live.any():
+        out[live] = gen.f(arr[live])
     return out
 
 
@@ -226,32 +226,29 @@ def divergence_matrix(gen: DivergenceGenerator, pmat, qmat) -> np.ndarray:
     (floating-point Jensen slack) are clamped to 0.  Each pair is reduced by
     one dot product of the q row with its row of f-values.
 
-    When every mass in both arguments is positive no convention applies, so
-    the masks are skipped and every ratio is taken.  On both paths the
-    ratios are written into a fresh C-ordered (..., N, M, S) array and the
-    q rows are read C-ordered, so the reduction adds in one order whatever
-    the layout of ``pmat`` and ``qmat`` (a column slice, a Fortran-ordered
-    or a transposed array) and whatever the batch axes: each pair is bit
-    for bit that of a 2-d call on contiguous copies.
+    The ratios are written into a fresh C-ordered (..., N, M, S) array and
+    the q rows are read C-ordered, so the reduction adds in one order
+    whatever the layout of ``pmat`` and ``qmat`` (a column slice, a
+    Fortran-ordered or a transposed array) and whatever the batch axes:
+    each pair is bit for bit that of a 2-d call on contiguous copies.  Where
+    q = 0 the ratio is left at 1, so the point adds q f(1) = 0; zero ratios
+    take f(0+) through :func:`apply_generator`, which is skipped when every
+    p mass is positive.
     """
     p = np.asarray(pmat, dtype=float)[..., :, None, :]
     q = np.ascontiguousarray(qmat, dtype=float)[..., None, :, :]
     if p.shape[-1] != q.shape[-1]:
         raise ValueError("support size mismatch")
     shape = np.broadcast_shapes(p.shape, q.shape)
-    positive = p.size > 0 and q.size > 0 and q.min() > 0.0 and p.min() > 0.0
-    if positive:
-        vals = gen.f(np.divide(p, q, out=np.empty(shape)))
+    live = None if q.size == 0 or q.min() > 0.0 else q > 0.0
+    if live is None:
+        ratio = np.divide(p, q, out=np.empty(shape))
     else:
-        live = q > 0.0
-        ppos = p > 0.0
-        # f(1) = 0 wherever the ratio is not taken; both conventions overwrite it
-        vals = gen.f(np.divide(p, q, out=np.ones(shape), where=live & ppos))
-        np.copyto(vals, gen.f_at_zero, where=live & ~ppos)
-        np.copyto(vals, 0.0, where=~live)
+        ratio = np.divide(p, q, out=np.ones(shape), where=live)
+    vals = gen.f(ratio) if p.size and p.min() > 0.0 else apply_generator(gen, ratio)
     total = (q[..., None, :] @ vals[..., :, None])[..., 0, 0]
-    if not positive:
-        total[(ppos & ~live).any(axis=-1)] = math.inf
+    if live is not None:
+        total[((p > 0.0) & ~live).any(axis=-1)] = math.inf
     if total.size and not total.min() >= 0.0:  # a NaN total also lands here
         total[(-VALUE_TOL <= total) & (total < 0.0)] = 0.0
     return total

@@ -74,8 +74,6 @@ from .testing_risk import (
 )
 from . import constructions as cons
 
-SUITE_NAMES = ("core", "mixture", "jf", "entropy", "constructions")
-
 
 def _record(name: str, passed: bool, **extra) -> dict:
     out = {"name": name, "pass": bool(passed)}
@@ -151,7 +149,7 @@ def _fold_max(start: float, values) -> float:
 # ---------------------------------------------------------------------------
 
 
-def check_product_marginals(seed: int, trials: int = 50) -> dict:
+def check_product_marginals(seed: int, trials: int) -> dict:
     rng = np.random.default_rng([seed, 10])
     worst = 0.0
     for _ in range(trials):
@@ -168,7 +166,7 @@ def check_product_marginals(seed: int, trials: int = 50) -> dict:
     return _record("product_marginals", worst <= 1e-12, trials=trials, worst_error=worst)
 
 
-def check_map_achieves_bayes(seed: int, trials: int = 200) -> dict:
+def check_map_achieves_bayes(seed: int, trials: int) -> dict:
     """The MAP test's error equals the Bayes risk, with and without a
     prior.  Trials are drawn one by one and scored by shape."""
     rng = np.random.default_rng([seed, 11])
@@ -187,7 +185,7 @@ def check_map_achieves_bayes(seed: int, trials: int = 200) -> dict:
     return _record("map_achieves_bayes", worst <= 1e-12, trials=trials, worst_error=worst)
 
 
-def check_bayes_concavity(seed: int, trials: int = 200) -> dict:
+def check_bayes_concavity(seed: int, trials: int) -> dict:
     """The Bayes risk is concave in the prior: at the midpoint of two
     drawn priors it is at least the mean of theirs."""
     rng = np.random.default_rng([seed, 12])
@@ -208,7 +206,7 @@ def check_bayes_concavity(seed: int, trials: int = 200) -> dict:
     return _record("bayes_concavity", worst >= -1e-12, trials=trials, worst_slack=worst)
 
 
-def check_minimax_dominates_priors(seed: int, trials: int = 60) -> dict:
+def check_minimax_dominates_priors(seed: int, trials: int) -> dict:
     """The certified minimax risk dominates every drawn prior's Bayes risk,
     the uniform one included, stays below 1 - 1/N, and its certificate's
     gap is at most 1e-9.  All ensembles are solved in one batch, and each
@@ -243,7 +241,7 @@ def check_minimax_dominates_priors(seed: int, trials: int = 60) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def check_weighted_soundness(seed: int, trials: int = 1000) -> dict:
+def check_weighted_soundness(seed: int, trials: int) -> dict:
     """The central sweep: random ensembles, priors, references, and every
     built-in generator; the weighted divergence sum must dominate the floor.
     Trials whose MAP reference mass W is 0 or 1 are skipped, and an
@@ -287,7 +285,7 @@ def check_weighted_soundness(seed: int, trials: int = 1000) -> dict:
     )
 
 
-def check_uniform_floor_shape(seed: int, trials: int = 40) -> dict:
+def check_uniform_floor_shape(seed: int, trials: int) -> dict:
     """The uniform divergence floor is non-increasing and midpoint convex.
     Each generator's trials are evaluated in two floor calls."""
     rng = np.random.default_rng([seed, 21])
@@ -411,7 +409,7 @@ def check_two_point_sharpness(seed: int, trials: int = 11) -> dict:
     )
 
 
-def check_pair_inequalities(seed: int, trials: int = 1000) -> dict:
+def check_pair_inequalities(seed: int, trials: int) -> dict:
     """Pinsker, the mixture-KL/total-variation inequality, and the
     Hellinger/total-variation inequality on random pairs, scored by
     support size."""
@@ -460,7 +458,7 @@ def check_pinsker_constant(seed: int) -> dict:
     )
 
 
-def check_named_bound_soundness(seed: int, trials: int = 1000) -> dict:
+def check_named_bound_soundness(seed: int, trials: int) -> dict:
     """Every named bound fed exact ensemble statistics stays below the exact
     uniform-prior Bayes risk; the chi2 bound is tight on identical members.
     Statistics and bounds are computed per shape, one family at a time."""
@@ -491,7 +489,7 @@ def check_named_bound_soundness(seed: int, trials: int = 1000) -> dict:
     )
 
 
-def check_implicit_vs_oracle(seed: int, trials: int = 120) -> dict:
+def check_implicit_vs_oracle(seed: int, trials: int) -> dict:
     """Inverting the uniform floor at the exact informativity never beats the
     exact Bayes risk; the tangent relaxation never beats the inversion.
     The generator cycles with the trial; informativities are computed per
@@ -659,7 +657,7 @@ def informativity_oracle_ensembles(seed: int, trials: int):
 
 
 def check_informativity_oracles(
-    seed: int, trials: int = 200, grid_stride: int = 5
+    seed: int, trials: int, grid_stride: int = 5
 ) -> dict:
     """Closed forms match the KKT solver to 1e-6 (all three standard
     generators per ensemble) and the grid-search oracle to 2e-3 (one
@@ -689,7 +687,7 @@ def check_informativity_oracles(
     )
 
 
-def check_compensation_identity(seed: int, trials: int = 200) -> dict:
+def check_compensation_identity(seed: int, trials: int) -> dict:
     """sum KL(P_theta||Q) = sum KL(P_theta||mixture) + N KL(mixture||Q),
     with three kernel calls per shape; each sum over members is added in
     member order."""
@@ -717,7 +715,7 @@ def check_compensation_identity(seed: int, trials: int = 200) -> dict:
     )
 
 
-def check_upper_chain(seed: int, trials: int = 150) -> dict:
+def check_upper_chain(seed: int, trials: int) -> dict:
     """The three simple upper bounds are nested and sit above the
     informativity (the first one is exactly it for KL)."""
     rng = np.random.default_rng([seed, 32])
@@ -744,7 +742,7 @@ def check_upper_chain(seed: int, trials: int = 150) -> dict:
     )
 
 
-def check_covering_validity(seed: int, trials: int = 500) -> dict:
+def check_covering_validity(seed: int, trials: int) -> dict:
     """Generic and specialized covering bounds dominate the exact
     informativity on random (ensemble, family) instances."""
     rng = np.random.default_rng([seed, 33])
@@ -844,7 +842,7 @@ def check_entropy_monotonicity(seed: int = 0) -> dict:
     return _record("entropy_monotonicity", worst >= -1e-12, worst_slack=worst)
 
 
-def check_entropy_finite_chain(seed: int, trials: int = 60) -> dict:
+def check_entropy_finite_chain(seed: int, trials: int) -> dict:
     """Soundness of the chi2 entropy bound reproduced stepwise on explicit
     finite instances: with exact packing count, covering count, and max-min
     error, every link of the chain holds against exact oracle values."""
@@ -1026,7 +1024,7 @@ def check_code_invariants(seed: int) -> dict:
     return _record("code_invariants", ok, **details)
 
 
-def check_spectral_separation(seed: int, trials: int = 100) -> dict:
+def check_spectral_separation(seed: int, trials: int) -> dict:
     rng = np.random.default_rng([seed, 50])
     worst = math.inf
     for p, k, alpha in ((8, 3, 0.5), (12, 4, 1.0), (16, 6, 2.0)):
@@ -1043,7 +1041,7 @@ def check_spectral_separation(seed: int, trials: int = 100) -> dict:
     )
 
 
-def check_kl_frobenius(seed: int, trials: int = 60) -> dict:
+def check_kl_frobenius(seed: int, trials: int) -> dict:
     rng = np.random.default_rng([seed, 51])
     worst_tail = math.inf
     worst_quad = math.inf
@@ -1172,69 +1170,50 @@ def check_covariance_smoke(seed: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _scaled(trials, default):
-    return default if trials is None else trials
-
-
-def _suite_core(seed: int, trials=None) -> list:
-    return [
-        functools.partial(check_product_marginals, seed, _scaled(trials, 50)),
-        functools.partial(check_map_achieves_bayes, seed, _scaled(trials, 200)),
-        functools.partial(check_bayes_concavity, seed, _scaled(trials, 200)),
-        functools.partial(check_minimax_dominates_priors, seed, min(_scaled(trials, 60), 200)),
-    ]
-
-
-def _suite_mixture(seed: int, trials=None) -> list:
-    return [
-        functools.partial(check_weighted_soundness, seed, _scaled(trials, 400)),
-        functools.partial(check_uniform_floor_shape, seed, _scaled(trials, 40)),
-        functools.partial(check_two_point_sharpness, seed),
-        functools.partial(check_pair_inequalities, seed, _scaled(trials, 400)),
-        functools.partial(check_pinsker_constant, seed),
-        functools.partial(check_named_bound_soundness, seed, _scaled(trials, 400)),
-        functools.partial(check_implicit_vs_oracle, seed, _scaled(trials, 120)),
-    ]
-
-
-def _suite_jf(seed: int, trials=None) -> list:
-    return [
-        functools.partial(check_informativity_oracles, seed, min(_scaled(trials, 60), 200)),
-        functools.partial(check_compensation_identity, seed, _scaled(trials, 200)),
-        functools.partial(check_upper_chain, seed, _scaled(trials, 150)),
-        functools.partial(check_covering_validity, seed, _scaled(trials, 300)),
-    ]
-
-
-def _suite_entropy(seed: int, trials=None) -> list:
-    return [
-        functools.partial(check_entropy_arithmetic),
-        functools.partial(check_entropy_monotonicity),
-        functools.partial(check_entropy_finite_chain, seed, _scaled(trials, 60)),
-        functools.partial(check_rate_contrast),
-        functools.partial(check_ball_volumetrics),
-    ]
-
-
-def _suite_constructions(seed: int, trials=None) -> list:
-    return [
-        functools.partial(check_gilbert_varshamov_count),
-        functools.partial(check_code_invariants, seed),
-        functools.partial(check_spectral_separation, seed, min(_scaled(trials, 100), 100)),
-        functools.partial(check_kl_frobenius, seed, min(_scaled(trials, 60), 100)),
-        functools.partial(check_cap_formulas),
-        functools.partial(check_support_packing, seed),
-        functools.partial(check_covariance_smoke, seed),
-    ]
-
-
+#: Each suite's checks in report order, as (check, trial count, cap): a
+#: ``trials`` override replaces the count, clipped to the cap when there is
+#: one; a check with no count is fixed and runs on the seed alone.
 _SUITES = {
-    "core": _suite_core,
-    "mixture": _suite_mixture,
-    "jf": _suite_jf,
-    "entropy": _suite_entropy,
-    "constructions": _suite_constructions,
+    "core": (
+        (check_product_marginals, 50, None),
+        (check_map_achieves_bayes, 200, None),
+        (check_bayes_concavity, 200, None),
+        (check_minimax_dominates_priors, 60, 200),
+    ),
+    "mixture": (
+        (check_weighted_soundness, 400, None),
+        (check_uniform_floor_shape, 40, None),
+        (check_two_point_sharpness, None, None),
+        (check_pair_inequalities, 400, None),
+        (check_pinsker_constant, None, None),
+        (check_named_bound_soundness, 400, None),
+        (check_implicit_vs_oracle, 120, None),
+    ),
+    "jf": (
+        (check_informativity_oracles, 60, 200),
+        (check_compensation_identity, 200, None),
+        (check_upper_chain, 150, None),
+        (check_covering_validity, 300, None),
+    ),
+    "entropy": (
+        (check_entropy_arithmetic, None, None),
+        (check_entropy_monotonicity, None, None),
+        (check_entropy_finite_chain, 60, None),
+        (check_rate_contrast, None, None),
+        (check_ball_volumetrics, None, None),
+    ),
+    "constructions": (
+        (check_gilbert_varshamov_count, None, None),
+        (check_code_invariants, None, None),
+        (check_spectral_separation, 100, 100),
+        (check_kl_frobenius, 60, 100),
+        (check_cap_formulas, None, None),
+        (check_support_packing, None, None),
+        (check_covariance_smoke, None, None),
+    ),
 }
+
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str = "all", seed: int = 0, trials=None, timings=None) -> dict:
@@ -1252,9 +1231,11 @@ def run_suite(name: str = "all", seed: int = 0, trials=None, timings=None) -> di
     suites = {}
     for suite_name in names:
         checks = []
-        for check in _SUITES[suite_name](seed, trials):
+        for check, count, cap in _SUITES[suite_name]:
+            if count is not None and trials is not None:
+                count = trials if cap is None else min(trials, cap)
             start = time.perf_counter()
-            checks.append(check())
+            checks.append(check(seed) if count is None else check(seed, count))
             if timings is not None:
                 timings.setdefault(suite_name, {})[checks[-1]["name"]] = (
                     time.perf_counter() - start

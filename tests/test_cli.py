@@ -507,6 +507,24 @@ class TestSubcommands:
         code, _ = run_cli(capsys, "bayes-risk", str(bad))
         assert code == 1
 
+    def test_malformed_seed_env_is_a_usage_error_where_read(self, monkeypatch, capsys):
+        monkeypatch.setenv("FDIVBOUNDS_SEED", "abc")
+        with pytest.raises(SystemExit) as err:
+            main(["vg", "--k", "8"])
+        assert err.value.code == 2
+        assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
+
+    def test_malformed_seed_env_spares_other_calls(self, monkeypatch, capsys):
+        """A subcommand without --seed, or one given --seed, never reads
+        the environment value."""
+        monkeypatch.setenv("FDIVBOUNDS_SEED", "abc")
+        code, out = run_cli(
+            capsys, "divergence", "--model", "gaussian_location", "--theta0", "1", "--theta1", "0"
+        )
+        assert code == 0 and json.loads(out)["kl"] == 0.5
+        code, out = run_cli(capsys, "vg", "--k", "8", "--seed", "3")
+        assert code == 0 and json.loads(out)["length"] == 8
+
 
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, files):

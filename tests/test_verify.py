@@ -94,3 +94,49 @@ def test_by_shape_groups_in_first_appearance_order():
     groups = verify._by_shape(arrays)
     assert [shape for shape, _ in groups] == [(2, 3), (3, 3), (2, 4)]
     assert [list(idx) for _, idx in groups] == [[0, 2], [1], [3]]
+
+
+@pytest.mark.parametrize(
+    "suite, trials, expected",
+    [
+        (
+            "core",
+            201,
+            {
+                "product_marginals": 201,
+                "map_achieves_bayes": 201,
+                "bayes_concavity": 201,
+                "minimax_dominates_priors": 200,
+            },
+        ),
+        (
+            "constructions",
+            150,
+            {
+                "gilbert_varshamov_count": None,
+                "code_invariants": None,
+                "spectral_separation": 300,
+                "kl_frobenius": 100,
+                "cap_formulas": None,
+                "support_packing": None,
+                "covariance_smoke": None,
+            },
+        ),
+        (
+            "jf",
+            201,
+            {
+                "informativity_oracles": 200,
+                "compensation_identity": 201,
+                "upper_chain": 201,
+                "covering_validity": 201,
+            },
+        ),
+    ],
+)
+def test_trials_override_replaces_each_count_up_to_its_cap(suite, trials, expected):
+    """``verify --trials T`` reaches every sweep, capped where the suite
+    caps it; fixed checks ignore it.  Records stay in report order."""
+    report = verify.run_suite(suite, 0, trials=trials)
+    checks = report["suites"][suite]["checks"]
+    assert [(c["name"], c.get("trials")) for c in checks] == list(expected.items())
