@@ -22,8 +22,9 @@ import numpy as np
 
 from . import constructions, divergences, entropy_bounds, informativity
 from . import mixture_bounds, testing_risk, verify
-from .distributions import Ensemble, load_distribution, load_ensemble, product_distribution
-from .report import _jsonable
+from .distributions import Ensemble, check_json_lists, load_distribution, load_ensemble
+from .distributions import product_distribution
+from .report import jsonable
 
 #: subcommand -> the public operations filed under it (partition-tested)
 COMMAND_OPERATIONS = {
@@ -84,7 +85,7 @@ SEED_ENV_VAR = "FDIVBOUNDS_SEED"
 
 
 def _emit(obj) -> None:
-    print(json.dumps(_jsonable(obj), sort_keys=True, indent=2))
+    print(json.dumps(jsonable(obj), sort_keys=True, indent=2, allow_nan=False))
 
 
 def _emit_csv(header: list[str], rows: list[list]) -> None:
@@ -110,6 +111,26 @@ def _parse_stats(text: str) -> dict:
             raise ValueError(f"malformed stats entry {item!r}; use key=value")
         out[key.strip()] = _finite_float(value)
     return out
+
+
+#: --stats spellings of the bound families' parameter names
+_STAT_ALIASES = {"N": "n", "avgKL": "avg_kl", "l": "exponent"}
+#: the --stats keys each generator-generic bound family reads
+_GENERIC_STATS = {
+    "implicit": ("n", "sum"),
+    "tangent": ("n", "sum", "a"),
+    "two_point": ("V",),
+    "floor": ("W", "rbar"),
+}
+
+
+def _bound_stats(text: str) -> dict:
+    """``bound --stats`` under the library's parameter names, after
+    refusing a non-integer hypothesis count."""
+    stats = {_STAT_ALIASES.get(k, k): v for k, v in _parse_stats(text).items()}
+    if not stats.get("n", 0.0).is_integer():
+        raise ValueError(f"N must be an integer, got {stats['n']!r}")
+    return stats
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -174,27 +195,16 @@ def _cmd_minimax_risk(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    if args.family in ("implicit", "tangent", "two_point", "floor"):
+    if args.family in _GENERIC_STATS:
         return _cmd_bound_generic(args)
     if (args.stats is None) == (args.from_ensemble is None):
         raise ValueError("provide exactly one of --stats or --from-ensemble")
     if args.from_ensemble is not None:
         ens = load_ensemble(args.from_ensemble)
-        extra = {}
-        if args.exponent is not None:
-            extra["exponent"] = args.exponent
+        extra = {} if args.exponent is None else {"exponent": args.exponent}
         report = mixture_bounds.named_bound_from_ensemble(args.family, ens, **extra)
     else:
-        stats = _parse_stats(args.stats)
-        if "N" in stats:
-            stats["n"] = stats.pop("N")
-        if "n" in stats:
-            stats["n"] = int(stats["n"])
-        if "avgKL" in stats:
-            stats["avg_kl"] = stats.pop("avgKL")
-        if "l" in stats:
-            stats["exponent"] = stats.pop("l")
-        report = mixture_bounds.named_bound(args.family, **stats)
+        report = mixture_bounds.named_bound(args.family, **_bound_stats(args.stats))
     _emit(report.to_json())
     return 0
 
@@ -205,30 +215,23 @@ def _cmd_bound_generic(args) -> int:
     if args.gen is None or args.stats is None:
         raise ValueError(f"--family {args.family} needs --gen and --stats")
     gen = divergences.builtin_generator(args.gen)
-    stats = _parse_stats(args.stats)
+    stats = _bound_stats(args.stats)
+    keys = _GENERIC_STATS[args.family]
+    missing = [key for key in keys if key not in stats]
+    if missing:
+        raise ValueError(f"{args.family} needs {', '.join(missing)}")
+    values = [stats[key] for key in keys]
+    out = {"family": args.family, "generator": gen.name}
     if args.family == "implicit":
-        n, total = int(stats["N"]), stats["sum"]
-        value = mixture_bounds.implicit_risk_bound(gen, n, total)
-        _emit({"family": "implicit", "generator": gen.name, "lower_bound": value})
+        out["lower_bound"] = mixture_bounds.implicit_risk_bound(gen, *values)
     elif args.family == "tangent":
-        n, total, anchor = int(stats["N"]), stats["sum"], stats["a"]
-        value = mixture_bounds.tangent_risk_bound(gen, n, total, anchor)
-        _emit({"family": "tangent", "generator": gen.name, "lower_bound": value})
+        out["lower_bound"] = mixture_bounds.tangent_risk_bound(gen, *values)
     elif args.family == "two_point":
-        p1, p2, q, achieved = mixture_bounds.two_point_witness(stats["V"], gen)
-        _emit(
-            {
-                "family": "two_point",
-                "generator": gen.name,
-                "p1": p1.to_json(),
-                "p2": p2.to_json(),
-                "q": q.to_json(),
-                "achieved": achieved,
-            }
-        )
+        p1, p2, q, achieved = mixture_bounds.two_point_witness(values[0], gen)
+        out.update(p1=p1.to_json(), p2=p2.to_json(), q=q.to_json(), achieved=achieved)
     else:
-        value = mixture_bounds.weighted_divergence_floor(gen, stats["W"], stats["rbar"])
-        _emit({"family": "floor", "generator": gen.name, "value": value})
+        out["value"] = mixture_bounds.weighted_divergence_floor(gen, *values)
+    _emit(out)
     return 0
 
 
@@ -297,6 +300,9 @@ def _cmd_entropy_bound(args) -> int:
             raise ValueError("custom model needs --profile <file.json>")
         with open(args.profile, "r", encoding="utf-8") as fh:
             table = json.load(fh)
+        if not isinstance(table, dict) or not {"packing", "covering"} <= table.keys():
+            raise ValueError('profile JSON must be an object with "packing" and "covering" keys')
+        check_json_lists(table, "profile", ("packing", "covering"))
         profile = entropy_bounds.profile_from_table(
             table["packing"], table["covering"], kind=table.get("kind", "chi2")
         )
@@ -446,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--family",
         required=True,
-        choices=mixture_bounds.NAMED_FAMILIES + ("implicit", "tangent", "two_point", "floor"),
+        choices=mixture_bounds.NAMED_FAMILIES + tuple(_GENERIC_STATS),
     )
     sp.add_argument("--stats", help="key=value list, e.g. N=16,avgKL=1")
     sp.add_argument("--from-ensemble", help="ensemble JSON; exact statistics are computed")

@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 from scipy import integrate, linalg, special
 
+from .distributions import check_finite
 from .report import BoundReport
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -286,10 +287,9 @@ class CovarianceFamily:
 
 
 def _check_decay(alpha: float, delta: Optional[float]) -> None:
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be a finite number, got {alpha}")
-    if delta is not None and not math.isfinite(delta):
-        raise ValueError(f"delta must be a finite number, got {delta}")
+    check_finite("alpha", alpha)
+    if delta is not None:
+        check_finite("delta", delta)
 
 
 def build_cov_family(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -64,6 +65,21 @@ def check_mass_rows(rows, name: str = "pmf", length: Optional[int] = None) -> np
         raise ValueError(f"negative {detail}")
     first = float(np.ravel(totals)[np.ravel(off)][0])
     raise ValueError(f"{name} sums to {first!r}, not 1")
+
+
+def check_finite(name: str, value) -> float:
+    """``value`` as a float, after refusing NaN and +-inf by ``name``."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value}")
+    return value
+
+
+def check_json_lists(obj: dict, what: str, keys: Sequence[str]) -> None:
+    """Refuse each field of ``keys`` that ``obj`` has but not as a list."""
+    for key in keys:
+        if key in obj and not isinstance(obj[key], list):
+            raise ValueError(f'{what} JSON "{key}" must be a list')
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,9 +217,7 @@ def distribution_from_json(obj: dict) -> DiscreteDistribution:
 def ensemble_from_json(obj: dict) -> Ensemble:
     if not isinstance(obj, dict) or "members" not in obj:
         raise ValueError('ensemble JSON must be an object with a "members" key')
-    for key in ("members", "labels"):
-        if key in obj and not isinstance(obj[key], list):
-            raise ValueError(f'ensemble JSON "{key}" must be a list')
+    check_json_lists(obj, "ensemble", ("members", "labels"))
     members = tuple(distribution_from_json(m) for m in obj["members"])
     prior = np.array(obj["prior"], dtype=float) if "prior" in obj else None
     labels = tuple(obj["labels"]) if "labels" in obj else None

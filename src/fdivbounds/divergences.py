@@ -3,7 +3,8 @@
 A divergence is parametrized by a convex generator f with f(1) = 0.  The
 boundary behavior is stored explicitly: ``f_at_zero`` is the limit f(0+),
 and a point where q = 0 but p > 0 forces the divergence to +inf (the
-absolute-continuity convention).
+absolute-continuity convention).  The divergence floors built on these
+generators live in :mod:`.mixture_bounds`.
 """
 
 from __future__ import annotations
@@ -67,10 +68,11 @@ def apply_generator(gen: DivergenceGenerator, x) -> np.ndarray:
     """Evaluate f elementwise, routing exact zeros through f_at_zero.
 
     The only home of the f(0+) rule: :func:`divergence_matrix` and the
-    divergence floors read f_at_zero through it and nowhere else.  f sees
-    the nonzero entries as one contiguous vector, at least 1-d, so an
-    entry gets the bits it gets in a one-element call.  The result has the
-    memory layout of ``x``, which a later reduction's order depends on."""
+    divergence floors of :mod:`.mixture_bounds` read f_at_zero through it
+    and nowhere else.  f sees the nonzero entries as one contiguous vector,
+    at least 1-d, so an entry gets the bits it gets in a one-element call.
+    The result has the memory layout of ``x``, which a later reduction's
+    order depends on."""
     arr = np.asarray(x, dtype=float)
     if arr.flags.c_contiguous and np.count_nonzero(arr) == arr.size:
         return np.asarray(gen.f(arr.reshape(-1)), dtype=float).reshape(arr.shape)
@@ -79,43 +81,6 @@ def apply_generator(gen: DivergenceGenerator, x) -> np.ndarray:
     if live.any():
         out[live] = gen.f(arr[live])
     return out
-
-
-def _values(x):
-    """``x`` as a float array, or as a float when it is a scalar: plain
-    float arithmetic rounds as numpy's does and skips its per-call cost."""
-    arr = np.asarray(x, dtype=float)
-    return arr if arr.ndim else float(arr)
-
-
-def _any(mask) -> bool:
-    """Whether some entry of a boolean array, or a boolean scalar, is true."""
-    return bool(mask.any() if isinstance(mask, np.ndarray) else mask)
-
-
-def _all(mask) -> bool:
-    """Whether every entry of a boolean array, or a boolean scalar, is true."""
-    return bool(mask.all() if isinstance(mask, np.ndarray) else mask)
-
-
-def _clip(x, lo, hi):
-    """min(max(x, lo), hi), elementwise on arrays."""
-    if isinstance(x, np.ndarray) or isinstance(hi, np.ndarray):
-        return np.minimum(np.maximum(x, lo), hi)
-    return min(max(x, lo), hi)
-
-
-def _floor_sum(gen: DivergenceGenerator, x, y, wx, wy):
-    """wx f(x) + wy f(y) elementwise for x and y of one shape, +inf where
-    either f is: the shape of every divergence floor.  Both arguments go
-    through one :func:`apply_generator` call; scalars give a float."""
-    vals = apply_generator(gen, np.array([x, y]))
-    fx, fy = vals[0], vals[1]
-    total = wx * fx + wy * fy
-    if not isinstance(total, np.ndarray):
-        return math.inf if math.isinf(fx) or math.isinf(fy) else float(total)
-    inf = np.isinf(fx) | np.isinf(fy)
-    return np.where(inf, math.inf, total) if inf.any() else total
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +197,10 @@ def divergence_matrix(gen: DivergenceGenerator, pmat, qmat) -> np.ndarray:
     Fortran-ordered or a transposed array) and whatever the batch axes:
     each pair is bit for bit that of a 2-d call on contiguous copies.  Where
     q = 0 the ratio is left at 1, so the point adds q f(1) = 0; zero ratios
-    take f(0+) through :func:`apply_generator`, which is skipped when every
-    p mass is positive.
+    take f(0+) through :func:`apply_generator`, skipped when no ratio can
+    underflow to 0: every ratio is at least p.min() / q.max(), which a
+    finite q takes to 0 only when p.min() < 2^-51, so q.max() is read only
+    then.
     """
     p = np.asarray(pmat, dtype=float)[..., :, None, :]
     q = np.ascontiguousarray(qmat, dtype=float)[..., None, :, :]
@@ -245,7 +212,11 @@ def divergence_matrix(gen: DivergenceGenerator, pmat, qmat) -> np.ndarray:
         ratio = np.divide(p, q, out=np.empty(shape))
     else:
         ratio = np.divide(p, q, out=np.ones(shape), where=live)
-    vals = gen.f(ratio) if p.size and p.min() > 0.0 else apply_generator(gen, ratio)
+    pmin = p.min() if p.size and q.size else 0.0
+    if pmin >= 2.0**-51 or (pmin > 0.0 and pmin / q.max() > 0.0):
+        vals = gen.f(ratio)
+    else:
+        vals = apply_generator(gen, ratio)
     total = (q[..., None, :] @ vals[..., :, None])[..., 0, 0]
     if live is not None:
         total[((p > 0.0) & ~live).any(axis=-1)] = math.inf
@@ -276,57 +247,3 @@ def squared_hellinger(p: DiscreteDistribution, q: DiscreteDistribution) -> float
 def squared_hellingers(pmats, qmats) -> np.ndarray:
     """:func:`squared_hellinger` between paired rows (..., S)."""
     return ((np.sqrt(pmats) - np.sqrt(qmats)) ** 2).sum(axis=-1)
-
-
-def _first_failing(values, ok) -> float:
-    """The first entry of ``values`` (broadcast against ``ok``) where ``ok``
-    is False, as a float: what an array check names when it refuses."""
-    return float(np.broadcast_to(values, np.shape(ok))[~np.asarray(ok)][0])
-
-
-def _risk_range(n, a, slack: float = 0.0):
-    """n and a as arrays or scalars, after checking every n >= 2 and every
-    a in [-slack, 1 - 1/n + slack] (NaN fails), and 1 - 1/n."""
-    n, a = _values(n), _values(a)
-    if _any(n < 2):
-        raise ValueError("need at least 2 hypotheses")
-    hi = 1.0 - 1.0 / n
-    ok = (-slack <= a) & (a <= hi + slack)
-    if not _all(ok):
-        where = "" if np.ndim(n) else f" for N={n:g}"
-        raise ValueError(f"a={_first_failing(a, ok)!r} outside [0, 1 - 1/N]{where}")
-    return n, a, hi
-
-
-def uniform_divergence_floor(gen: DivergenceGenerator, n, a):
-    """f(N(1-a)) + (N-1) f(Na/(N-1)): the least possible divergence sum
-    over any reference measure when the uniform-prior testing risk is a.
-
-    Defined for a in [0, 1 - 1/N]; convex and non-increasing in a.  ``n``
-    and ``a`` may be arrays, which broadcast; scalars give a float.
-    """
-    n, a, hi = _risk_range(n, a, slack=VALUE_TOL)
-    return _uniform_floor(gen, n, _clip(a, 0.0, hi))
-
-
-def _uniform_floor(gen: DivergenceGenerator, n, a):
-    """:func:`uniform_divergence_floor` at checked n and a in [0, 1 - 1/n]."""
-    return _floor_sum(gen, n * (1.0 - a), n * a / (n - 1.0), 1.0, n - 1.0)
-
-
-def uniform_divergence_floor_derivative(gen: DivergenceGenerator, n, a):
-    """d/da of :func:`uniform_divergence_floor`; needs gen.derivative.
-    Takes arrays as the floor does."""
-    if gen.derivative is None:
-        raise ValueError(f"generator {gen.name!r} has no derivative")
-    n, a, _ = _risk_range(n, a)
-    inner = n * a / (n - 1.0)
-    shape = np.shape(inner)
-    inner = np.atleast_1d(inner)
-    # at inner = 0 the one-sided slope is probed just above zero: a
-    # genuinely attained (so still valid) tangent slope, astronomically
-    # steep for generators whose derivative is unbounded at 0+
-    left = gen.derivative(np.where(inner == 0.0, 1e-300, inner))
-    right = gen.derivative(np.atleast_1d(n * (1.0 - a)))
-    out = n * (left - right)
-    return out.reshape(shape) if shape else float(out[0])

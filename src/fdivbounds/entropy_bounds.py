@@ -21,6 +21,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from .distributions import check_finite
 from .report import BoundReport
 
 ENTROPY_KINDS = ("kl", "chi2", "power_l")
@@ -60,6 +61,7 @@ def _finite(what: str, fn: Callable, *args) -> float:
 
 
 def power_loss(exponent: float = 2.0) -> LossSpec:
+    check_finite("loss exponent", exponent)
     return LossSpec(lambda x: x**exponent, name=f"power{exponent:g}")
 
 
@@ -101,8 +103,8 @@ class EntropyProfile:
 def _check_kind(kind: str, profile: EntropyProfile, l: Optional[float]) -> None:
     if kind not in ENTROPY_KINDS:
         raise ValueError(f"unknown kind {kind!r}; choose from {ENTROPY_KINDS}")
-    if kind == "power_l" and (l is None or l <= 1.0 or l == 2.0):
-        raise ValueError("power_l kind needs l > 1, l != 2")
+    if kind == "power_l" and (l is None or not 1.0 < l < math.inf or l == 2.0):
+        raise ValueError(f"power_l kind needs a finite l > 1, l != 2, got {l}")
     if profile.kind == "kl" and kind != "kl":
         # chi2 >= KL, so a KL covering at radius eps undercounts the chi2 one
         raise ValueError(
@@ -345,6 +347,8 @@ def analytic_divergence(
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
+    for name, value in (("theta0", theta0), ("theta1", theta1), ("sigma", sigma)):
+        check_finite(name, value)
     try:
         return _analytic_divergence(model, theta0, theta1, n, sigma)
     except OverflowError:

@@ -26,6 +26,7 @@ import numpy as np
 from .distributions import (
     DiscreteDistribution,
     Ensemble,
+    check_json_lists,
     distribution_from_json,
     stack_pmfs,
 )
@@ -546,8 +547,8 @@ def covering_specialization(kind: str, m: int, approx_error: float, l: float = 2
     if kind == "chi2":
         return m * (approx_error + 1.0) - 1.0
     if kind == "power_l":
-        if l <= 1.0:
-            raise ValueError("power_l needs l > 1")
+        if not 1.0 < l < math.inf:
+            raise ValueError(f"power_l needs a finite l > 1, got {l}")
         return m ** (l - 1.0) * (approx_error + 1.0) - 1.0
     if kind == "hellinger_sq":
         return 2.0 - (2.0 - approx_error) / math.sqrt(m)
@@ -555,14 +556,12 @@ def covering_specialization(kind: str, m: int, approx_error: float, l: float = 2
 
 
 def covering_family_from_json(obj: dict) -> CoveringFamily:
-    if isinstance(obj, dict) and "candidates" in obj:
-        cands = tuple(distribution_from_json(c) for c in obj["candidates"])
-        assn = tuple(obj["assignment"]) if "assignment" in obj else None
-        return CoveringFamily(candidates=cands, assignment=assn)
-    if isinstance(obj, list):
-        return CoveringFamily(
-            candidates=tuple(distribution_from_json(c) for c in obj)
-        )
-    raise ValueError(
-        'covering JSON must be a {"candidates": [...]} object or a list'
-    )
+    """A family from a {"candidates": [...], "assignment": [...]} object,
+    the assignment optional, or from a bare list of candidates."""
+    obj = {"candidates": obj} if isinstance(obj, list) else obj
+    if not isinstance(obj, dict) or "candidates" not in obj:
+        raise ValueError('covering JSON must be a {"candidates": [...]} object or a list')
+    check_json_lists(obj, "covering", ("candidates", "assignment"))
+    cands = tuple(distribution_from_json(c) for c in obj["candidates"])
+    assn = tuple(obj["assignment"]) if "assignment" in obj else None
+    return CoveringFamily(candidates=cands, assignment=assn)

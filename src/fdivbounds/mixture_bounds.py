@@ -7,50 +7,141 @@ and any reference measure Q with W = sum_x w_{T(x)} q(x),
         >= W f((1 - rbar)/W) + (1 - W) f(rbar/(1 - W)),
 
 where rbar is the Bayes risk.  With a uniform prior (W = 1/N) the right side
-is the divergence floor g(rbar) of :mod:`.divergences`, which is inverted
-(implicitly by bisection or explicitly by a tangent line) to give risk lower
-bounds.  Named closed forms for the standard generators and the sharp
-two-point witness live here as well.
+is the uniform divergence floor g(rbar).  Both floors live here, each
+public one checking its inputs once at entry; g is inverted (implicitly by
+bisection or explicitly by a tangent line) to give risk lower bounds.  Named
+closed forms for the standard generators and the sharp two-point witness
+live here as well.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
 
 from . import informativity
-from .distributions import DiscreteDistribution, Ensemble
-from .divergences import (
-    DivergenceGenerator,
-    _all,
-    _any,
-    _clip,
-    _first_failing,
-    _floor_sum,
-    _uniform_floor,
-    _values,
-    divergence_matrix,
-    uniform_divergence_floor,
-    uniform_divergence_floor_derivative,
-)
+from .distributions import DiscreteDistribution, Ensemble, check_finite
+from .divergences import VALUE_TOL, DivergenceGenerator, apply_generator, divergence_matrix
 from .report import BoundReport
 from .testing_risk import map_tests
 
 #: bisection tolerance for the implicit inversion
 _BISECT_TOL = 1e-10
 
-NAMED_FAMILIES = ("fano", "chi2", "hellinger", "tv", "power_l", "reverse_kl_tv")
+
+# ---------------------------------------------------------------------------
+# Scalar-or-array helpers and the divergence floors
+# ---------------------------------------------------------------------------
 
 
-def _not_nan(name: str, value) -> float:
-    """``value`` as a float; a NaN statistic is refused by name, where a
-    +inf one stays the documented vacuous case."""
-    value = float(value)
-    if math.isnan(value):
-        raise ValueError(f"{name} is NaN")
-    return value
+def _values(x):
+    """``x`` as a float array, or as a float when it is a scalar: plain
+    float arithmetic rounds as numpy's does and skips its per-call cost."""
+    arr = np.asarray(x, dtype=float)
+    return arr if arr.ndim else float(arr)
+
+
+def _any(mask) -> bool:
+    """Whether some entry of a boolean array, or a boolean scalar, is true."""
+    return bool(mask.any() if isinstance(mask, np.ndarray) else mask)
+
+
+def _all(mask) -> bool:
+    """Whether every entry of a boolean array, or a boolean scalar, is true."""
+    return bool(mask.all() if isinstance(mask, np.ndarray) else mask)
+
+
+def _clip(x, lo, hi):
+    """min(max(x, lo), hi), elementwise on arrays."""
+    if isinstance(x, np.ndarray) or isinstance(hi, np.ndarray):
+        return np.minimum(np.maximum(x, lo), hi)
+    return min(max(x, lo), hi)
+
+
+def _choose(take, new, old):
+    """``new`` where ``take``, else ``old``, for operands of one shape:
+    np.where on arrays, a plain choice on scalars."""
+    return np.where(take, new, old) if isinstance(take, np.ndarray) else (new if take else old)
+
+
+def _first_failing(values, ok) -> float:
+    """The first entry of ``values`` (broadcast against ``ok``) where ``ok``
+    is False, as a float: what an array check names when it refuses."""
+    return float(np.broadcast_to(values, np.shape(ok))[~np.asarray(ok)][0])
+
+
+def _floor_sum(gen: DivergenceGenerator, x, y, wx, wy):
+    """wx f(x) + wy f(y) elementwise for x and y of one shape, +inf where
+    either f is: the shape of every divergence floor.  Both arguments go
+    through one :func:`apply_generator` call; scalars give a float."""
+    vals = apply_generator(gen, np.array([x, y]))
+    fx, fy = vals[0], vals[1]
+    total = wx * fx + wy * fy
+    if not isinstance(total, np.ndarray):
+        return math.inf if math.isinf(fx) or math.isinf(fy) else float(total)
+    inf = np.isinf(fx) | np.isinf(fy)
+    return np.where(inf, math.inf, total) if inf.any() else total
+
+
+def _hypotheses(n):
+    """n as a float array or a float, after checking every n >= 2 (NaN
+    fails), and 1 - 1/n."""
+    n = _values(n)
+    if not _all(n >= 2):
+        raise ValueError("need at least 2 hypotheses")
+    return n, 1.0 - 1.0 / n
+
+
+def _risk_range(n, a, slack: float = 0.0):
+    """n and a as arrays or scalars, after checking every n >= 2 and every
+    a in [-slack, 1 - 1/n + slack] (NaN fails), and 1 - 1/n."""
+    n, hi = _hypotheses(n)
+    a = _values(a)
+    ok = (-slack <= a) & (a <= hi + slack)
+    if not _all(ok):
+        where = "" if np.ndim(n) else f" for N={n:g}"
+        raise ValueError(f"a={_first_failing(a, ok)!r} outside [0, 1 - 1/N]{where}")
+    return n, a, hi
+
+
+def uniform_divergence_floor(gen: DivergenceGenerator, n, a):
+    """f(N(1-a)) + (N-1) f(Na/(N-1)): the least possible divergence sum
+    over any reference measure when the uniform-prior testing risk is a.
+
+    Defined for a in [0, 1 - 1/N]; convex and non-increasing in a.  ``n``
+    and ``a`` may be arrays, which broadcast; scalars give a float.
+    """
+    n, a, hi = _risk_range(n, a, slack=VALUE_TOL)
+    return _uniform_floor(gen, n, _clip(a, 0.0, hi))
+
+
+def _uniform_floor(gen: DivergenceGenerator, n, a):
+    """:func:`uniform_divergence_floor` at checked n and a in [0, 1 - 1/n]."""
+    return _floor_sum(gen, n * (1.0 - a), n * a / (n - 1.0), 1.0, n - 1.0)
+
+
+def uniform_divergence_floor_derivative(gen: DivergenceGenerator, n, a):
+    """d/da of :func:`uniform_divergence_floor`; needs gen.derivative.
+    Takes arrays as the floor does."""
+    n, a, _ = _risk_range(n, a)
+    return _uniform_slope(gen, n, a)
+
+
+def _uniform_slope(gen: DivergenceGenerator, n, a):
+    """:func:`uniform_divergence_floor_derivative` at checked n and a."""
+    if gen.derivative is None:
+        raise ValueError(f"generator {gen.name!r} has no derivative")
+    inner = n * a / (n - 1.0)
+    shape = np.shape(inner)
+    inner = np.atleast_1d(inner)
+    # at inner = 0 the one-sided slope is probed just above zero: a
+    # genuinely attained (so still valid) tangent slope, astronomically
+    # steep for generators whose derivative is unbounded at 0+
+    left = gen.derivative(np.where(inner == 0.0, 1e-300, inner))
+    right = gen.derivative(np.atleast_1d(n * (1.0 - a)))
+    out = n * (left - right)
+    return out.reshape(shape) if shape else float(out[0])
 
 
 def _divergence_sums(divergence_sum):
@@ -133,12 +224,6 @@ def weighted_divergence_sums(gen: DivergenceGenerator, w, pmats, qs) -> np.ndarr
     return sums
 
 
-def _choose(take, new, old):
-    """``new`` where ``take``, else ``old``, for operands of one shape:
-    np.where on arrays, a plain choice on scalars."""
-    return np.where(take, new, old) if isinstance(take, np.ndarray) else (new if take else old)
-
-
 def implicit_risk_bound(gen: DivergenceGenerator, n, divergence_sum):
     """Largest a in [0, 1 - 1/N] whose divergence floor still reaches the
     observed sum; the floor is non-increasing, so bisection applies.
@@ -147,11 +232,8 @@ def implicit_risk_bound(gen: DivergenceGenerator, n, divergence_sum):
     element is bisected under its own stop test, so it takes the steps it
     would take alone; scalars give a float.
     """
-    n = _values(n)
-    if _any(n < 2):
-        raise ValueError("need at least 2 hypotheses")
+    n, hi = _hypotheses(n)
     total = _divergence_sums(divergence_sum)
-    hi = 1.0 - 1.0 / n
     # lo keeps floor(lo) >= sum and up keeps floor(up) < sum; an element
     # stays at hi when the floor there still reaches its sum, and at 0 when
     # the floor at 0 already falls short of it
@@ -175,16 +257,16 @@ def tangent_risk_bound(gen: DivergenceGenerator, n, divergence_sum, a):
     below 1 - 1/N.  The arguments may be arrays, which broadcast; scalars
     give a float.
     """
-    n, a = _values(n), _values(a)
-    hi = 1.0 - 1.0 / n
+    n, hi = _hypotheses(n)
+    a = _values(a)
     ok = (0.0 <= a) & (a < hi)
     if not _all(ok):
         raise ValueError(f"a={_first_failing(a, ok)!r} must lie in [0, 1 - 1/N)")
     total = _divergence_sums(divergence_sum)
-    slope = uniform_divergence_floor_derivative(gen, n, a)
+    slope = _uniform_slope(gen, n, a)
     if _any(slope == 0.0):
         raise ValueError("zero slope: a is too close to 1 - 1/N")
-    floor = uniform_divergence_floor(gen, n, a)
+    floor = _uniform_floor(gen, n, a)
     with np.errstate(invalid="ignore"):  # an infinite slope or floor is replaced below
         value = _clip(a + (total - floor) / slope, 0.0, hi)
     # the tangent at an infinite floor carries no constraint
@@ -198,25 +280,23 @@ def tangent_risk_bound(gen: DivergenceGenerator, n, divergence_sum, a):
 # ---------------------------------------------------------------------------
 
 
-def _clamp_report(family: str, value: float, inputs: dict, inter: dict) -> BoundReport:
-    vacuous = value <= 0.0
-    return BoundReport(
-        family=family,
-        lower_bound=min(max(value, 0.0), 1.0),
-        inputs=inputs,
-        intermediates=inter,
-        vacuous=vacuous,
-    )
-
-
-#: the statistic each risk-bound family reads, and what its checks demand
-_FAMILY_STATISTIC = {
-    "fano": ("avg_kl", "fano needs n >= 2 and avg_kl >= 0"),
-    "chi2": ("divergence_sum", "chi2 needs n >= 2 and a nonnegative sum"),
-    "hellinger": ("h_sq", "hellinger needs n >= 2 and h_sq in [0, 2]"),
-    "tv": ("divergence_sum", "tv needs n >= 2 and a nonnegative sum"),
-    "power_l": ("divergence_sum", "power_l needs n >= 2, exponent > 1, sum >= 0"),
+#: the parameters each named risk family reads, its statistic last, and
+#: what its checks demand
+_FAMILIES = {
+    "fano": (("n", "avg_kl"), "fano needs n >= 2 and avg_kl >= 0"),
+    "chi2": (("n", "divergence_sum"), "chi2 needs n >= 2 and a nonnegative sum"),
+    "hellinger": (("n", "h_sq"), "hellinger needs n >= 2 and h_sq in [0, 2]"),
+    "tv": (("n", "divergence_sum"), "tv needs n >= 2 and a nonnegative sum"),
+    "power_l": (("n", "exponent", "divergence_sum"), "power_l needs n >= 2, exponent > 1, sum >= 0"),
 }
+NAMED_FAMILIES = tuple(_FAMILIES) + ("reverse_kl_tv",)
+
+
+def _family(family: str) -> tuple:
+    """The parameters and the check message of a named risk family."""
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown bound family {family!r}; choose from {NAMED_FAMILIES}")
+    return _FAMILIES[family]
 
 
 def named_risk_bounds(family: str, n: int, stat, exponent: float = 3.0):
@@ -225,7 +305,8 @@ def named_risk_bounds(family: str, n: int, stat, exponent: float = 3.0):
     statistic is refused by name (hellinger's range check refuses it too),
     and so is one out of range.  The formulas are listed in
     :func:`named_bound`; a float statistic gives a float."""
-    key, needs = _FAMILY_STATISTIC[family]
+    keys, needs = _family(family)
+    key = keys[-1]
     stat = _values(stat)
     if family != "hellinger" and _any(np.isnan(stat)):
         raise ValueError(f"{key} is NaN")
@@ -255,6 +336,38 @@ def named_risk_bounds(family: str, n: int, stat, exponent: float = 3.0):
     return float(value) if np.ndim(value) == 0 else value
 
 
+def _clamp_report(family: str, n: int, stat: float, exponent: float, inter: dict) -> BoundReport:
+    """The report of a named risk family; a bound at or below 0 reads 0,
+    flagged vacuous."""
+    value = named_risk_bounds(family, n, stat, exponent)
+    inputs = {"n": n, "exponent": exponent} if family == "power_l" else {"n": n}
+    inputs[_FAMILIES[family][0][-1]] = stat
+    return BoundReport(
+        family=family,
+        lower_bound=min(max(value, 0.0), 1.0),
+        inputs=inputs,
+        intermediates=inter,
+        vacuous=value <= 0.0,
+    )
+
+
+def _reverse_kl_tv_report(s: float, inter: dict) -> BoundReport:
+    """The reverse_kl_tv report for a reverse-KL sum s; +inf is vacuous."""
+    if math.isnan(s):
+        raise ValueError("divergence_sum is NaN")
+    if s < 0:
+        raise ValueError("reverse_kl_tv needs a nonnegative sum")
+    value = math.sqrt(1.0 - math.exp(-s))
+    return BoundReport(
+        family="reverse_kl_tv",
+        lower_bound=min(value, 1.0),
+        inputs={"divergence_sum": s},
+        intermediates=inter,
+        vacuous=value >= 1.0,
+        notes=("upper bound on the total variation distance",),
+    )
+
+
 def named_bound(family: str, **params) -> BoundReport:
     """Closed-form bound for one of the named generator families.
 
@@ -267,30 +380,18 @@ def named_bound(family: str, **params) -> BoundReport:
     reverse_kl_tv(divergence_sum)
                                  total variation <= sqrt(1 - exp(-sum))
                                  (an upper bound, not a risk lower bound)
+
+    A missing parameter is refused by name.
     """
+    keys = ("divergence_sum",) if family == "reverse_kl_tv" else _family(family)[0]
+    missing = [key for key in keys if key not in params]
+    if missing:
+        raise ValueError(f"{family} needs {', '.join(missing)}")
+    stat = float(params[keys[-1]])
     if family == "reverse_kl_tv":
-        s = _not_nan("divergence_sum", params["divergence_sum"])
-        if s < 0:
-            raise ValueError("reverse_kl_tv needs a nonnegative sum")
-        value = math.sqrt(1.0 - math.exp(-s))
-        return BoundReport(
-            family="reverse_kl_tv",
-            lower_bound=min(value, 1.0),
-            inputs={"divergence_sum": s},
-            intermediates={},
-            vacuous=value >= 1.0,
-            notes=("upper bound on the total variation distance",),
-        )
-    if family not in _FAMILY_STATISTIC:
-        raise ValueError(f"unknown bound family {family!r}; choose from {NAMED_FAMILIES}")
-    key = _FAMILY_STATISTIC[family][0]
-    n = int(params["n"])
-    inputs = {"n": n}
-    if family == "power_l":
-        inputs["exponent"] = _not_nan("exponent", params["exponent"])
-    inputs[key] = float(params[key])
-    value = named_risk_bounds(family, n, inputs[key], inputs.get("exponent", 3.0))
-    return _clamp_report(family, value, inputs, {})
+        return _reverse_kl_tv_report(stat, {})
+    exponent = check_finite("exponent", params["exponent"]) if family == "power_l" else 3.0
+    return _clamp_report(family, int(params["n"]), stat, exponent, {})
 
 
 def ensemble_statistics(family: str, pmats, exponent: float = 3.0):
@@ -315,36 +416,27 @@ def ensemble_statistics(family: str, pmats, exponent: float = 3.0):
     return (value, q) if family == "fano" else (n * value, q)
 
 
-def named_bound_from_ensemble(family: str, ens: Ensemble, **extra) -> BoundReport:
+def named_bound_from_ensemble(family: str, ens: Ensemble, exponent: float = 3.0) -> BoundReport:
     """Compute the family's exact ensemble statistic, then the bound.
 
     Statistics are exact: the KL/chi2/power/reverse-KL informativity closed
     forms, the sorted-breakpoint total-variation informativity, and the
     average pairwise squared Hellinger distance (diagonal included); see
-    :func:`ensemble_statistics`.
+    :func:`ensemble_statistics`.  power_l's ``exponent`` is checked first.
     """
     n = ens.size
+    source = {"statistic_source": "exact ensemble computation"}
     if family == "reverse_kl_tv":
         if n != 2:
             raise ValueError("reverse_kl_tv applies to two-member ensembles")
         res = informativity.informativity_closed_form("reverse_kl", ens)
-        report = named_bound("reverse_kl_tv", divergence_sum=2.0 * res.value)
-    elif family in _FAMILY_STATISTIC:
-        l = float(extra.get("exponent", 3.0))
-        stat, q = ensemble_statistics(family, ens.pmf_matrix(), l)
-        if q is not None:
-            DiscreteDistribution(q)  # the minimizer passes a distribution's checks
-        key = _FAMILY_STATISTIC[family][0]
-        params = {"n": n, key: float(stat)}
-        if family == "power_l":
-            params["exponent"] = l
-        report = named_bound(family, **params)
-    else:
-        raise ValueError(
-            f"unknown bound family {family!r}; choose from {NAMED_FAMILIES}"
-        )
-    inter = {**report.intermediates, "statistic_source": "exact ensemble computation"}
-    return dataclasses.replace(report, intermediates=inter)
+        return _reverse_kl_tv_report(2.0 * res.value, source)
+    _family(family)
+    exponent = check_finite("exponent", exponent) if family == "power_l" else float(exponent)
+    stat, q = ensemble_statistics(family, ens.pmf_matrix(), exponent)
+    if q is not None:
+        DiscreteDistribution(q)  # the minimizer passes a distribution's checks
+    return _clamp_report(family, n, float(stat), exponent, source)
 
 
 # ---------------------------------------------------------------------------

@@ -8,17 +8,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def _jsonable(value):
+def jsonable(value):
+    """``value`` with numpy values as Python ones and +-inf as "inf"/"-inf"."""
     if isinstance(value, (np.floating, np.integer)):
         value = value.item()
     if isinstance(value, float) and math.isinf(value):
         return "inf" if value > 0 else "-inf"
     if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
+        return [jsonable(v) for v in value.tolist()]
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [jsonable(v) for v in value]
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
+        return {str(k): jsonable(v) for k, v in value.items()}
     return value
 
 
@@ -42,9 +43,9 @@ class BoundReport:
     def to_json(self) -> dict:
         return {
             "family": self.family,
-            "lower_bound": _jsonable(self.lower_bound),
-            "inputs": _jsonable(self.inputs),
-            "intermediates": _jsonable(self.intermediates),
+            "lower_bound": jsonable(self.lower_bound),
+            "inputs": jsonable(self.inputs),
+            "intermediates": jsonable(self.intermediates),
             "vacuous": self.vacuous,
             "notes": list(self.notes),
         }

@@ -31,7 +31,6 @@ from .divergences import (
     eval_divergence,
     squared_hellingers,
     total_variations,
-    uniform_divergence_floor,
 )
 from .entropy_bounds import (
     EntropyProfile,
@@ -62,6 +61,7 @@ from .mixture_bounds import (
     two_point_pairs,
     two_point_sums,
     two_point_target,
+    uniform_divergence_floor,
     weighted_divergence_floor,
     weighted_divergence_sums,
 )

@@ -607,3 +607,114 @@ class TestVerifyTimings:
         path = tmp_path / "missing" / "timings.json"
         assert main(["verify", "--suite", "entropy", "--timings-out", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestEntryChecks:
+    """Bad input stops where it enters, with exit 1 and the bad name."""
+
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_tangent_needs_two_hypotheses(self, capsys, n):
+        """N=0 once ended in a ZeroDivisionError traceback, and N=1 blamed
+        the anchor a."""
+        code = main(["bound", "--family", "tangent", "--gen", "kl", "--stats", f"N={n},sum=1,a=0.1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: need at least 2 hypotheses\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("divergence", "--model", "uniform_scale", "--theta0", "nan", "--theta1", "1", "--n", "2"),
+             "theta0 must be a finite number, got nan"),
+            (("divergence", "--model", "gaussian_location", "--theta1", "inf"),
+             "theta1 must be a finite number, got inf"),
+            (("divergence", "--model", "gaussian_location", "--theta1", "1", "--sigma", "nan"),
+             "sigma must be a finite number, got nan"),
+            (("jf-cover", "{ens}", "--gen", "kl", "--candidates", "{cover}", "--kind", "power_l",
+              "--exponent", "nan"), "power_l needs a finite l > 1, got nan"),
+            (("entropy-bound", "--kind", "power_l", "--model", "gaussian_ball", "--params",
+              "gamma=10,sigma=1,d=2", "--exponent", "inf"), "power_l kind needs a finite l > 1"),
+            (("entropy-bound", "--kind", "chi2", "--model", "gaussian_ball", "--params",
+              "gamma=10,sigma=1,d=2", "--loss-exponent", "nan"),
+             "loss exponent must be a finite number, got nan"),
+            (("bound", "--family", "power_l", "--from-ensemble", "{ens}", "--exponent", "nan"),
+             "exponent must be a finite number, got nan"),
+        ],
+    )
+    def test_non_finite_library_parameters_exit_code(self, files, capsys, argv, message):
+        """divergence and jf-cover once printed NaN, which is not JSON;
+        entropy-bound blamed the grid and bound a pmf entry."""
+        code = main([a.format(ens=files["ens"], cover=files["cover"]) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+
+    def test_emit_refuses_nan(self):
+        from fdivbounds.cli import _emit
+
+        with pytest.raises(ValueError):
+            _emit({"value": float("nan")})
+
+    @pytest.mark.parametrize(
+        "family,spellings",
+        [
+            (("fano",), ("N=16,avgKL=1", "n=16,avg_kl=1")),
+            (("power_l",), ("N=4,l=3,divergence_sum=1", "n=4,exponent=3,divergence_sum=1")),
+            (("implicit", "--gen", "kl"), ("N=4,sum=1", "n=4,sum=1")),
+            (("tangent", "--gen", "kl"), ("N=4,sum=1,a=0.1", "n=4,sum=1,a=0.1")),
+        ],
+    )
+    def test_stats_spellings_agree(self, capsys, family, spellings):
+        """One alias table serves the named and the generic families; the
+        generic ones once read only N."""
+        outs = [run_cli(capsys, "bound", "--family", *family, "--stats", s) for s in spellings]
+        assert outs[0][0] == 0 and outs[0] == outs[1]
+
+    @pytest.mark.parametrize(
+        "family,stats,message",
+        [
+            (("implicit", "--gen", "kl"), "sum=1", "implicit needs n"),
+            (("tangent", "--gen", "kl"), "N=4,sum=1", "tangent needs a"),
+            (("two_point", "--gen", "kl"), "W=0.3", "two_point needs V"),
+            (("floor", "--gen", "kl"), "W=0.5", "floor needs rbar"),
+            (("fano",), "N=4", "fano needs avg_kl"),
+            (("power_l",), "N=4,divergence_sum=1", "power_l needs exponent"),
+            (("fano",), "N=4.7,avgKL=1", "N must be an integer, got 4.7"),
+            (("implicit", "--gen", "kl"), "N=4.7,sum=1", "N must be an integer, got 4.7"),
+        ],
+    )
+    def test_bad_stats_named(self, capsys, family, stats, message):
+        """A missing key once printed only its quoted name, and N=4.7 gave
+        the N=4 bound."""
+        code = main(["bound", "--family", *family, "--stats", stats])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv,payload,message",
+        [
+            (("jf-cover", "{ens}", "--gen", "kl", "--candidates", "{bad}"),
+             {"candidates": 5}, 'covering JSON "candidates" must be a list'),
+            (("jf-cover", "{ens}", "--gen", "kl", "--candidates", "{bad}"),
+             {"candidates": [{"pmf": [0.5, 0.5]}], "assignment": 5},
+             'covering JSON "assignment" must be a list'),
+            (("entropy-bound", "--kind", "chi2", "--model", "custom", "--profile", "{bad}"),
+             {"packing": 5, "covering": [[0.1, 4.0], [1.0, 2.0]]}, 'profile JSON "packing" must be a list'),
+            (("entropy-bound", "--kind", "chi2", "--model", "custom", "--profile", "{bad}"),
+             {"packing": [[0.01, 1000.0], [1.0, 10.0]], "covering": "x"},
+             'profile JSON "covering" must be a list'),
+            (("entropy-bound", "--kind", "chi2", "--model", "custom", "--profile", "{bad}"),
+             {"covering": [[0.1, 4.0], [1.0, 2.0]]},
+             'profile JSON must be an object with "packing" and "covering" keys'),
+        ],
+    )
+    def test_non_list_json_fields_exit_code(self, files, capsys, tmp_path, argv, payload, message):
+        """These once ended in a TypeError traceback, or printed only the
+        missing key's name."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        code = main([a.format(ens=files["ens"], bad=bad) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {message}\n"

@@ -15,10 +15,13 @@ from fdivbounds.divergences import (
     eval_divergence,
     squared_hellinger,
     total_variation,
+)
+from fdivbounds.mixture_bounds import (
+    two_point_target,
     uniform_divergence_floor,
     uniform_divergence_floor_derivative,
+    weighted_divergence_floor,
 )
-from fdivbounds.mixture_bounds import two_point_target, weighted_divergence_floor
 
 
 def dist(*vals):
@@ -291,6 +294,17 @@ class TestDivergenceMatrix:
         # a point where both vanish contributes nothing: same as dropping it
         dropped = divergence_matrix(gen, pmat[:1, 1:], qmat[1:2, 1:])
         assert got[0, 1] == pytest.approx(dropped[0, 0], abs=1e-15)
+
+    @pytest.mark.parametrize("gen", default_generators(), ids=lambda g: g.name)
+    @pytest.mark.parametrize("p,q", [(5e-324, 3.0), (2.0**-52, np.finfo(float).max)])
+    def test_underflowing_ratio_takes_f_at_zero(self, gen, p, q):
+        """A positive p whose ratio to an unnormalized q underflows to 0
+        gets f(0+), as a zero mass does; kl once read NaN here.  2^-52 sits
+        just below the p.min() under which the kernel reads q.max()."""
+        with np.errstate(divide="raise", invalid="raise"):
+            got = divergence_matrix(gen, [[p, 0.5]], [[q, 0.5]])
+            zero = divergence_matrix(gen, [[0.0, 0.5]], [[q, 0.5]])
+        assert same_bits(got, zero)
 
     @pytest.mark.parametrize("gen", default_generators(), ids=lambda g: g.name)
     def test_jensen_slack_clamped(self, gen):

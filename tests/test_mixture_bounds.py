@@ -418,3 +418,59 @@ class TestArrayForms:
                 p1, p2, _, achieved = two_point_witness(float(vi), gen)
                 assert _same_bits(sums[i], achieved)
                 assert np.array_equal(pairs[i], [p1.pmf, p2.pmf])
+
+
+class TestEntryChecks:
+    """Each public floor and inversion checks its inputs once, at entry,
+    with the hypothesis count first."""
+
+    @pytest.mark.parametrize("n", [0, 1, np.array([2, 1])])
+    def test_tangent_needs_two_hypotheses(self, n):
+        """N = 0 once divided by zero and N = 1 blamed the anchor a."""
+        with pytest.raises(ValueError, match="need at least 2 hypotheses"):
+            tangent_risk_bound(KL, n, 1.0, 0.1)
+        with pytest.raises(ValueError, match="need at least 2 hypotheses"):
+            implicit_risk_bound(KL, n, 1.0)
+
+    def test_each_entry_checks_the_count_once(self, monkeypatch):
+        from fdivbounds import mixture_bounds
+
+        calls = []
+        check = mixture_bounds._hypotheses
+
+        def counted(n):
+            calls.append(n)
+            return check(n)
+
+        monkeypatch.setattr(mixture_bounds, "_hypotheses", counted)
+        for entry, args in (
+            (mixture_bounds.uniform_divergence_floor, (KL, 4, 0.2)),
+            (mixture_bounds.uniform_divergence_floor_derivative, (KL, 4, 0.2)),
+            (mixture_bounds.implicit_risk_bound, (KL, 4, 1.0)),
+            (mixture_bounds.tangent_risk_bound, (KL, 4, 1.0, 0.2)),
+        ):
+            calls.clear()
+            entry(*args)
+            assert calls == [4], entry.__name__
+
+    @pytest.mark.parametrize(
+        "family,params,missing",
+        [
+            ("fano", {"n": 4}, "avg_kl"),
+            ("power_l", {"n": 4, "divergence_sum": 1.0}, "exponent"),
+            ("chi2", {"divergence_sum": 1.0}, "n"),
+            ("reverse_kl_tv", {}, "divergence_sum"),
+        ],
+    )
+    def test_named_bound_names_a_missing_parameter(self, family, params, missing):
+        with pytest.raises(ValueError, match=f"^{family} needs {missing}$"):
+            named_bound(family, **params)
+
+    @pytest.mark.parametrize("exponent", [math.nan, math.inf])
+    def test_ensemble_exponent_checked_before_statistics(self, exponent):
+        """A NaN exponent was once reported as a non-finite pmf entry."""
+        ens = Ensemble(members=(DiscreteDistribution([0.75, 0.25]), DiscreteDistribution([0.25, 0.75])))
+        with pytest.raises(ValueError, match="exponent must be a finite number"):
+            named_bound_from_ensemble("power_l", ens, exponent=exponent)
+        with pytest.raises(ValueError, match="exponent must be a finite number"):
+            named_bound("power_l", n=2, exponent=exponent, divergence_sum=1.0)
