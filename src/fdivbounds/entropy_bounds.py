@@ -16,6 +16,7 @@ symbolic must be supplied; omitted ones default to 1.0 and are flagged.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -511,13 +512,29 @@ def builtin_profile(model: str, kind: str = "chi2", **params) -> EntropyProfile:
     )
 
 
+def _table_pairs(entries, name: str) -> list:
+    """The (radius, count) pairs of a profile table as floats, sorted."""
+    pairs = []
+    for entry in entries:
+        pair = tuple(entry) if isinstance(entry, (list, tuple, np.ndarray)) else ()
+        if len(pair) != 2 or not all(
+            isinstance(x, numbers.Real) and not isinstance(x, (bool, np.bool_)) for x in pair
+        ):
+            raise ValueError(
+                f"{name} table entry {entry!r} is not a [radius, count] pair of numbers"
+            )
+        pairs.append((float(pair[0]), float(pair[1])))
+    return sorted(pairs)
+
+
 def profile_from_table(
     packing: list, covering: list, kind: str = "chi2"
 ) -> EntropyProfile:
     """Profile from tabulated [[eta, N], ...] and [[eps, M], ...] pairs with
-    log-linear interpolation; validity is the tabulated range."""
-    pack = sorted((float(a), float(b)) for a, b in packing)
-    cover = sorted((float(a), float(b)) for a, b in covering)
+    log-linear interpolation; validity is the tabulated range.  An entry
+    that is not a pair of two numbers is refused with its table's name."""
+    pack = _table_pairs(packing, "packing")
+    cover = _table_pairs(covering, "covering")
     if not pack or not cover:
         raise ValueError("packing and covering tables must be nonempty")
     if not all(0 < a < math.inf and 1 <= b < math.inf for a, b in pack + cover):

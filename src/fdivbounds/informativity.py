@@ -7,7 +7,8 @@ reverse KL at the normalized geometric mean).  The objective separates over
 points, so differentiable generators in general are solved through their
 KKT conditions (one scalar equation per point, its root bracketed by a
 k-ary search that later multiplier steps resume, and safeguarded Newton
-steps on the multiplier, certified by the Lagrangian dual), and the
+steps on the multiplier, certified by the Lagrangian dual), a stack of
+ensembles at once in the array operations of one solve, and the
 total-variation case is solved exactly by sorting each point's member
 masses (a fractional knapsack over the breakpoints).  Covering families
 give upper bounds that need no optimization at all.  Every divergence sum
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -82,10 +84,13 @@ class CoveringFamily:
             raise ValueError("candidates have mixed support sizes")
         object.__setattr__(self, "candidates", cands)
         if self.assignment is not None:
-            assn = tuple(int(i) for i in self.assignment)
+            assn = tuple(self.assignment)
+            for i in assn:
+                if isinstance(i, (bool, np.bool_)) or not isinstance(i, numbers.Integral):
+                    raise ValueError(f"assignment entry {i!r} is not an integer candidate index")
             if any(i < 0 or i >= len(cands) for i in assn):
                 raise ValueError("assignment contains an invalid candidate index")
-            object.__setattr__(self, "assignment", assn)
+            object.__setattr__(self, "assignment", tuple(int(i) for i in assn))
 
     @property
     def size(self) -> int:
@@ -217,10 +222,6 @@ def tv_breakpoints(pmats) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _objective(gen: DivergenceGenerator, pmat: np.ndarray, q: np.ndarray) -> float:
-    return float(divergence_matrix(gen, pmat, q[None]).sum()) / pmat.shape[0]
-
-
 def _mixture_divergence(gen: DivergenceGenerator, pmats) -> tuple[np.ndarray, np.ndarray]:
     """The uniform mixtures m (..., S) of stacked members (..., N, S),
     unchecked, and (1/N) sum_theta D_f(P_theta||m) (...).
@@ -273,17 +274,53 @@ def _bracket_arity(cells: int) -> tuple[int, int]:
 
 def _reset_ends(ends: np.ndarray, stale: np.ndarray, fresh: np.ndarray) -> None:
     """Move the stale ends of the root brackets back to their fresh values.
-    ``ends`` and ``fresh`` hold log v, v and the slope (planes 0-2) at the
-    bottom and top end (rows 0 and 1) of each point's bracket; ``stale``
-    marks the (end, point) cells to reset."""
+    ``ends`` and ``fresh`` (3, 2, B, S) hold log v, v and the slope
+    (planes 0-2) at the bottom and top end (rows 0 and 1) of the bracket of
+    each ensemble's points; ``stale`` marks the (end, ensemble, point)
+    cells to reset."""
     np.copyto(ends, fresh, where=stale)
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be a positive finite number")
 
 
 def informativity_numeric(
     gen: DivergenceGenerator, ens: Ensemble, tol: float = 1e-8
 ) -> InformativityResult:
     """Minimize the average divergence over the simplex through its KKT
-    conditions.
+    conditions: :func:`kkt_solutions` on the one ensemble, which documents
+    the method and the certificate.  ``value`` is +inf, with no minimizer,
+    when an infinite f(0+) leaves the members no common support point.
+    Total variation has no derivative and is routed to the exact
+    sorted-breakpoint solver."""
+    if gen.name == "tv":
+        _check_tol(tol)
+        return informativity_tv_exact(ens)
+    q, values, gaps, iterations, rounds = kkt_solutions(gen, ens.pmf_matrix()[None], tol)
+    value = float(values[0])
+    return InformativityResult(
+        value,
+        None if math.isinf(value) else DiscreteDistribution(q[0]),
+        "kkt_bisection",
+        duality_gap=float(gaps[0]),
+        iterations=int(iterations[0]),
+        rounds=int(rounds[0]),
+    )
+
+
+def kkt_solutions(
+    gen: DivergenceGenerator, pmats, tol: float = 1e-8
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Minimize the average divergence of every ensemble in ``pmats``
+    (B, N, S) over the simplex through its KKT conditions: the minimizers
+    (B, S), unchecked, the values, the duality gaps, the multiplier steps
+    (``iterations``) and the bracket rounds, each (B,).  Each ensemble gets
+    the bits, steps and rounds it gets alone: the ensembles of one support
+    pattern share every array operation, each with its own multiplier,
+    brackets and stopping masks, and every sum over members or points is
+    added in the order of a one-ensemble solve.
 
     The objective separates over points, sum_x phi_x(q_x) with
     phi_x(v) = (1/N) sum_theta v f(p_theta(x)/v), and its slope
@@ -297,176 +334,264 @@ def informativity_numeric(
     most 1e12: for a generator with finite f'(inf), h at far larger ratios
     is cancellation noise.  The brackets shrink by a k-ary search: each
     round splits every point's bracket into K equal parts in log v and
-    evaluates h at all K - 1 interior candidates of all points in one
-    call, on an N x (K - 1) x S array.  K is the power of two in
-    [2, 1024] that keeps N S (K - 1) within about 1,024 cells, so large
-    ensembles fall back to plain halving.  The new bracket is the first
-    candidate whose slope reaches lambda and the one before it, not a
-    count of the candidates below lambda, so s(lo) < lambda <= s(hi)
-    holds by construction even where h is noise.  The search stops once
-    the tangent slack the dual subtracts (below) is at most
-    min(tol/2, 1e-12), or after ceil(40 / log2 K) rounds, the reach of 40
-    halvings.  The first lambda is sum_x m_x phi'_x(m_x) at the uniform
-    mixture m (the bracket's midpoint when that is not strictly inside
-    it), the optimality condition evaluated at the KL minimizer, so a KL
-    solve takes one step.  Each later step first replaces the end of the
-    lambda bracket on its side of the root, then takes a Newton step on g,
-    with each dv_x/dlambda estimated from the point's final root bracket
-    as the ratio of its v and slope differences (0 while that bracket
-    still reaches down to the floor, and where the slope at 1 is below
-    lambda, so v_x is clamped at 1); the midpoint is taken whenever the
-    Newton point is not strictly inside the bracket.  After the step each
-    point keeps its top end while that end's slope is still at least the
-    new lambda and its bottom end while that slope is still below it, and
-    resets the other to 1 or the floor, so the next search resumes from
-    the last bracket; every kept slope is an exact evaluation.
-    ``iterations`` counts the steps and ``rounds`` the search rounds.
+    evaluates h at all K - 1 interior candidates of all points of all
+    ensembles still narrowing in one call.  K is the power of two in
+    [2, 1024] that keeps N S (K - 1) within about 1,024 cells per
+    ensemble, so large ensembles fall back to plain halving.  The new
+    bracket is the first candidate whose slope reaches lambda and the one
+    before it, not a count of the candidates below lambda, so
+    s(lo) < lambda <= s(hi) holds by construction even where h is noise.
+    An ensemble stops narrowing once the tangent slack the dual subtracts
+    (below) is at most min(tol/2, 1e-12), or after ceil(40 / log2 K)
+    rounds, the reach of 40 halvings.  The first lambda is
+    sum_x m_x phi'_x(m_x) at the uniform mixture m (the bracket's midpoint
+    when that is not strictly inside it), the optimality condition
+    evaluated at the KL minimizer, so a KL solve takes one step.  Each
+    later step first replaces the end of the lambda bracket on its side of
+    the root, then takes a Newton step on g, with each dv_x/dlambda
+    estimated from the point's final root bracket as the ratio of its v
+    and slope differences (0 while that bracket still reaches down to the
+    floor, and where the slope at 1 is below lambda, so v_x is clamped at
+    1); the midpoint is taken whenever the Newton point is not strictly
+    inside the bracket.  After the step each point keeps its top end while
+    that end's slope is still at least the new lambda and its bottom end
+    while that slope is still below it, and resets the other to 1 or the
+    floor, so the next search resumes from the last bracket; every kept
+    slope is an exact evaluation.
 
     The reference is restricted to the union support of the members (mass
     elsewhere can only increase every term); generators with an infinite
-    f(0+) further restrict it to the common support, and the value is +inf
-    when there is none.  With a single point left, its point mass is the
-    only reference, returned with gap 0 and no step.  ``value`` is the
-    objective at v / sum(v), and ``duality_gap`` is that primal value
-    minus the Lagrangian dual
-    lambda + sum_x min_{0 <= v <= 1} [phi_x(v) - lambda v].  Each point's
-    minimum is bounded from below by the tangent at the top of its root
-    bracket, so the reported gap is never smaller than the true one.  The
-    search stops once the gap is at most ``tol``.  Total variation has no
-    derivative and is routed to the exact sorted-breakpoint solver.
+    f(0+) further restrict it to the common support, and the value is +inf,
+    with an all-zero minimizer, when there is none.  With a single point
+    left, its point mass is the only reference, returned with gap 0 and no
+    step.  Each value is the objective at v / sum(v), clamped at 0, and
+    each gap is that primal value minus the Lagrangian dual
+    lambda + sum_x min_{0 <= v <= 1} [phi_x(v) - lambda v], clamped at 0.
+    Each point's minimum is bounded from below by the tangent at the top
+    of its root bracket, so the reported gap is never smaller than the
+    true one.  An ensemble's search stops once its gap is at most ``tol``.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be a positive finite number")
-    if gen.name == "tv":
-        return informativity_tv_exact(ens)
+    _check_tol(tol)
     if gen.derivative is None:
         raise ValueError(
             f"generator {gen.name!r} has no derivative; the numeric solver "
             "needs one for its optimality certificate"
         )
-    pmat_full = ens.pmf_matrix()
+    pmats = np.asarray(pmats, dtype=float)
+    b, _, width = pmats.shape
+    positive = pmats > 0.0
     if math.isinf(gen.f_at_zero):
-        support = np.all(pmat_full > 0.0, axis=0)
-        if not np.any(support):
-            return InformativityResult(math.inf, None, "kkt_bisection")
+        support = positive.all(axis=1)
     else:
-        support = np.any(pmat_full > 0.0, axis=0)
-    pmat = pmat_full[:, support]
-    n, s = pmat.shape
-    full_q = np.zeros(pmat_full.shape[1])
-    if s == 1:  # the only reference left is the point mass: nothing to solve
-        full_q[support] = 1.0
-        value = _objective(gen, pmat, np.ones(1))
-        return InformativityResult(
-            max(value, 0.0), DiscreteDistribution(full_q), "kkt_bisection"
-        )
-    ratios = pmat[:, None, :]
-    zero = ratios == 0.0
-    zero = zero if zero.any() else None
+        support = positive.any(axis=1)
+    if support.all():  # no point to drop: the stack is one group as it is
+        return _kkt_group(gen, pmats, tol)
+    qs = np.zeros((b, width))
+    outs = (np.empty(b), np.empty(b), np.empty(b, dtype=int), np.empty(b, dtype=int))
+    patterns, pattern_of = np.unique(support, axis=0, return_inverse=True)
+    for i, points in enumerate(patterns):
+        rows = np.flatnonzero(pattern_of == i)
+        q, *results = _kkt_group(gen, pmats[rows][..., points], tol)
+        qs[np.ix_(rows, points)] = q
+        for out, res in zip(outs, results):
+            out[rows] = res
+    return (qs,) + outs
 
-    def slope(v: np.ndarray) -> np.ndarray:
-        """phi'_x at each row of v, an (m, S) array."""
-        return _h(gen, ratios / v, zero).sum(axis=0) / n
 
-    log_floor = np.log(np.maximum(1e-12 * pmat.max(axis=0), np.finfo(float).tiny))
-    mix = pmat.sum(axis=0)
-    mix /= mix.sum()
-    probe = np.empty((3, s))
+def _objectives(gen: DivergenceGenerator, pmats: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """(1/N) sum_theta D_f(P_theta||Q) for stacked members (B, N, S) and
+    one reference Q (B, S) each."""
+    divs = divergence_matrix(gen, pmats, qs[:, None, :])[..., 0]
+    return divs.sum(axis=-1) / pmats.shape[1]
+
+
+def _bracket_views(bracket: np.ndarray, k: int) -> tuple:
+    """Views into the root brackets (3, k + 1, B, S) of :func:`_kkt_group`,
+    so every write to the bracket moves them: the ends (rows 0 and k), the
+    k - 1 candidates between, the bracket flat per plane, and, for k > 2,
+    the flat offsets of each point's cells in rows 0 and 1 of a plane."""
+    ends = bracket[:, ::k]
+    size = ends[0, 0].size
+    cells = None
+    if k > 2:
+        cells = np.arange(size).reshape(ends.shape[2:]) + np.array([[[0]], [[size]]])
+    return ends, bracket[:, 1:k], bracket.reshape(3, -1), cells, size
+
+
+def _member_layout(pmats: np.ndarray) -> tuple:
+    """The members of a stack (B, N, S) laid out for sums over them, the
+    axis those sums run along, and the mask of their zero masses (None
+    when there is none).
+
+    From 8 terms on numpy adds pairwise along a contiguous axis, so from 8
+    members on they go innermost, (B, S, N), and each sum over them is
+    that pairwise sum, whose bits the solutions are held to.  Fewer terms
+    add in order whatever the layout, so fewer members go outermost,
+    (N, 1, B, S), and each sum over them is a run of vector adds."""
+    if pmats.shape[1] < 8:
+        members, axis = np.ascontiguousarray(pmats.transpose(1, 0, 2))[:, None], 0
+    else:
+        members, axis = np.ascontiguousarray(pmats.transpose(0, 2, 1)), -1
+    zero = members == 0.0
+    return members, axis, zero if zero.any() else None
+
+
+def _kkt_group(gen: DivergenceGenerator, pmats: np.ndarray, tol: float) -> tuple:
+    """:func:`kkt_solutions` on a stack (B, N, S) of one support pattern,
+    compressed to its S support points."""
+    b, n, s = pmats.shape
+    if s <= 1:
+        none = np.zeros(b, dtype=int)
+        if s == 0:  # no common support point under an infinite f(0+)
+            return np.zeros((b, 0)), np.full(b, math.inf), np.zeros(b), none, none
+        # the only reference left is the point mass: nothing to solve
+        q = np.ones((b, 1))
+        return q, np.maximum(_objectives(gen, pmats, q), 0.0), np.zeros(b), none, none
+    members, axis, zero = _member_layout(pmats)
+
+    def ratios(v: np.ndarray) -> np.ndarray:
+        """p_theta / v at the masses v, an (m, B, S) array, the members
+        along ``axis``."""
+        return members / (v if axis == 0 else v[..., None])
+
+    def slope(v: np.ndarray, out=None) -> np.ndarray:
+        """phi'_x at the masses v, an (m, B, S) array."""
+        return np.divide(_h(gen, ratios(v), zero).sum(axis=axis), n, out=out)
+
+    log_floor = np.log(np.maximum(1e-12 * pmats.max(axis=1), np.finfo(float).tiny))
+    mix = members.sum(axis=axis).reshape(b, s)
+    mix /= mix.sum(axis=-1, keepdims=True)
+    probe = np.empty((3, b, s))
     probe[0], probe[1], probe[2] = 1.0, 1.0 / s, mix
     top_slope, uniform_slope, mix_slope = slope(probe)
-    lam_lo = float(uniform_slope.min())
-    lam_hi = float(top_slope.min())
+    lam_lo = uniform_slope.min(axis=-1)
+    lam_hi = top_slope.min(axis=-1)
     # every point with mass has phi'_x(q_x) = lambda at the optimum; averaged
     # under the uniform mixture (the KL minimizer) that identity is exact
-    # for KL and a first guess otherwise
-    lam = float(mix @ mix_slope)
-    if not lam_lo < lam < lam_hi:
-        lam = 0.5 * (lam_lo + lam_hi)
+    # for KL and a first guess otherwise.  Each row's dot product has the
+    # bits of a one-row BLAS dot
+    lam = np.vecdot(mix, mix_slope)
+    lam = np.where((lam_lo < lam) & (lam < lam_hi), lam, 0.5 * (lam_lo + lam_hi))
     budget = min(0.5 * tol, VALUE_TOL)
     k, max_rounds = _bracket_arity(n * s)
-    frac = (np.arange(1, k) / k)[:, None]
+    frac = (np.arange(1, k) / k)[:, None, None]
     # each point's root bracket: log v, v and the slope (planes 0-2) at its
     # bottom end (row 0), its top end (row k) and the k - 1 candidates
     # between.  A fresh bottom end is the floor held as v = 0, so the
     # tangent at the top also covers a root below the floor, with slope
     # -inf, so the point adds no rate to the Newton step; a fresh top end
     # is v = 1
-    bracket = np.empty((3, k + 1, s))
-    ends = bracket[:, ::k]
-    fresh = np.array(
-        [
-            [log_floor, np.zeros(s)],
-            [np.zeros(s), np.ones(s)],
-            [np.full(s, -math.inf), top_slope],
-        ]
-    )
-    ends[...] = fresh
-    # views into the bracket, so every write to it moves them
+    fresh = np.empty((3, 2, b, s))
+    fresh[0, 0], fresh[0, 1] = log_floor, 0.0
+    fresh[1, 0], fresh[1, 1] = 0.0, 1.0
+    fresh[2, 0], fresh[2, 1] = -math.inf, top_slope
+    bracket = np.empty((3, k + 1, b, s))
+    ends, (logv_mid, v_mid, s_mid), flat, cells, size = _bracket_views(bracket, k)
     (lo, hi), (v_lo, v), (s_lo, s_hi) = ends
-    logv_mid, v_mid, s_mid = bracket[:, 1:k]
-    reached = np.ones((k, s), dtype=bool)
-    # flat offsets of each point's cells in rows 0 and 1 of a plane
-    cells = np.arange(s) + np.array([[0], [s]])
-    flat = bracket.reshape(3, -1)
-    iterations = rounds = 0
+    ends[...] = fresh
+    reached = np.ones((k, b, s), dtype=bool)
+    below = reached[:-1]
+    q_out, value_out, gap_out = np.empty((b, s)), np.empty(b), np.empty(b)
+    iterations, rounds_out = np.empty(b, dtype=int), np.empty(b, dtype=int)
+    # the ensembles still solving, and their rounds so far
+    live, rounds = np.arange(b), np.zeros(b, dtype=int)
+    iteration = 0
     while True:
-        iterations += 1
+        iteration += 1
+        live_count = len(live)
+        # one ensemble's multiplier as a float, cheaper to broadcast than a column
+        lam_col = float(lam[0]) if live_count == 1 else lam[:, None]
         # the dual subtracts this tangent slack at the top of each bracket,
         # which falls with the width squared; narrow only while it can
         # still cost the certificate
-        for step_rounds in range(max_rounds + 1):
-            slack = float(np.maximum(s_hi - lam, 0.0) @ (v - v_lo))
-            if slack <= budget or step_rounds == max_rounds:
+        full_rounds = 0
+        for step in range(max_rounds + 1):
+            slack = np.vecdot(np.maximum(s_hi - lam_col, 0.0), v - v_lo)
+            if live_count == 1:  # a float test costs less than an array one
+                fitting = int(float(slack[0]) <= budget)
+            else:
+                fits = slack <= budget
+                fitting = np.count_nonzero(fits)
+            if step == max_rounds or fitting == live_count:
                 break
             np.multiply(frac, hi - lo, out=logv_mid)
             logv_mid += lo
             np.exp(logv_mid, out=v_mid)
-            s_mid[:] = slope(v_mid)
+            slope(v_mid, out=s_mid)
             # the first candidate whose slope reaches lambda and the one
             # before it: s_lo < lambda <= s_hi holds by construction, even
             # where h is cancellation noise; with none, the top end stays
-            np.greater_equal(s_mid, lam, out=reached[:-1])
-            ends[...] = flat.take(cells + s * reached.argmax(axis=0), axis=1)
-        rounds += step_rounds
-        phi = v * apply_generator(gen, pmat / v).mean(axis=0)
-        dual = lam + float((phi - lam * v).sum()) - slack
-        total = float(v.sum())
-        q = v / total
-        value = _objective(gen, pmat, q)
+            np.greater_equal(s_mid, lam_col, out=below)
+            if k == 2:  # one candidate: rows 0-1 where it reaches lambda, else 1-2
+                moved = np.where(below[0], bracket[:, :2], bracket[:, 1:])
+            else:
+                moved = flat.take(cells + size * reached.argmax(axis=0), axis=1)
+            if fitting:  # an ensemble that fits keeps its brackets
+                np.copyto(ends, moved, where=~fits[:, None])
+                rounds += ~fits
+            else:
+                ends[...] = moved
+                full_rounds += 1
+        rounds += full_rounds
+        phi = v * (apply_generator(gen, ratios(v[None])).sum(axis=axis)[0] / n)
+        dual = lam + (phi - lam_col * v).sum(axis=-1) - slack
+        total = v.sum(axis=-1)
+        q = v / total[:, None]
+        value = _objectives(gen, pmats, q)
         gap = value - dual
-        if gap < -VALUE_TOL:
-            raise RuntimeError(f"informativity solver found a negative gap {gap}")
-        if gap <= tol:
-            break
+        negative = gap < -VALUE_TOL
+        if np.count_nonzero(negative):
+            raise RuntimeError(
+                f"informativity solver found a negative gap {gap[negative][0]}"
+            )
+        done = gap <= tol
+        finished = np.count_nonzero(done)
+        if finished:
+            at = live[done]
+            q_out[at], value_out[at], gap_out[at] = q[done], value[done], gap[done]
+            iterations[at], rounds_out[at] = iteration, rounds[done]
+            if finished == live_count:
+                break
+            # the ensembles still solving leave the finished ones behind
+            keep = ~done
+            live, rounds, pmats = live[keep], rounds[keep], pmats[keep]
+            members, axis, zero = _member_layout(pmats)
+            lam, lam_lo, lam_hi = lam[keep], lam_lo[keep], lam_hi[keep]
+            lam_col = lam[:, None]
+            total, gap = total[keep], gap[keep]
+            bracket = bracket.compress(keep, axis=2)
+            fresh = fresh.compress(keep, axis=2)
+            reached = reached.compress(keep, axis=1)
+            below = reached[:-1]
+            ends, (logv_mid, v_mid, s_mid), flat, cells, size = _bracket_views(bracket, k)
+            (lo, hi), (v_lo, v), (s_lo, s_hi) = ends
         # Newton on g(lambda) = sum_x v_x(lambda) - 1, each dv_x/dlambda
         # read off the point's final root bracket; a point whose slope at 1
         # is below lambda is clamped at 1 and does not move
         g = total - 1.0
-        if g > 0.0:
-            lam_hi = lam
+        above = g > 0.0
+        lam_lo, lam_hi = np.where(above, lam_lo, lam), np.where(above, lam, lam_hi)
+        rate = np.divide(
+            v - v_lo, s_hi - s_lo, out=np.zeros(v.shape), where=s_hi >= lam_col
+        )
+        dg = rate.sum(axis=-1)
+        newton = lam - np.divide(g, dg, out=np.zeros(dg.shape), where=dg > 0.0)
+        inside = (lam_lo < newton) & (newton < lam_hi)
+        if np.count_nonzero(inside) == len(lam):
+            lam = newton
         else:
-            lam_lo = lam
-        rate = np.divide(v - v_lo, s_hi - s_lo, out=np.zeros(s), where=s_hi >= lam)
-        dg = float(rate.sum())
-        newton = lam - g / dg if dg > 0.0 else lam
-        lam = newton if lam_lo < newton < lam_hi else 0.5 * (lam_lo + lam_hi)
-        if not lam_lo < lam < lam_hi:
-            raise RuntimeError(
-                f"informativity solver's multiplier bracket collapsed at gap "
-                f"{gap} above tol {tol}"
-            )
+            lam = np.where(inside, newton, 0.5 * (lam_lo + lam_hi))
+            collapsed = ~((lam_lo < lam) & (lam < lam_hi))
+            if np.count_nonzero(collapsed):
+                raise RuntimeError(
+                    f"informativity solver's multiplier bracket collapsed at gap "
+                    f"{gap[collapsed][0]} above tol {tol}"
+                )
         # keep each end whose slope still lies on its side of the new
         # multiplier, so the next step resumes from this bracket
-        _reset_ends(ends, np.array([s_lo >= lam, s_hi < lam]), fresh)
-    full_q[support] = q
-    return InformativityResult(
-        max(value, 0.0),
-        DiscreteDistribution(full_q),
-        "kkt_bisection",
-        duality_gap=max(gap, 0.0),
-        iterations=iterations,
-        rounds=rounds,
-    )
+        lam_col = lam[:, None]
+        _reset_ends(ends, np.array([s_lo >= lam_col, s_hi < lam_col]), fresh)
+    return q_out, np.maximum(value_out, 0.0), np.maximum(gap_out, 0.0), iterations, rounds_out
 
 
 # ---------------------------------------------------------------------------

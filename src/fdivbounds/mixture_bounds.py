@@ -314,7 +314,7 @@ def named_risk_bounds(family: str, n: int, stat, exponent: float = 3.0):
         ok = (0.0 <= stat) & (stat <= 2.0)
     else:
         ok = stat >= 0.0
-    if n < 2 or (family == "power_l" and exponent <= 1.0) or not _all(ok):
+    if n < 2 or (family == "power_l" and not 1.0 < exponent < math.inf) or not _all(ok):
         raise ValueError(needs)
     if family == "fano":
         value = 1.0 - (math.log(2.0) + stat) / math.log(n)

@@ -48,7 +48,7 @@ from .informativity import (
     covering_specialization,
     covering_upper_bound,
     informativity_closed_form,
-    informativity_numeric,
+    kkt_solutions,
     simple_upper_chain,
 )
 from .mixture_bounds import (
@@ -646,14 +646,23 @@ def _grid_columns(s: int, step: float) -> tuple:
     return tuple(columns)
 
 
-def informativity_oracle_ensembles(seed: int, trials: int):
-    """The seeded ensembles of :func:`check_informativity_oracles`: 2 to 4
-    flat-Dirichlet members on 2 to 4 points."""
+def informativity_oracle_draws(seed: int, trials: int) -> list:
+    """The seeded members of :func:`check_informativity_oracles` as raw
+    arrays: 2 to 4 flat-Dirichlet members on 2 to 4 points, an n x s array
+    per trial."""
     rng = np.random.default_rng([seed, 30])
+    draws = []
     for _ in range(trials):
         s = int(rng.integers(2, 5))
         n = int(rng.integers(2, 5))
-        yield Ensemble(members=_draw_members(rng, n, s))
+        draws.append(rng.dirichlet(np.ones(s), size=n))
+    return draws
+
+
+def informativity_oracle_ensembles(seed: int, trials: int):
+    """The draws of :func:`informativity_oracle_draws` as ensembles."""
+    for pmat in informativity_oracle_draws(seed, trials):
+        yield Ensemble(members=tuple(DiscreteDistribution(row) for row in pmat))
 
 
 def check_informativity_oracles(
@@ -661,22 +670,25 @@ def check_informativity_oracles(
 ) -> dict:
     """Closed forms match the KKT solver to 1e-6 (all three standard
     generators per ensemble) and the grid-search oracle to 2e-3 (one
-    generator per ensemble, cycling; every ensemble when grid_stride=1)."""
+    generator per ensemble, cycling; every ensemble when grid_stride=1).
+    The ensembles of each shape are solved together, with one closed-form
+    call and one batched KKT solve per generator."""
     names = ("kl", "chi2", "hellinger_half")
-    worst_numeric = 0.0
+    members = informativity_oracle_draws(seed, trials)
+    closed = np.empty((trials, len(names)))
+    numeric = np.empty((trials, len(names)))
+    for _, idx in _by_shape(members):
+        pmats = _stacked(members, idx)
+        for j, name in enumerate(names):
+            closed[idx, j] = closed_forms(name, pmats)[1]
+            numeric[idx, j] = kkt_solutions(builtin_generator(name), pmats, tol=1e-9)[1]
+    worst_numeric = _fold_max(0.0, np.abs(closed - numeric))
     worst_grid = 0.0
-    for t, ens in enumerate(informativity_oracle_ensembles(seed, trials)):
-        closed = {}
-        for name in names:
-            closed[name] = informativity_closed_form(name, ens).value
-            numeric = informativity_numeric(
-                builtin_generator(name), ens, tol=1e-9
-            ).value
-            worst_numeric = max(worst_numeric, abs(closed[name] - numeric))
-        if t % grid_stride == 0:
-            name = names[t % len(names)]
-            oracle = grid_informativity(builtin_generator(name), ens, step=1e-3)
-            worst_grid = max(worst_grid, abs(closed[name] - oracle))
+    for t in range(0, trials, grid_stride):
+        j = t % len(names)
+        ens = Ensemble(members=tuple(DiscreteDistribution(row) for row in members[t]))
+        oracle = grid_informativity(builtin_generator(names[j]), ens, step=1e-3)
+        worst_grid = max(worst_grid, abs(float(closed[t, j]) - oracle))
     passed = worst_numeric <= 1e-6 and worst_grid <= 2e-3
     return _record(
         "informativity_oracles",

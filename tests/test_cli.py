@@ -707,11 +707,23 @@ class TestEntryChecks:
             (("entropy-bound", "--kind", "chi2", "--model", "custom", "--profile", "{bad}"),
              {"covering": [[0.1, 4.0], [1.0, 2.0]]},
              'profile JSON must be an object with "packing" and "covering" keys'),
+            (("jf-cover", "{ens}", "--gen", "kl", "--candidates", "{bad}"),
+             {"candidates": [{"pmf": [0.5, 0.5]}, {"pmf": [0.2, 0.8]}], "assignment": [0.7, 1.9]},
+             "assignment entry 0.7 is not an integer candidate index"),
+            (("jf-cover", "{ens}", "--gen", "kl", "--candidates", "{bad}"),
+             {"candidates": [{"pmf": [0.5, 0.5]}], "assignment": [[0], 0]},
+             "assignment entry [0] is not an integer candidate index"),
+            (("jf-cover", "{ens}", "--gen", "kl", "--candidates", "{bad}"),
+             {"candidates": [{"pmf": [0.5, 0.5]}], "assignment": [True, 0]},
+             "assignment entry True is not an integer candidate index"),
+            (("entropy-bound", "--kind", "chi2", "--model", "custom", "--profile", "{bad}"),
+             {"packing": [5], "covering": [[0.1, 4.0], [1.0, 2.0]]},
+             "packing table entry 5 is not a [radius, count] pair of numbers"),
         ],
     )
     def test_non_list_json_fields_exit_code(self, files, capsys, tmp_path, argv, payload, message):
         """These once ended in a TypeError traceback, or printed only the
-        missing key's name."""
+        missing key's name; a float assignment entry was truncated."""
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
         code = main([a.format(ens=files["ens"], bad=bad) for a in argv])

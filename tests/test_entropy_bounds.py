@@ -506,6 +506,23 @@ class TestBuiltinProfiles:
         with pytest.raises(ValueError, match="finite"):
             profile_from_table(packing, covering)
 
+    @pytest.mark.parametrize(
+        "packing,covering,message",
+        [
+            ([5], [[0.1, 4.0]], "packing table entry 5 is not"),
+            ([[0.1, 100.0]], [[0.1, 4.0, 1.0]], r"covering table entry \[0.1, 4.0, 1.0\] is not"),
+            ([[0.1]], [[0.1, 4.0]], r"packing table entry \[0.1\] is not"),
+            ([[0.1, "100"]], [[0.1, 4.0]], "packing table entry"),
+            (["15"], [[0.1, 4.0]], "packing table entry '15' is not"),
+            ([[0.1, 100.0]], [[True, 4.0]], "covering table entry"),
+        ],
+    )
+    def test_table_profile_rejects_non_pairs(self, packing, covering, message):
+        """A non-pair entry once ended in a TypeError from unpacking, and a
+        two-character string was read as two numbers."""
+        with pytest.raises(ValueError, match=message):
+            profile_from_table(packing, covering)
+
     def test_schedule_exponents(self):
         s1 = support_function_schedule(100, 2, 1.0, 1.0, 1.0, 1.0)
         s2 = support_function_schedule(100 * 32, 2, 1.0, 1.0, 1.0, 1.0)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,7 +27,11 @@ from fdivbounds.informativity import (
     informativity_tv_exact,
     simple_upper_chain,
 )
-from fdivbounds.verify import grid_informativity, informativity_oracle_ensembles
+from fdivbounds.verify import (
+    grid_informativity,
+    informativity_oracle_draws,
+    informativity_oracle_ensembles,
+)
 
 SINGULAR_PAIR = Ensemble(
     members=(
@@ -632,6 +637,18 @@ class TestCoveringBounds:
             )
         with pytest.raises(ValueError):
             covering_specialization("kl", 0, 0.0)
+        # a float entry was once truncated by int(), so [0.7, 1.9, 0] read
+        # as [0, 1, 0]; a nested list ended in a TypeError
+        for entry in (0.7, 1.0, [0], True, "0", None):
+            message = re.escape(f"assignment entry {entry!r} is not an integer")
+            with pytest.raises(ValueError, match=message):
+                CoveringFamily(candidates=SINGULAR_PAIR.members, assignment=(0, entry))
+
+    def test_integer_assignment_entries_are_kept(self):
+        cands = SINGULAR_PAIR.members
+        fam = CoveringFamily(candidates=cands, assignment=np.array([1, 0]))
+        assert fam.assignment == (1, 0)
+        assert all(type(i) is int for i in fam.assignment)
 
 
 def _masked_grid_objective(gen, pmat, qs):
@@ -695,6 +712,18 @@ class TestGridOracle:
             assert np.array_equal(swept.view(np.int64), reference.view(np.int64))
 
 
+def test_oracle_draws_are_the_oracle_ensembles():
+    """The oracle check's raw draws are the members of
+    informativity_oracle_ensembles, row for row: one random stream."""
+    for seed in (0, 5):
+        draws = informativity_oracle_draws(seed, 60)
+        ensembles = list(informativity_oracle_ensembles(seed, 60))
+        assert len(draws) == len(ensembles) == 60
+        for pmat, ens in zip(draws, ensembles):
+            assert pmat.tobytes() == ens.pmf_matrix().tobytes()
+            assert pmat.shape == ens.pmf_matrix().shape
+
+
 def test_one_dirichlet_call_draws_the_same_members():
     """One size-n Dirichlet draw yields the rows that n single draws
     would, so the verify reports do not change with the batching."""
@@ -735,3 +764,74 @@ class TestStackedClosedForms:
                 one = informativity_tv_exact(ens)
                 assert values[i].tobytes() == np.float64(one.value).tobytes()
                 assert minimizers[i].tobytes() == one.minimizer.pmf.tobytes()
+
+
+class TestKKTSolutions:
+    """A stack solved at once gives every ensemble the bits, steps and
+    rounds of its solve alone."""
+
+    @staticmethod
+    def assert_slices_equal(gen, pmats):
+        stacked = informativity.kkt_solutions(gen, pmats, tol=1e-9)
+        for i in range(len(pmats)):
+            alone = informativity.kkt_solutions(gen, pmats[i : i + 1], tol=1e-9)
+            for field_stack, field_alone in zip(stacked, alone):
+                assert field_stack[i].tobytes() == field_alone[0].tobytes()
+        return stacked
+
+    @pytest.mark.parametrize(
+        "name", ["kl", "chi2", "hellinger_half", "hellinger_sq", "reverse_kl", "power:3"]
+    )
+    @pytest.mark.parametrize("n, s", [(2, 2), (3, 4), (4, 9), (8, 5), (12, 40)])
+    def test_stack_equals_each_slice(self, name, n, s):
+        """Shapes from 2 x 2 to 12 x 40 (sums over 8 or more members add
+        pairwise), with partial supports: every third ensemble has a member
+        zeroed on a third of the points, so one stack holds several support
+        patterns, and ensembles finish at different steps."""
+        rng = np.random.default_rng(61)
+        pmats = rng.dirichlet(np.ones(s), size=(9, n))
+        for i in range(0, 9, 3):
+            pmats[i, 0, rng.choice(s, size=max(1, s // 3), replace=False)] = 0.0
+            pmats[i, 0] /= pmats[i, 0].sum()
+        _, _, gaps, iterations, _ = self.assert_slices_equal(builtin_generator(name), pmats)
+        assert (gaps <= 1e-9).all()
+        if name == "chi2":
+            assert len(set(iterations.tolist())) > 1
+
+    def test_empty_common_support_and_one_point_support(self):
+        """Reverse KL on members with no common point is +inf with an
+        all-zero minimizer; a single support point is its point mass; both
+        sit in one stack with ordinary ensembles."""
+        pmats = np.array(
+            [
+                [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]],
+                [[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]],
+                [[0.2, 0.3, 0.5], [0.6, 0.1, 0.3]],
+                [[0.1, 0.0, 0.9], [0.0, 0.0, 1.0]],
+            ]
+        )
+        q, values, gaps, iterations, rounds = self.assert_slices_equal(
+            builtin_generator("reverse_kl"), pmats
+        )
+        assert math.isinf(values[0]) and not q[0].any()
+        assert q[1].tolist() == [0.0, 1.0, 0.0] and values[1] == 0.0
+        assert q[3].tolist() == [0.0, 0.0, 1.0]
+        assert (iterations[[0, 1, 3]] == 0).all() and (rounds[[0, 1, 3]] == 0).all()
+        assert iterations[2] >= 1 and gaps[2] <= 1e-9
+
+    def test_numeric_is_the_one_ensemble_case(self):
+        rng = np.random.default_rng(62)
+        gen = builtin_generator("hellinger_half")
+        for t in range(4):
+            ens = random_ensemble(rng, n_max=9, s_max=30, sparse=t % 2 == 1)
+            res = informativity_numeric(gen, ens, tol=1e-9)
+            q, values, gaps, iterations, rounds = informativity.kkt_solutions(
+                gen, ens.pmf_matrix()[None], tol=1e-9
+            )
+            assert res.minimizer.pmf.tobytes() == q[0].tobytes()
+            assert (res.value, res.duality_gap) == (values[0], gaps[0])
+            assert (res.iterations, res.rounds) == (iterations[0], rounds[0])
+
+    def test_needs_a_derivative(self):
+        with pytest.raises(ValueError, match="no derivative"):
+            informativity.kkt_solutions(builtin_generator("tv"), np.full((1, 2, 2), 0.5))

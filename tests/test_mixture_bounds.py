@@ -407,6 +407,10 @@ class TestArrayForms:
             named_risk_bounds("hellinger", 3, np.array([0.1, 2.5]))
         with pytest.raises(ValueError, match="tv needs"):
             named_risk_bounds("tv", 3, np.array([-0.1]))
+        # a NaN exponent once gave a NaN bound and an infinite one 0.0
+        for exponent in (math.nan, math.inf, 1.0):
+            with pytest.raises(ValueError, match="power_l needs"):
+                named_risk_bounds("power_l", 3, 0.5, exponent)
 
     def test_two_point_sums_equal_witnesses(self):
         v = np.round(np.linspace(0.0, 1.0, 11), 10)
