@@ -258,12 +258,15 @@ def _cmd_jf_cover(args) -> int:
     with open(args.candidates, "r", encoding="utf-8") as fh:
         fam = informativity.covering_family_from_json(json.load(fh))
     gen = divergences.builtin_generator(args.gen)
-    generic = informativity.covering_upper_bound(gen, ens, fam)
-    err, assignment = informativity.covering_approx_error(gen, ens, fam)
+    assignments = None if fam.assignment is None else np.array([fam.assignment])
+    errors, best, generic = informativity.covering_bounds(
+        gen, ens.pmf_matrix()[None], fam.pmf_matrix()[None], assignments=assignments
+    )
+    err = float(errors[0])
     out = {
-        "generic_bound": generic,
+        "generic_bound": float(generic[0]),
         "approx_error": err,
-        "assignment": list(assignment),
+        "assignment": best[0].tolist(),
         "candidates": fam.size,
     }
     if args.kind is not None:

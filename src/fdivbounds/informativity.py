@@ -11,8 +11,10 @@ steps on the multiplier, certified by the Lagrangian dual), a stack of
 ensembles at once in the array operations of one solve, and the
 total-variation case is solved exactly by sorting each point's member
 masses (a fractional knapsack over the breakpoints).  Covering families
-give upper bounds that need no optimization at all.  Every divergence sum
-is evaluated by :func:`.divergences.divergence_matrix`.
+give upper bounds that need no optimization at all; they and the simple
+upper chain come in array forms over stacks of ensembles, as the closed
+forms and the KKT solve do.  Every divergence sum is evaluated by
+:func:`.divergences.divergence_matrix`.
 """
 
 from __future__ import annotations
@@ -234,11 +236,12 @@ def _mixture_divergence(gen: DivergenceGenerator, pmats) -> tuple[np.ndarray, np
     positive floats does not round to 0), so its term m f(0+) is +inf, and
     the masses are kept to say so.
     """
-    mix = pmats.mean(axis=-2)
+    n = pmats.shape[-2]
+    mix = pmats.sum(axis=-2) / n  # np.mean's sum and division, without its overhead
     if math.isfinite(gen.f_at_zero) and mix.min() == 0.0:
         pmats = np.where(mix[..., None, :] > 0.0, pmats, 0.0)
     divs = divergence_matrix(gen, pmats, mix[..., None, :])
-    return mix, divs.sum(axis=(-2, -1)) / pmats.shape[-2]
+    return mix, divs.sum(axis=(-2, -1)) / n
 
 
 def _h(
@@ -604,26 +607,42 @@ def simple_upper_chain(
 ) -> tuple[float, float, float]:
     """Three nested upper bounds on the informativity: the mean divergence
     to the uniform mixture, the mean pairwise divergence (diagonal included),
-    and the max pairwise divergence.  +inf entries are legitimate; masses
-    that averaging rounds to 0 are handled as in :func:`_mixture_divergence`."""
-    pmat = ens.pmf_matrix()
-    n = ens.size
-    to_mixture = float(_mixture_divergence(gen, pmat)[1])
-    pairwise = divergence_matrix(gen, pmat, pmat)
-    np.fill_diagonal(pairwise, 0.0)
-    pair_avg = float(pairwise.sum()) / (n * n)
-    pair_max = float(pairwise.max())
-    return to_mixture, pair_avg, pair_max
+    and the max pairwise divergence.  +inf entries are legitimate.
+    :func:`simple_upper_chains` on the one ensemble."""
+    chains = simple_upper_chains(gen, ens.pmf_matrix()[None])
+    return tuple(float(chain[0]) for chain in chains)
+
+
+def simple_upper_chains(
+    gen: DivergenceGenerator, pmats
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three bounds of :func:`simple_upper_chain` for every ensemble in
+    ``pmats`` (B, N, S), each (B,), and each ensemble with the bits of its
+    one-ensemble call: the mean divergence to the uniform mixture, the
+    N x N pairwise divergences with the diagonal set to 0, summed and
+    divided by N^2, and their max.  One kernel call takes each member
+    against the members and the mixture; where the mixture rounded a mass
+    to 0, the mean divergence to it is :func:`_mixture_divergence`'s,
+    which drops that point."""
+    b, n, _ = pmats.shape
+    mix = pmats.sum(axis=-2) / n
+    divs = divergence_matrix(gen, pmats, np.concatenate([pmats, mix[:, None]], axis=1))
+    if math.isfinite(gen.f_at_zero) and mix.min() == 0.0:
+        to_mixture = _mixture_divergence(gen, pmats)[1]
+    else:
+        to_mixture = divs[..., n].sum(axis=-1) / n
+    pairwise = divs[..., :n].reshape(b, n * n)
+    pairwise[:, :: n + 1] = 0.0  # the diagonal
+    return to_mixture, pairwise.sum(axis=-1) / (n * n), pairwise.max(axis=-1)
 
 
 def covering_approx_error(
     gen: DivergenceGenerator, ens: Ensemble, fam: CoveringFamily
 ) -> tuple[float, tuple[int, ...]]:
-    """max_theta min_alpha D_f(P_theta||Q_alpha) and the argmin assignment."""
-    divs = divergence_matrix(gen, ens.pmf_matrix(), fam.pmf_matrix())
-    best = np.argmin(divs, axis=1)
-    errors = divs[np.arange(ens.size), best]
-    return float(errors.max()), tuple(int(j) for j in best)
+    """max_theta min_alpha D_f(P_theta||Q_alpha) and the argmin assignment:
+    :func:`covering_errors` on the one ensemble and family."""
+    errors, best = covering_errors(gen, ens.pmf_matrix()[None], fam.pmf_matrix()[None])
+    return float(errors[0]), tuple(best[0].tolist())
 
 
 def covering_upper_bound(
@@ -633,25 +652,74 @@ def covering_upper_bound(
 
         (1/N) sum_theta  sum_x (q_j/M) f(M p_theta / q_j)  +  (1 - 1/M) f(0+),
 
-    with j = j(theta) from the family's assignment (argmin by default).
-    A point with p_theta > 0 but q_j = 0 makes the bound +inf.
+    with j = j(theta) from the family's assignment (argmin by default):
+    :func:`covering_bounds` on the one ensemble and family, which states
+    the conventions.
     """
-    if fam.candidates[0].support_size != ens.support_size:
+    assignments = None if fam.assignment is None else np.array([fam.assignment])
+    pmats, qmats = ens.pmf_matrix()[None], fam.pmf_matrix()[None]
+    return float(covering_bounds(gen, pmats, qmats, assignments=assignments)[2][0])
+
+
+def covering_errors(
+    gen: DivergenceGenerator, pmats, qmats, counts=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """For every ensemble in ``pmats`` (B, N, S) and its candidates
+    ``qmats`` (B, M, S): the max-min error
+    max_theta min_alpha D_f(P_theta||Q_alpha) (B,) and the argmin
+    assignment (B, N), the first candidate on ties.  Each ensemble gets the
+    bits of its one-ensemble call.
+
+    ``counts`` (B,), when given, holds each ensemble's candidate count
+    M_b in [1, M]: its candidates are the first M_b rows of its stack, and
+    the rows after them are padding, which neither the minimum nor the
+    assignment reads.  Padding lets families of different sizes share one
+    stack."""
+    if qmats.shape[-1] != pmats.shape[-1]:
         raise ValueError("candidate support size does not match the ensemble")
-    if fam.assignment is not None:
-        assignment = fam.assignment
-        if len(assignment) != ens.size:
-            raise ValueError("assignment length does not match the ensemble size")
-    else:
-        _, assignment = covering_approx_error(gen, ens, fam)
-    m = fam.size
-    n = ens.size
-    divs = divergence_matrix(gen, ens.pmf_matrix(), fam.pmf_matrix() / m)
-    total = float(divs[np.arange(n), list(assignment)].sum())
-    tail = (1.0 - 1.0 / m) * gen.f_at_zero
-    if math.isinf(tail):
-        return math.inf if m > 1 else total / n
-    return total / n + tail
+    divs = divergence_matrix(gen, pmats, qmats)
+    if counts is not None:
+        padding = np.arange(divs.shape[-1]) >= np.asarray(counts)[:, None, None]
+        np.copyto(divs, math.inf, where=padding)
+    best = divs.argmin(axis=-1)
+    rows = divs.reshape(-1, divs.shape[-1])
+    nearest = rows[np.arange(len(rows)), best.ravel()].reshape(best.shape)
+    return nearest.max(axis=-1), best
+
+
+def covering_bounds(
+    gen: DivergenceGenerator, pmats, qmats, counts=None, assignments=None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`covering_errors` (the max-min errors (B,) and the argmin
+    assignments (B, N), with ``counts`` as there) and the generic covering
+    bounds (B,) of every ensemble in ``pmats`` (B, N, S), each with the
+    bits of its one-ensemble call:
+
+        (1/N) sum_theta D_f(P_theta || Q_j(theta) / M) + (1 - 1/M) f(0+),
+
+    j(theta) from ``assignments`` (B, N), candidate indices below each
+    count, or the argmin when None; the assignments returned are the
+    argmin either way.  A point with p_theta > 0 but q_j = 0 makes the
+    bound +inf, and so does an infinite f(0+) with M > 1; with M = 1 the
+    f(0+) term is 0.  The assigned divergences come from one paired
+    kernel call, each member against its candidate.
+    """
+    errors, best = covering_errors(gen, pmats, qmats, counts)
+    b, n, _ = pmats.shape
+    # every ensemble's M, as one count or a column of counts
+    m = np.asarray(qmats.shape[1] if counts is None else counts)
+    if assignments is None:
+        assignments = best
+    elif np.shape(assignments) != (b, n):
+        raise ValueError("assignment length does not match the ensemble size")
+    elif not ((0 <= assignments) & (assignments < m[..., None])).all():
+        raise ValueError("assignment contains an invalid candidate index")
+    chosen = qmats[np.arange(b)[:, None], assignments] / m[..., None, None]
+    assigned = divergence_matrix(gen, pmats[:, :, None], chosen[:, :, None])
+    mean = assigned[..., 0, 0].sum(axis=-1) / n
+    if math.isinf(gen.f_at_zero):
+        return errors, best, np.where(m > 1, math.inf, mean)
+    return errors, best, mean + (1.0 - 1.0 / m) * gen.f_at_zero
 
 
 def covering_specialization(kind: str, m: int, approx_error: float, l: float = 2.0) -> float:
@@ -662,21 +730,37 @@ def covering_specialization(kind: str, m: int, approx_error: float, l: float = 2
         chi2          M (err + 1) - 1
         power_l       M^(l-1) (err + 1) - 1
         hellinger_sq  2 - (2 - err)/sqrt(M)
+
+    :func:`covering_specializations` at one (M, err).
     """
-    if m < 1:
+    return float(covering_specializations(kind, np.array([m]), np.array([approx_error]), l)[0])
+
+
+def covering_specializations(kind: str, counts, errors, l: float = 2.0) -> np.ndarray:
+    """The bounds of :func:`covering_specialization` for every candidate
+    count in ``counts`` and its max-min error in ``errors`` (...), each
+    with the bits of its own scalar evaluation: log M is the C library's
+    (``math.log``), where numpy's vector log need not match it bit for bit,
+    and M^(l-1) is the C library's ``pow``, as Python's ``**`` on floats;
+    a power past the float range is +inf."""
+    counts = np.asarray(counts)
+    errors = np.asarray(errors, dtype=float)
+    if counts.min() < 1:
         raise ValueError("candidate count must be at least 1")
-    if approx_error < 0:
+    if errors.min() < 0:
         raise ValueError("approximation error must be nonnegative")
     if kind == "kl":
-        return math.log(m) + approx_error
+        logs = [math.log(m) for m in counts.ravel().tolist()]
+        return np.reshape(logs, counts.shape) + errors
     if kind == "chi2":
-        return m * (approx_error + 1.0) - 1.0
+        return counts * (errors + 1.0) - 1.0
     if kind == "power_l":
         if not 1.0 < l < math.inf:
             raise ValueError(f"power_l needs a finite l > 1, got {l}")
-        return m ** (l - 1.0) * (approx_error + 1.0) - 1.0
+        with np.errstate(over="ignore"):
+            return np.float_power(counts, l - 1.0) * (errors + 1.0) - 1.0
     if kind == "hellinger_sq":
-        return 2.0 - (2.0 - approx_error) / math.sqrt(m)
+        return 2.0 - (2.0 - errors) / np.sqrt(counts)
     raise ValueError(f"unknown covering kind {kind!r}; choose from {COVERING_KINDS}")
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
-from .distributions import Ensemble
+from .distributions import Ensemble, check_mass_rows
 
 
 def bayes_risk_exact(ens: Ensemble) -> float:
@@ -119,7 +119,9 @@ def minimax_risk(ens: Ensemble, tol: float = 1e-6) -> MinimaxResult:
 
 
 def minimax_risks(ensembles, tol: float = 1e-6) -> list[MinimaxResult]:
-    """Maximize the Bayes risk over priors on the simplex, for each ensemble.
+    """Maximize the Bayes risk over priors on the simplex, for each ensemble:
+    an ``Ensemble`` or its (N, S) member matrix, whose rows are checked as
+    pmfs (``check_mass_rows``).
 
     The objective w -> 1 - sum_x max_theta w_theta p_theta(x) is concave and
     piecewise linear, so the maximization is the exact linear program
@@ -128,7 +130,8 @@ def minimax_risks(ensembles, tol: float = 1e-6) -> list[MinimaxResult]:
 
     solved with HiGHS, its primal and dual feasibility tolerances set to
     min(1e-7, tol / 10) (1e-7 is its default), so a certificate finer than
-    the default can be asked for.  The duals of the N*S rows
+    the default can be asked for, but at least 1e-10, the least HiGHS
+    accepts (``HIGHS_MIN_FEASIBILITY``).  The duals of the N*S rows
     t_x >= w_theta p_theta(x), clipped at 0 with each column normalized,
     are a randomized test delta(theta|x); its worst-case error
     1 - min_theta sum_x delta(theta|x) p_theta(x) is the certified upper
@@ -148,7 +151,10 @@ def minimax_risks(ensembles, tol: float = 1e-6) -> list[MinimaxResult]:
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be a positive finite number")
-    pmats = [ens.pmf_matrix() for ens in ensembles]
+    pmats = [
+        ens.pmf_matrix() if isinstance(ens, Ensemble) else _member_matrix(ens)
+        for ens in ensembles
+    ]
     groups, batch, cells = [], [], 0
     for i, p in enumerate(pmats):
         if p.size > BATCH_CELLS:
@@ -169,16 +175,29 @@ def minimax_risks(ensembles, tol: float = 1e-6) -> list[MinimaxResult]:
     return results
 
 
+def _member_matrix(pmat) -> np.ndarray:
+    """An (N, S) member matrix as a float array, each row checked as a pmf."""
+    pmat = check_mass_rows(pmat)
+    if pmat.ndim != 2:
+        raise ValueError("member matrix must be 2-d, one row per member")
+    return pmat
+
+
 #: HiGHS's default primal and dual feasibility tolerance
 HIGHS_FEASIBILITY = 1e-7
+#: the least feasibility tolerance HiGHS accepts: it warns on a smaller one
+#: and solves at its default instead
+HIGHS_MIN_FEASIBILITY = 1e-10
 
 
 def _solve_prior_lps(pmats: list, feasibility: float) -> list:
     """One block-diagonal LP over the prior LPs of ``pmats``, solved to a
     primal and dual feasibility tolerance of min(HIGHS_FEASIBILITY,
-    ``feasibility``); per block, the prior part of the solution and the
-    N x S duals of its rows.  The options are passed only to tighten the
-    default: passing them costs about 0.4 ms a call, 17% of a 2 x 8 solve."""
+    ``feasibility``), clamped from below at HIGHS_MIN_FEASIBILITY; per
+    block, the prior part of the solution and the N x S duals of its rows.
+    The options are passed only to tighten the default: passing them costs
+    about 0.4 ms a call, 17% of a 2 x 8 solve."""
+    feasibility = max(feasibility, HIGHS_MIN_FEASIBILITY)
     ns = np.array([p.shape[0] for p in pmats])
     ss = np.array([p.shape[1] for p in pmats])
     # block k's variables are [w_0..w_{n-1}, t_0..t_{s-1}] from var_off[k];

@@ -42,14 +42,12 @@ from .entropy_bounds import (
     power_loss,
 )
 from .informativity import (
-    CoveringFamily,
     closed_forms,
-    covering_approx_error,
-    covering_specialization,
-    covering_upper_bound,
-    informativity_closed_form,
+    covering_bounds,
+    covering_errors,
+    covering_specializations,
     kkt_solutions,
-    simple_upper_chain,
+    simple_upper_chains,
 )
 from .mixture_bounds import (
     ensemble_statistics,
@@ -66,7 +64,6 @@ from .mixture_bounds import (
     weighted_divergence_sums,
 )
 from .testing_risk import (
-    bayes_risk_exact,
     bayes_risks,
     error_probabilities,
     map_tests,
@@ -81,25 +78,17 @@ def _record(name: str, passed: bool, **extra) -> dict:
     return out
 
 
-def _random_ensemble(
-    rng: np.random.Generator,
-    n_max: int = 6,
-    support_max: int = 12,
-    with_prior: bool = False,
-) -> Ensemble:
-    members, prior = _draw_arrays(rng, n_max, support_max, with_prior)
-    return Ensemble(members=tuple(DiscreteDistribution(row) for row in members), prior=prior)
-
-
 def _draw_arrays(
     rng: np.random.Generator,
     n_max: int = 6,
     support_max: int = 12,
     with_prior: bool = False,
 ) -> tuple:
-    """The draws of :func:`_random_ensemble` as raw arrays, in its order:
-    n flat-Dirichlet members on s points (an n x s array, 2 <= n <= n_max,
-    2 <= s <= support_max) and the flat-Dirichlet prior, or None."""
+    """A random ensemble as raw arrays, in this random-stream order: the
+    member count n (2 <= n <= n_max), the point count s
+    (2 <= s <= support_max), n flat-Dirichlet members on s points from one
+    draw (an n x s array, the rows n single draws would give) and the
+    flat-Dirichlet prior, or None."""
     n = int(rng.integers(2, n_max + 1))
     s = int(rng.integers(2, support_max + 1))
     members = rng.dirichlet(np.ones(s), size=n)
@@ -107,10 +96,12 @@ def _draw_arrays(
     return members, prior
 
 
-def _draw_members(rng: np.random.Generator, n: int, s: int) -> tuple:
-    """n flat-Dirichlet distributions on s points from one draw; the rows
-    come out of the random stream exactly as n single draws would."""
-    return tuple(DiscreteDistribution(row) for row in rng.dirichlet(np.ones(s), size=n))
+def _draw_family(rng: np.random.Generator, m: int, s: int, rows: int) -> np.ndarray:
+    """m flat-Dirichlet candidates on s points from one draw, padded to
+    ``rows`` rows by repeating the first, so that families of different
+    sizes stack (see :func:`.informativity.covering_errors`)."""
+    cands = rng.dirichlet(np.ones(s), size=m)
+    return np.concatenate([cands, np.repeat(cands[:1], rows - m, axis=0)])
 
 
 def _by_shape(arrays) -> list:
@@ -209,22 +200,24 @@ def check_bayes_concavity(seed: int, trials: int) -> dict:
 def check_minimax_dominates_priors(seed: int, trials: int) -> dict:
     """The certified minimax risk dominates every drawn prior's Bayes risk,
     the uniform one included, stays below 1 - 1/N, and its certificate's
-    gap is at most 1e-9.  All ensembles are solved in one batch, and each
-    one's priors are scored against its one matrix."""
+    gap is at most 1e-9.  All member matrices are solved in one batch, and
+    each one's priors are scored against it."""
     rng = np.random.default_rng([seed, 13])
     tol = 1e-6
-    drawn = []
+    members, priors = [], []
     for _ in range(trials):
-        ens = _random_ensemble(rng, n_max=4, support_max=8)
-        drawn.append((ens, [rng.dirichlet(np.ones(ens.size)) for _ in range(5)]))
-    results = minimax_risks([ens for ens, _ in drawn], tol=tol)
+        pmat, _ = _draw_arrays(rng, n_max=4, support_max=8)
+        members.append(pmat)
+        priors.append([rng.dirichlet(np.ones(len(pmat))) for _ in range(5)])
+    results = minimax_risks(members, tol=tol)
     slacks = np.empty((trials, 7))
-    for t, ((ens, priors), res) in enumerate(zip(drawn, results)):
-        w = check_mass_rows(priors + [ens.weights()], "prior")
-        risks = bayes_risks(w, ens.pmf_matrix())
+    for t, (pmat, drawn, res) in enumerate(zip(members, priors, results)):
+        n = len(pmat)
+        w = check_mass_rows(drawn + [np.full(n, 1.0 / n)], "prior")
+        risks = bayes_risks(w, pmat)
         slacks[t, :5] = res.value + tol - risks[:5]
         slacks[t, 5] = res.value - risks[5]
-        slacks[t, 6] = 1.0 - 1.0 / ens.size + 1e-12 - res.value
+        slacks[t, 6] = 1.0 - 1.0 / n + 1e-12 - res.value
     worst = _fold_min(math.inf, slacks)
     worst_gap = _fold_max(0.0, [res.duality_gap for res in results])
     return _record(
@@ -729,22 +722,36 @@ def check_compensation_identity(seed: int, trials: int) -> dict:
 
 def check_upper_chain(seed: int, trials: int) -> dict:
     """The three simple upper bounds are nested and sit above the
-    informativity (the first one is exactly it for KL)."""
+    informativity (the first one is exactly it for KL).  The generator
+    cycles with the trial; each shape and generator takes one chain call
+    (:func:`.informativity.simple_upper_chains`) and one closed-form
+    call."""
     rng = np.random.default_rng([seed, 32])
-    worst = math.inf
-    kl_gap = 0.0
-    for t in range(trials):
-        ens = _random_ensemble(rng, n_max=5, support_max=8)
-        name = ("kl", "chi2", "hellinger_half", "power:3")[t % 4]
-        gen = builtin_generator(name)
-        chain = simple_upper_chain(gen, ens)
-        for a, b in zip(chain, chain[1:]):
-            if math.isfinite(b):
-                worst = min(worst, b - a)
-        value = informativity_closed_form(name, ens).value
-        worst = min(worst, chain[0] - value)
-        if name == "kl":
-            kl_gap = max(kl_gap, abs(chain[0] - value))
+    names = ("kl", "chi2", "hellinger_half", "power:3")
+    members = [_draw_arrays(rng, n_max=5, support_max=8)[0] for _ in range(trials)]
+    cycle = np.arange(trials) % len(names)
+    # per trial: the two nesting slacks (NaN past an infinite bound), then
+    # the slack to the informativity
+    slacks = np.full((trials, 3), math.nan)
+    kl_gaps = np.full(trials, math.nan)
+    for _, idx in _by_shape(members):
+        pmats = _stacked(members, idx)
+        for k, name in enumerate(names):
+            sel = cycle[idx] == k
+            if not sel.any():
+                continue
+            at = idx[sel]
+            chain = np.stack(simple_upper_chains(builtin_generator(name), pmats[sel]), axis=1)
+            minimizers, values = closed_forms(name, pmats[sel])
+            check_mass_rows(minimizers)
+            with np.errstate(invalid="ignore"):  # inf - inf past an infinite bound
+                nested = chain[:, 1:] - chain[:, :-1]
+            slacks[at, :2] = np.where(np.isfinite(chain[:, 1:]), nested, math.nan)
+            slacks[at, 2] = chain[:, 0] - values
+            if name == "kl":
+                kl_gaps[at] = np.abs(chain[:, 0] - values)
+    worst = _fold_min(math.inf, slacks)
+    kl_gap = _fold_max(0.0, kl_gaps)
     return _record(
         "upper_chain",
         worst >= -1e-9 and kl_gap <= 1e-12,
@@ -756,41 +763,55 @@ def check_upper_chain(seed: int, trials: int) -> dict:
 
 def check_covering_validity(seed: int, trials: int) -> dict:
     """Generic and specialized covering bounds dominate the exact
-    informativity on random (ensemble, family) instances."""
+    informativity on random (ensemble, family) instances, and for KL the
+    generic bound is log M plus the mean assigned divergence.  The kind
+    cycles with the trial, and each family is padded to 4 candidates, so
+    each shape and kind takes one closed-form call, one
+    :func:`.informativity.covering_bounds` call (two kernel calls) and, for
+    KL, one kernel call for the assigned divergences."""
     rng = np.random.default_rng([seed, 33])
-    worst = math.inf
-    worst_relation = math.inf
-    kl_identity = 0.0
     kinds = (
         ("kl", "kl", 2.0),
         ("chi2", "chi2", 2.0),
         ("power_l", "power:3", 3.0),
         ("hellinger_sq", "hellinger_sq", 2.0),
     )
+    members, families, counts = [], [], np.empty(trials, dtype=int)
     for t in range(trials):
-        ens = _random_ensemble(rng, n_max=5, support_max=6)
-        m = int(rng.integers(1, 5))
-        fam = CoveringFamily(candidates=_draw_members(rng, m, ens.support_size))
-        kind, gen_name, l = kinds[t % len(kinds)]
-        gen = builtin_generator(gen_name)
-        exact = informativity_closed_form(gen_name, ens).value
-        generic = covering_upper_bound(gen, ens, fam)
-        err, assignment = covering_approx_error(gen, ens, fam)
-        special = covering_specialization(kind, fam.size, err, l=l)
-        worst = min(worst, generic - exact, special - exact)
-        worst_relation = min(worst_relation, special - generic)
-        if kind == "kl":
-            avg_err = float(
-                np.mean(
-                    [
-                        eval_divergence(gen, member, fam.candidates[j])
-                        for member, j in zip(ens.members, assignment)
-                    ]
+        pmat, _ = _draw_arrays(rng, n_max=5, support_max=6)
+        counts[t] = int(rng.integers(1, 5))
+        members.append(pmat)
+        families.append(_draw_family(rng, counts[t], pmat.shape[1], 4))
+    cycle = np.arange(trials) % len(kinds)
+    # per trial: generic and specialized bound less the informativity
+    slacks = np.empty((trials, 2))
+    relations = np.empty(trials)
+    kl_errors = np.full(trials, math.nan)
+    for _, idx in _by_shape(members):
+        pmats = _stacked(members, idx)
+        for k, (kind, gen_name, l) in enumerate(kinds):
+            sel = cycle[idx] == k
+            if not sel.any():
+                continue
+            at, group = idx[sel], pmats[sel]
+            gen = builtin_generator(gen_name)
+            minimizers, exact = closed_forms(gen_name, group)
+            check_mass_rows(minimizers)
+            qmats = _stacked(families, at)
+            errors, assignment, generic = covering_bounds(gen, group, qmats, counts[at])
+            special = covering_specializations(kind, counts[at], errors, l=l)
+            slacks[at, 0], slacks[at, 1] = generic - exact, special - exact
+            relations[at] = special - generic
+            if kind == "kl":
+                chosen = qmats[np.arange(len(at))[:, None], assignment]
+                assigned = divergence_matrix(gen, group[:, :, None], chosen[:, :, None])
+                identity = covering_specializations(
+                    "kl", counts[at], assigned[..., 0, 0].mean(axis=-1)
                 )
-            )
-            kl_identity = max(
-                kl_identity, abs(generic - (math.log(fam.size) + avg_err))
-            )
+                kl_errors[at] = np.abs(generic - identity)
+    worst = _fold_min(math.inf, slacks)
+    worst_relation = _fold_min(math.inf, relations)
+    kl_identity = _fold_max(0.0, kl_errors)
     passed = worst >= -1e-9 and worst_relation >= -1e-12 and kl_identity <= 1e-9
     return _record(
         "covering_validity",
@@ -857,32 +878,48 @@ def check_entropy_monotonicity(seed: int = 0) -> dict:
 def check_entropy_finite_chain(seed: int, trials: int) -> dict:
     """Soundness of the chi2 entropy bound reproduced stepwise on explicit
     finite instances: with exact packing count, covering count, and max-min
-    error, every link of the chain holds against exact oracle values."""
+    error, every link of the chain holds against exact oracle values.
+    Each family is padded to 3 candidates, so each shape takes one
+    max-min error call (:func:`.informativity.covering_errors`), one
+    closed-form call and one Bayes-risk call; the entropy bound is
+    evaluated trial by trial."""
     rng = np.random.default_rng([seed, 40])
     chi2 = builtin_generator("chi2")
     loss = power_loss(1.0)
-    worst = math.inf
-    for _ in range(trials):
-        ens = _random_ensemble(rng, n_max=6, support_max=8)
-        m = int(rng.integers(1, 4))
-        fam = CoveringFamily(candidates=_draw_members(rng, m, ens.support_size))
-        n = ens.size
-        err, _ = covering_approx_error(chi2, ens, fam)
-        eps = math.sqrt(err) if err > 0 else 1e-9
-        profile = _constant_profile(float(n), float(m))
-        point = entropy_risk_bound("chi2", profile, loss, 2.0, eps)
-        j_exact = informativity_closed_form("chi2", ens).value
-        cover_j = covering_specialization("chi2", m, err)
-        rbar = bayes_risk_exact(Ensemble(members=ens.members))
-        # link 1: covering bound dominates the exact informativity
-        worst = min(worst, cover_j - j_exact)
-        # link 2: the chi2 risk bound at the exact informativity is sound
-        risk_at_exact = 1.0 - 1.0 / n - math.sqrt(j_exact / n)
-        worst = min(worst, rbar - risk_at_exact)
-        # link 3: the entropy point value is the weakest element of the chain
-        risk_at_cover = max(0.0, 1.0 - 1.0 / n - math.sqrt(cover_j / n))
-        worst = min(worst, risk_at_cover - point)
-        worst = min(worst, rbar - point)
+    members, families, counts = [], [], np.empty(trials, dtype=int)
+    for t in range(trials):
+        pmat, _ = _draw_arrays(rng, n_max=6, support_max=8)
+        counts[t] = int(rng.integers(1, 4))
+        members.append(pmat)
+        families.append(_draw_family(rng, counts[t], pmat.shape[1], 3))
+    ns = np.array([len(pmat) for pmat in members])
+    errors, j_exact, rbar = np.empty(trials), np.empty(trials), np.empty(trials)
+    for (n, _), idx in _by_shape(members):
+        pmats = _stacked(members, idx)
+        errors[idx] = covering_errors(chi2, pmats, _stacked(families, idx), counts[idx])[0]
+        minimizers, j_exact[idx] = closed_forms("chi2", pmats)
+        check_mass_rows(minimizers)
+        rbar[idx] = bayes_risks(np.full(n, 1.0 / n), pmats)
+    cover_j = covering_specializations("chi2", counts, errors)
+    points = np.array([
+        entropy_risk_bound(
+            "chi2",
+            _constant_profile(float(n), float(m)),
+            loss,
+            2.0,
+            math.sqrt(err) if err > 0 else 1e-9,
+        )
+        for n, m, err in zip(ns.tolist(), counts.tolist(), errors.tolist())
+    ])
+    risk_at_exact = 1.0 - 1.0 / ns - np.sqrt(j_exact / ns)
+    risk_at_cover = _larger(0.0, 1.0 - 1.0 / ns - np.sqrt(cover_j / ns))
+    # per trial, link by link: the covering bound dominates the exact
+    # informativity; the chi2 risk bound at the exact informativity is
+    # sound; the entropy point value is the weakest element of the chain
+    slacks = np.column_stack(
+        [cover_j - j_exact, rbar - risk_at_exact, risk_at_cover - points, rbar - points]
+    )
+    worst = _fold_min(math.inf, slacks)
     return _record(
         "entropy_finite_chain", worst >= -1e-9, trials=trials, worst_slack=worst
     )

@@ -7,6 +7,7 @@ import pytest
 
 import fdivbounds
 from fdivbounds.cli import COMMAND_OPERATIONS, main
+from fdivbounds.divergences import divergence_matrix
 
 
 @pytest.fixture
@@ -164,6 +165,47 @@ class TestSubcommands:
         assert code == 0
         payload = json.loads(out)
         assert payload["specialized_bound"] >= payload["generic_bound"] - 1e-12
+
+    def test_jf_cover_makes_two_kernel_calls(self, files, capsys, monkeypatch, tmp_path):
+        """The error, the argmin assignment and the generic bound come from
+        one covering_bounds call: the max-min kernel call and the paired
+        one (the error was once computed twice).  An explicit assignment
+        moves only the generic bound."""
+        from fdivbounds import informativity
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return divergence_matrix(*args)
+
+        monkeypatch.setattr(informativity, "divergence_matrix", counted)
+        cover = tmp_path / "cover.json"
+        cands = [{"pmf": [0.8, 0.2]}, {"pmf": [0.2, 0.8]}]
+        outs = []
+        for extra in ({}, {"assignment": [1, 0]}):
+            cover.write_text(json.dumps({"candidates": cands, **extra}))
+            code, out = run_cli(
+                capsys, "jf-cover", str(files["ens"]), "--gen", "kl", "--candidates", str(cover)
+            )
+            assert code == 0
+            outs.append(json.loads(out))
+        assert len(calls) == 4
+        assert outs[0]["assignment"] == outs[1]["assignment"] == [0, 1]
+        assert outs[0]["approx_error"] == outs[1]["approx_error"]
+        assert outs[1]["generic_bound"] > outs[0]["generic_bound"]
+
+    def test_jf_cover_one_candidate_infinite_f_at_zero(self, files, capsys):
+        """reverse_kl has f(0+) = +inf; with one candidate the bound has no
+        f(0+) term, where it once read NaN and exited 1."""
+        code, out = run_cli(
+            capsys, "jf-cover", str(files["ens"]), "--gen", "reverse_kl",
+            "--candidates", str(files["cover"]),
+        )
+        assert code == 0
+        # both members sit at KL(Q || P_theta) with Q uniform, by symmetry
+        expected = 0.5 * (np.log(0.5 / 0.75) + np.log(0.5 / 0.25))
+        assert json.loads(out)["generic_bound"] == pytest.approx(expected, abs=1e-15)
 
     def test_entropy_bound_builtin_model(self, capsys):
         code, out = run_cli(

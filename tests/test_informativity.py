@@ -14,18 +14,24 @@ from fdivbounds.divergences import (
     DivergenceGenerator,
     apply_generator,
     builtin_generator,
+    divergence_matrix,
     eval_divergence,
     total_variation,
 )
 from fdivbounds.informativity import (
+    COVERING_KINDS,
     CoveringFamily,
     covering_approx_error,
+    covering_bounds,
+    covering_errors,
     covering_specialization,
+    covering_specializations,
     covering_upper_bound,
     informativity_closed_form,
     informativity_numeric,
     informativity_tv_exact,
     simple_upper_chain,
+    simple_upper_chains,
 )
 from fdivbounds.verify import (
     grid_informativity,
@@ -725,12 +731,14 @@ def test_oracle_draws_are_the_oracle_ensembles():
 
 
 def test_one_dirichlet_call_draws_the_same_members():
-    """One size-n Dirichlet draw yields the rows that n single draws
-    would, so the verify reports do not change with the batching."""
-    batched = verify._draw_members(np.random.default_rng([3, 30]), 4, 5)
-    single = np.random.default_rng([3, 30])
-    for member in batched:
-        assert np.array_equal(member.pmf, single.dirichlet(np.ones(5)))
+    """One size-m Dirichlet draw yields the rows that m single draws
+    would, so the verify reports do not change with the batching; the
+    padding repeats the first row."""
+    for m in (1, 3, 4):
+        batched = verify._draw_family(np.random.default_rng([3, 30]), m, 5, 4)
+        single = np.random.default_rng([3, 30])
+        drawn = [single.dirichlet(np.ones(5)) for _ in range(m)]
+        assert np.array_equal(batched, np.stack(drawn + drawn[:1] * (4 - m)))
 
 
 class TestStackedClosedForms:
@@ -835,3 +843,202 @@ class TestKKTSolutions:
     def test_needs_a_derivative(self):
         with pytest.raises(ValueError, match="no derivative"):
             informativity.kkt_solutions(builtin_generator("tv"), np.full((1, 2, 2), 0.5))
+
+
+#: the generators of the covering and chain array-form tests
+ARRAY_FORM_GENERATORS = ["kl", "chi2", "power:3", "hellinger_sq", "reverse_kl"]
+
+
+def sparse_stack(rng, b, n, s):
+    """b stacks of n flat-Dirichlet rows on s points; in every third stack
+    the first row is zeroed on a third of the points."""
+    rows = rng.dirichlet(np.ones(s), size=(b, n))
+    for i in range(0, b, 3):
+        rows[i, 0, rng.choice(s, size=max(1, s // 3), replace=False)] = 0.0
+        rows[i, 0] /= rows[i, 0].sum()
+    return rows
+
+
+def objects(pmat, qmat, assignment=None):
+    ens = Ensemble(members=tuple(DiscreteDistribution(r) for r in pmat))
+    cands = tuple(DiscreteDistribution(r) for r in qmat)
+    return ens, CoveringFamily(candidates=cands, assignment=assignment)
+
+
+def reference_covering(gen, pmat, qmat, assignment=None):
+    """The covering bounds of one ensemble as first written: the full
+    member x candidate matrices, the generic bound's terms gathered from
+    the one against the scaled candidates."""
+    n, m = len(pmat), len(qmat)
+    divs = divergence_matrix(gen, pmat, qmat)
+    best = np.argmin(divs, axis=1)
+    err = float(divs[np.arange(n), best].max())
+    chosen = best if assignment is None else list(assignment)
+    total = float(divergence_matrix(gen, pmat, qmat / m)[np.arange(n), chosen].sum())
+    if math.isinf(gen.f_at_zero):
+        return err, tuple(best.tolist()), math.inf if m > 1 else total / n
+    return err, tuple(best.tolist()), total / n + (1.0 - 1.0 / m) * gen.f_at_zero
+
+
+def reference_chain(gen, pmat):
+    """The simple upper chain of one ensemble as first written."""
+    n = len(pmat)
+    to_mixture = float(informativity._mixture_divergence(gen, pmat)[1])
+    pairwise = divergence_matrix(gen, pmat, pmat)
+    np.fill_diagonal(pairwise, 0.0)
+    return to_mixture, float(pairwise.sum()) / (n * n), float(pairwise.max())
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+class TestCoveringArrays:
+    """The array forms of the covering bounds and of the simple upper
+    chain give every ensemble the bits of its slice alone, of the
+    one-object functions and of the first, one-ensemble formulas."""
+
+    @pytest.mark.parametrize("name", ARRAY_FORM_GENERATORS)
+    @pytest.mark.parametrize("b, n, s, m", [(2, 2, 2, 1), (5, 3, 6, 3), (12, 8, 5, 4), (7, 12, 40, 2)])
+    def test_stack_equals_each_slice(self, name, b, n, s, m):
+        """Stacks of 2 to 12 ensembles, 2 to 12 members (sums over 8 or
+        more add pairwise), with zero masses in members and candidates."""
+        gen = builtin_generator(name)
+        rng = np.random.default_rng(71)
+        pmats, qmats = sparse_stack(rng, b, n, s), sparse_stack(rng, b, m, s)
+        stacked = covering_bounds(gen, pmats, qmats) + simple_upper_chains(gen, pmats)
+        for i in range(b):
+            one = slice(i, i + 1)
+            alone = covering_bounds(gen, pmats[one], qmats[one])
+            alone += simple_upper_chains(gen, pmats[one])
+            for field_stack, field_alone in zip(stacked, alone):
+                assert field_stack[i].tobytes() == field_alone[0].tobytes()
+
+    @pytest.mark.parametrize("name", ["kl", "reverse_kl"])
+    def test_chain_stack_with_a_mass_the_mixture_rounds_to_0(self, name):
+        """One ensemble's mixture rounds a subnormal mass to 0: its
+        to-mixture entry drops that point (kl) or reads +inf (reverse_kl)
+        in the stack as alone, and the other ensembles keep their bits."""
+        gen = builtin_generator(name)
+        pmats = np.random.default_rng(74).dirichlet(np.ones(5), size=(4, 2))
+        pmats[2] = [[0.0, 0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0, 5e-324]]
+        stacked = simple_upper_chains(gen, pmats)
+        for i in range(4):
+            alone = simple_upper_chains(gen, pmats[i : i + 1])
+            for field_stack, field_alone in zip(stacked, alone):
+                assert field_stack[i].tobytes() == field_alone[0].tobytes()
+        assert stacked[0][2] == (0.0 if name == "kl" else math.inf)
+
+    @pytest.mark.parametrize("name", ARRAY_FORM_GENERATORS)
+    def test_one_ensemble_equals_the_object_functions(self, name):
+        """The B = 1 case is the one-object functions, and both give the
+        first formulas' bits, with and without an explicit assignment."""
+        gen = builtin_generator(name)
+        rng = np.random.default_rng(72)
+        for t in range(16):
+            n, s, m = 2 + t % 5, 2 + t % 7, 1 + t % 4
+            pmat, qmat = sparse_stack(rng, 1, n, s)[0], sparse_stack(rng, 1, m, s)[0]
+            assignment = tuple(rng.integers(0, m, size=n).tolist()) if t % 2 else None
+            ens, fam = objects(pmat, qmat, assignment)
+            given = None if assignment is None else np.array([assignment])
+            errors, best, generic = covering_bounds(gen, pmat[None], qmat[None], assignments=given)
+            err, argmin, bound = reference_covering(gen, pmat, qmat, assignment)
+            assert bits(errors[0]) == bits(covering_approx_error(gen, ens, fam)[0]) == bits(err)
+            assert tuple(best[0].tolist()) == covering_approx_error(gen, ens, fam)[1] == argmin
+            assert bits(generic[0]) == bits(covering_upper_bound(gen, ens, fam)) == bits(bound)
+            chains = simple_upper_chains(gen, pmat[None])
+            for arr, one, ref in zip(chains, simple_upper_chain(gen, ens), reference_chain(gen, pmat)):
+                assert bits(arr[0]) == bits(one) == bits(ref)
+
+    def test_specializations_equal_the_scalar_formulas(self):
+        """Each count and error gets the bits of the scalar formulas, log M
+        from the C library."""
+        counts = np.array([1, 2, 3, 4, 7, 4, 1, 1000])
+        errors = np.array([0.0, 0.25, 1.5, 1e-9, 3.0, 0.125, 2.0, 0.5])
+        formulas = {
+            "kl": lambda m, e: math.log(m) + e,
+            "chi2": lambda m, e: m * (e + 1.0) - 1.0,
+            "power_l": lambda m, e: m ** (3.7 - 1.0) * (e + 1.0) - 1.0,
+            "hellinger_sq": lambda m, e: 2.0 - (2.0 - e) / math.sqrt(m),
+        }
+        for kind in COVERING_KINDS:
+            values = covering_specializations(kind, counts, errors, l=3.7)
+            for value, m, e in zip(values, counts.tolist(), errors.tolist()):
+                assert bits(value) == bits(formulas[kind](m, e))
+                assert bits(value) == bits(covering_specialization(kind, m, e, l=3.7))
+
+    def test_uncovered_mass_makes_only_its_bound_infinite(self):
+        """A candidate with q = 0 < p makes that ensemble's generic bound
+        +inf and leaves the others finite."""
+        gen = builtin_generator("kl")
+        pmats = np.array([[[0.5, 0.5], [0.25, 0.75]]] * 3)
+        qmats = np.array([[[0.5, 0.5]], [[1.0, 0.0]], [[0.75, 0.25]]])
+        errors, _, generic = covering_bounds(gen, pmats, qmats)
+        assert np.isinf(generic[1]) and np.isinf(errors[1])
+        assert np.isfinite(generic[[0, 2]]).all() and np.isfinite(errors[[0, 2]]).all()
+
+    def test_infinite_f_at_zero(self):
+        """With f(0+) = +inf, one candidate adds no f(0+) term (the bound
+        is the mean divergence to it; it once read NaN), and two or more
+        make the bound +inf."""
+        gen = builtin_generator("reverse_kl")
+        pmat = np.array([[0.5, 0.5], [0.25, 0.75]])
+        q = np.array([[0.4, 0.6]])
+        ens, fam = objects(pmat, q)
+        mean = float(divergence_matrix(gen, pmat, q).sum()) / 2
+        assert covering_upper_bound(gen, ens, fam) == mean
+        assert covering_bounds(gen, pmat[None], q[None])[2][0] == mean
+        ens, fam = objects(pmat, np.array([[0.4, 0.6], [0.5, 0.5]]))
+        assert covering_upper_bound(gen, ens, fam) == math.inf
+
+    def test_explicit_assignment(self):
+        """The generic bound reads the given assignment; the returned
+        assignment is still the argmin, as is the error."""
+        gen = builtin_generator("chi2")
+        pmat = np.array([[0.9, 0.1], [0.1, 0.9]])
+        qmat = np.array([[0.85, 0.15], [0.15, 0.85]])
+        errors, best, argmin_bound = covering_bounds(gen, pmat[None], qmat[None])
+        _, best_given, given_bound = covering_bounds(
+            gen, pmat[None], qmat[None], assignments=np.array([[1, 0]])
+        )
+        assert best.tolist() == best_given.tolist() == [[0, 1]]
+        swapped = divergence_matrix(gen, pmat, qmat / 2)[[0, 1], [1, 0]]
+        assert given_bound[0] == float(swapped.sum()) / 2 + 0.5 * gen.f_at_zero
+        assert given_bound[0] > argmin_bound[0]
+        with pytest.raises(ValueError, match="assignment length"):
+            covering_bounds(gen, pmat[None], qmat[None], assignments=np.array([[0]]))
+        # a negative index would wrap around, and one past the count would
+        # read a padding row
+        for bad, counts in (([[0, -1]], None), ([[0, 1]], [1])):
+            with pytest.raises(ValueError, match="invalid candidate index"):
+                covering_bounds(gen, pmat[None], qmat[None], counts, np.array(bad))
+
+    def test_ties_go_to_the_first_candidate(self):
+        gen = builtin_generator("kl")
+        pmat = np.array([[0.5, 0.5], [0.2, 0.8]])
+        far, near = [0.9, 0.1], [0.3, 0.7]
+        _, best = covering_errors(gen, pmat[None], np.array([[far, near, near, far]]))
+        assert best.tolist() == [[1, 1]]
+        _, best = covering_errors(gen, pmat[None], np.array([[near, near]]))
+        assert best.tolist() == [[0, 0]]
+
+    @pytest.mark.parametrize("name", ARRAY_FORM_GENERATORS)
+    def test_padded_families_equal_unpadded_ones(self, name):
+        """Families of 1 to 4 candidates padded to 4 rows, by repeating
+        the first candidate or with a member itself (which would be the
+        nearest candidate), give each family's unpadded bits."""
+        gen = builtin_generator(name)
+        rng = np.random.default_rng(73)
+        pmats = sparse_stack(rng, 8, 3, 5)
+        counts = np.array([1, 2, 3, 4, 1, 2, 3, 4])
+        families = [sparse_stack(rng, 1, m, 5)[0] for m in counts]
+        for fill in ("first", "member"):
+            padded = np.stack([
+                np.concatenate([q, np.repeat(q[:1] if fill == "first" else p[:1], 4 - len(q), axis=0)])
+                for p, q in zip(pmats, families)
+            ])
+            stacked = covering_bounds(gen, pmats, padded, counts)
+            for i, q in enumerate(families):
+                alone = covering_bounds(gen, pmats[i : i + 1], q[None])
+                for field_stack, field_alone in zip(stacked, alone):
+                    assert field_stack[i].tobytes() == field_alone[0].tobytes()

@@ -1,4 +1,9 @@
 import dataclasses
+import json
+import math
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -285,3 +290,46 @@ class TestMinimaxTolerance:
         assert minimax_risk(ens).duality_gap > 1e-8
         res = minimax_risk(ens, tol=1e-8)
         assert 0.0 <= res.duality_gap <= 1e-8
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-11, 1e-12])
+    def test_tol_below_the_highs_floor_warns_nothing(self, tol):
+        """tol / 10 below 1e-10 once reached HiGHS, which refused it with an
+        OptimizeWarning and solved at its default; the passed value is now
+        clamped at the least it accepts."""
+        ens = ens_of(*[[0.3, 0.7]] * 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = minimax_risk(ens, tol=tol)
+        assert res.value == 0.75
+        assert 0.0 <= res.duality_gap <= tol
+
+    def test_cli_tol_below_the_highs_floor_writes_no_stderr(self, tmp_path):
+        path = tmp_path / "ens.json"
+        path.write_text(json.dumps({"members": [{"pmf": [0.3, 0.7]}] * 4}))
+        cmd = [sys.executable, "-m", "fdivbounds.cli", "minimax-risk", str(path), "--tol", "1e-10"]
+        done = subprocess.run(cmd, capture_output=True, check=True)
+        assert done.stderr == b""
+        assert json.loads(done.stdout)["value"] == 0.75
+
+
+class TestMemberMatrices:
+    def test_matrices_match_their_ensembles(self):
+        batch = _mixed_batch()
+        from_matrices = minimax_risks([np.array(ens.pmf_matrix()) for ens in batch])
+        for res, ref in zip(from_matrices, minimax_risks(batch)):
+            assert res.value == ref.value
+            assert res.duality_gap == ref.duality_gap
+            assert np.array_equal(res.prior, ref.prior)
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            ([[0.5, 0.6], [0.5, 0.5]], "pmf sums to"),
+            ([[0.5, math.nan], [0.5, 0.5]], "non-finite"),
+            ([[1.2, -0.2], [0.5, 0.5]], "negative probability"),
+            ([0.5, 0.5], "2-d"),
+        ],
+    )
+    def test_bad_matrices_are_refused(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            minimax_risks([TWO_POINT, np.array(rows)])

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from fdivbounds import verify
-from fdivbounds.distributions import DiscreteDistribution, check_mass_rows
+from fdivbounds.distributions import DiscreteDistribution, Ensemble, check_mass_rows
 from fdivbounds.divergences import builtin_generator
+from fdivbounds.informativity import CoveringFamily
 
 
 def builtin_min_fold(start, values):
@@ -56,14 +57,18 @@ def test_minimize_two_points_equals_one_at_a_time():
 
 
 def test_draw_arrays_follow_the_ensemble_stream():
+    """The draws come out of the stream as the member count, the point
+    count, one Dirichlet draw per member and the prior, in that order."""
     a, b = np.random.default_rng(7), np.random.default_rng(7)
     for with_prior in (False, True, True, False):
         members, prior = verify._draw_arrays(a, with_prior=with_prior)
-        ens = verify._random_ensemble(b, with_prior=with_prior)
-        assert np.array_equal(members, ens.pmf_matrix())
-        assert (prior is None) == (ens.prior is None)
+        n, s = int(b.integers(2, 7)), int(b.integers(2, 13))
+        assert members.shape == (n, s)
+        for row in members:
+            assert np.array_equal(row, b.dirichlet(np.ones(s)))
+        assert (prior is None) == (not with_prior)
         if prior is not None:
-            assert np.array_equal(prior, ens.prior)
+            assert np.array_equal(prior, b.dirichlet(np.ones(n)))
 
 
 @pytest.mark.parametrize(
@@ -140,3 +145,30 @@ def test_trials_override_replaces_each_count_up_to_its_cap(suite, trials, expect
     report = verify.run_suite(suite, 0, trials=trials)
     checks = report["suites"][suite]["checks"]
     assert [(c["name"], c.get("trials")) for c in checks] == list(expected.items())
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        verify.check_minimax_dominates_priors,
+        verify.check_upper_chain,
+        verify.check_covering_validity,
+        verify.check_entropy_finite_chain,
+    ],
+)
+def test_array_sweeps_build_no_objects(check, monkeypatch):
+    """These sweeps draw raw arrays and score them with the array forms;
+    at seed 0 and the suite's trial count, not one distribution, ensemble
+    or covering family is built."""
+    count = next(c for suite in verify._SUITES.values() for f, c, _ in suite if f is check)
+    built = []
+    for cls in (DiscreteDistribution, Ensemble, CoveringFamily):
+        original = cls.__post_init__
+
+        def counted(self, original=original):
+            built.append(type(self).__name__)
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    assert check(0, count)["pass"]
+    assert built == []
