@@ -198,6 +198,52 @@ def entropy_bound_factor(
     return _point(kind, profile, eta, eps, l)[2]
 
 
+def _axis_parts(
+    kind: str,
+    profile: EntropyProfile,
+    loss: LossSpec,
+    eta_grid,
+    eps_grid,
+    l: Optional[float],
+) -> tuple[np.ndarray, ...]:
+    """The per-axis half of the grid: ``(etas, losses, packing_parts)`` for
+    the eta values where the bound is defined and ``(epss, covering_parts)``
+    for the eps values, in input order with duplicates kept.  N(eta),
+    loss(eta/2) and M(eps) come from the same scalar calls as the point
+    bound, once per grid value; a value where the point bound raises
+    ValueError is dropped.  Raises ValueError when either axis is empty."""
+    _check_kind(kind, profile, l)
+    rows = []
+    for eta in eta_grid:
+        eta = float(eta)
+        try:
+            part = _packing_part(kind, profile.packing(eta), l)
+            rows.append((eta, loss(eta / 2.0), part))
+        except ValueError:
+            continue
+    cols = []
+    for eps in eps_grid:
+        eps = float(eps)
+        try:
+            cols.append((eps, _covering_part(kind, profile.covering(eps), eps, l)))
+        except ValueError:
+            continue
+    if not rows or not cols:
+        raise ValueError("no grid point lies inside the profile validity region")
+    etas, losses, packing_part = (np.array(col) for col in zip(*rows))
+    epss, covering_part = (np.array(col) for col in zip(*cols))
+    return etas, losses, packing_part, epss, covering_part
+
+
+def _bounds(kind: str, losses, packing_part, covering_part, l: Optional[float]):
+    """loss(eta/2) * max(0, 1 - star) from the per-axis parts, elementwise
+    (the parts may broadcast to a grid)."""
+    # a quotient past the float range is inf without a warning, as in Python
+    with np.errstate(over="ignore"):
+        factor = 1.0 - _star(kind, packing_part, covering_part, l)
+    return losses * np.where(factor > 0.0, factor, 0.0)
+
+
 def entropy_bound_grid(
     kind: str,
     profile: EntropyProfile,
@@ -219,30 +265,13 @@ def entropy_bound_grid(
     defined, in input order with duplicates kept, and ``bounds[i, j]`` at
     ``(etas[i], epss[j])``.  Raises ValueError when no point is defined.
     """
-    _check_kind(kind, profile, l)
-    rows = []
-    for eta in eta_grid:
-        eta = float(eta)
-        try:
-            part = _packing_part(kind, profile.packing(eta), l)
-            rows.append((eta, loss(eta / 2.0), part))
-        except ValueError:
-            continue
-    cols = []
-    for eps in eps_grid:
-        eps = float(eps)
-        try:
-            cols.append((eps, _covering_part(kind, profile.covering(eps), eps, l)))
-        except ValueError:
-            continue
-    if not rows or not cols:
-        raise ValueError("no grid point lies inside the profile validity region")
-    etas, losses, packing_part = (np.array(col) for col in zip(*rows))
-    epss, covering_part = (np.array(col) for col in zip(*cols))
-    # a quotient past the float range is inf without a warning, as in Python
-    with np.errstate(over="ignore"):
-        factor = 1.0 - _star(kind, packing_part[:, None], covering_part[None, :], l)
-    return etas, epss, losses[:, None] * np.where(factor > 0.0, factor, 0.0)
+    etas, losses, packing_part, epss, covering_part = _axis_parts(
+        kind, profile, loss, eta_grid, eps_grid, l
+    )
+    bounds = _bounds(
+        kind, losses[:, None], packing_part[:, None], covering_part[None, :], l
+    )
+    return etas, epss, bounds
 
 
 def optimize_entropy_bound(
@@ -255,9 +284,20 @@ def optimize_entropy_bound(
 ) -> BoundReport:
     """Grid supremum of :func:`entropy_risk_bound`.
 
-    The grid is evaluated per axis by :func:`entropy_bound_grid` on the
-    sorted eta and eps values: each count and loss once per grid value, the
-    star once over the whole grid as arrays.
+    The grid is the one :func:`entropy_bound_grid` forms on the sorted eta
+    and eps values, each count and loss computed once per grid value, but
+    its maximum is found from |eta| + |eps| bound values, not from all
+    |eta| * |eps|.  Star depends on eps only through the covering part
+    c(eps) and is non-decreasing in it, so every eta row peaks where c is
+    least.  The column pass forms the bound at the least c for every eta
+    and takes the first maximum, row i; the row pass forms row i for every
+    eps and takes the first maximum, column j.  This holds for the computed
+    values, not only in real arithmetic: + - * / and sqrt round correctly,
+    hence monotonically, and so do the clamp at 0 and the product with
+    loss(eta/2) >= 0 (power_l's final power is the C library's pow, taken
+    as monotone too).  So row i is the first row that holds the grid's
+    maximum, j is the first column where it holds it, and the witness is
+    the grid's first maximum in row-major order.
 
     Skipped points.  A point where :func:`entropy_risk_bound` raises
     ValueError is skipped and not counted in ``feasible_grid_points``: one
@@ -279,15 +319,16 @@ def optimize_entropy_bound(
     are recomputed at the witness by the point bound, so they are exactly
     the numbers it gives there.
     """
-    etas, epss, bounds = entropy_bound_grid(
+    etas, losses, packing_part, epss, covering_part = _axis_parts(
         kind,
         profile,
         loss,
         sorted(float(e) for e in eta_grid),
         sorted(float(e) for e in eps_grid),
-        l=l,
+        l,
     )
-    i, j = np.unravel_index(np.argmax(bounds), bounds.shape)
+    i = int(np.argmax(_bounds(kind, losses, packing_part, covering_part.min(), l)))
+    j = int(np.argmax(_bounds(kind, losses[i], packing_part[i], covering_part, l)))
     eta, eps = float(etas[i]), float(epss[j])
     n, m, factor = _point(kind, profile, eta, eps, l)
     best = loss(eta / 2.0) * max(0.0, factor)
@@ -297,7 +338,7 @@ def optimize_entropy_bound(
         "packing": n,
         "covering": m,
         "factor": factor,
-        "feasible_grid_points": bounds.size,
+        "feasible_grid_points": len(etas) * len(epss),
     }
     notes = ()
     if profile.defaulted:

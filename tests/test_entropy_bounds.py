@@ -1,11 +1,15 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fdivbounds.distributions import DiscreteDistribution, Ensemble
 from fdivbounds.divergences import builtin_generator
+from fdivbounds import entropy_bounds
 from fdivbounds.entropy_bounds import (
+    ENTROPY_KINDS,
     EntropyProfile,
     LossSpec,
     analytic_divergence,
@@ -40,6 +44,7 @@ def constant_profile(n, m):
 
 
 TENTH_LOSS = LossSpec(lambda x: 0.1, name="tenth")
+DATA = Path(__file__).parent / "data"
 
 
 class TestPointEvaluation:
@@ -314,6 +319,198 @@ class TestGridEvaluation:
         assert rep.intermediates["eps"] == 1.0
         with pytest.raises(ValueError, match="validity"):
             optimize_entropy_bound("power_l", prof, loss, [0.9], [0.5], l=40.0)
+
+
+def full_grid_optimum(kind, profile, loss, eta_grid, eps_grid, l=None):
+    """The optimizer the separable passes replaced: the first ``np.argmax``
+    over the whole :func:`entropy_bound_grid` on the sorted grids, as
+    (eta, eps, bound, feasible)."""
+    etas, epss, bounds = entropy_bound_grid(
+        kind, profile, loss, sorted(map(float, eta_grid)), sorted(map(float, eps_grid)), l=l
+    )
+    i, j = np.unravel_index(np.argmax(bounds), bounds.shape)
+    return float(etas[i]), float(epss[j]), float(bounds[i, j]), bounds.size
+
+
+def _log_uniform(rng, lo, hi):
+    return float(np.exp(rng.uniform(math.log(lo), math.log(hi))))
+
+
+def _random_table(rng):
+    size = int(rng.integers(1, 5))
+    radii = np.sort(np.exp(rng.uniform(math.log(1e-3), math.log(10.0), size)))
+    counts = np.sort(np.exp(rng.uniform(0.0, 8.0, size)))[::-1]
+    return [[float(r), float(c)] for r, c in zip(radii, counts)]
+
+
+def _random_constants(rng, model):
+    if model == "gaussian_ball":
+        return {
+            "gamma": _log_uniform(rng, 0.5, 20.0),
+            "sigma": _log_uniform(rng, 0.2, 3.0),
+            "d": int(rng.integers(1, 7)),
+        }
+    if model == "support_function":
+        return {
+            "c_prime": _log_uniform(rng, 0.1, 3.0),
+            "c_dprime": _log_uniform(rng, 0.1, 3.0),
+            "gamma": _log_uniform(rng, 0.5, 5.0),
+            "sigma": _log_uniform(rng, 0.2, 3.0),
+            "eta0": _log_uniform(rng, 0.05, 2.0),
+            "eps0": _log_uniform(rng, 0.1, 2.0),
+            "n": float(rng.integers(1, 501)),
+            "d": float(rng.integers(2, 6)),
+        }
+    names = {"gaussian_1d": "c2", "uniform_scale": "c3", "uniform_shift": "c2"}
+    return {
+        "c1": _log_uniform(rng, 0.1, 10.0),
+        names[model]: _log_uniform(rng, 0.1, 10.0),
+        "eta0": _log_uniform(rng, 0.1, 5.0),
+        "eps0": _log_uniform(rng, 0.1, 5.0),
+        "n": float(rng.integers(1, 1001)),
+    }
+
+
+def _random_grid(rng):
+    size = int(rng.integers(1, 61))
+    if rng.random() < 0.5:  # few distinct values, so duplicates are common
+        pool = np.exp(rng.uniform(math.log(1e-4), math.log(50.0), int(rng.integers(1, 6))))
+        return [float(x) for x in rng.choice(pool, size)]
+    return [_log_uniform(rng, 1e-4, 50.0) for _ in range(size)]
+
+
+def random_optimizer_case(rng):
+    """(kind, profile, loss, etas, epss, l): a random profile model and its
+    constants (or a random table), a kind it backs, a power or flat loss,
+    and unsorted grids of 1-60 values, often with duplicates, reaching past
+    the validity region on both axes."""
+    model = str(rng.choice(sorted(GRID_PROFILES)))
+    kind = str(rng.choice(ENTROPY_KINDS))
+    l = float(rng.choice([1.5, 3.0, 4.0])) if kind == "power_l" else None
+    profile_kind = "kl" if kind == "kl" and model == "gaussian_1d" and rng.random() < 0.5 else "chi2"
+    if model == "table":
+        profile = profile_from_table(_random_table(rng), _random_table(rng), kind=profile_kind)
+    else:
+        profile = builtin_profile(model, kind=profile_kind, **_random_constants(rng, model))
+    exponent = int(rng.integers(0, 4))
+    loss = power_loss(float(exponent)) if exponent else LossSpec(lambda x: 1.0, name="flat")
+    return kind, profile, loss, _random_grid(rng), _random_grid(rng), l
+
+
+def optimizer_report_text(case):
+    """The report of one case as sorted-key JSON, or the ValueError it
+    raises."""
+    kind, profile, loss, etas, epss, l = case
+    try:
+        report = optimize_entropy_bound(kind, profile, loss, etas, epss, l=l)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    return json.dumps(report.to_json(), sort_keys=True)
+
+
+#: random optimizer cases drawn from ``default_rng(OPTIMIZER_SEED)``
+OPTIMIZER_SEED, OPTIMIZER_CASES = 2024, 400
+
+
+class TestSeparableOptimizer:
+    """The column and row passes pick the full grid's first maximum."""
+
+    @staticmethod
+    def assert_matches_full_grid(kind, profile, loss, etas, epss, l=None):
+        eta, eps, bound, feasible = full_grid_optimum(kind, profile, loss, etas, epss, l=l)
+        rep = optimize_entropy_bound(kind, profile, loss, etas, epss, l=l)
+        assert (rep.intermediates["eta"], rep.intermediates["eps"]) == (eta, eps)
+        assert rep.intermediates["feasible_grid_points"] == feasible
+        assert rep.lower_bound == max(bound, 0.0)
+        assert rep.vacuous == (bound <= 0.0)
+        return rep
+
+    def test_random_cases_match_full_grid_argmax(self):
+        rng = np.random.default_rng(OPTIMIZER_SEED + 1)
+        checked = 0
+        for _ in range(300):
+            case = random_optimizer_case(rng)
+            try:
+                full_grid_optimum(*case)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    optimize_entropy_bound(*case[:5], l=case[5])
+                continue
+            self.assert_matches_full_grid(*case[:5], l=case[5])
+            checked += 1
+        assert checked > 150
+
+    def test_reports_equal_full_grid_golden_file(self):
+        """``data/entropy_optimizer_reports.json`` holds the report texts of
+        the first OPTIMIZER_CASES random cases as the full-grid optimizer
+        wrote them (:func:`optimizer_report_text`); every bit must stay."""
+        golden = json.loads((DATA / "entropy_optimizer_reports.json").read_text(encoding="utf-8"))
+        rng = np.random.default_rng(OPTIMIZER_SEED)
+        texts = [optimizer_report_text(random_optimizer_case(rng)) for _ in range(OPTIMIZER_CASES)]
+        assert len(golden) == OPTIMIZER_CASES
+        for got, want in zip(texts, golden):
+            assert got == want
+        refused = sum(text.startswith("ValueError") for text in texts)
+        assert 0 < refused < OPTIMIZER_CASES // 2
+
+    @pytest.mark.parametrize("kind,l", GRID_KINDS)
+    def test_duplicate_eps_at_least_covering_part(self, kind, l):
+        """A constant covering count makes c(eps) increase with eps, so the
+        repeated smallest eps holds the least covering part twice."""
+        prof = constant_profile(1e6, 2.0)
+        rep = self.assert_matches_full_grid(
+            kind, prof, power_loss(2.0), [0.9, 0.3, 0.6], [0.4, 0.05, 0.05, 0.2], l=l
+        )
+        assert rep.intermediates["eps"] == 0.05
+        assert rep.lower_bound > 0
+
+    @pytest.mark.parametrize("kind,l", GRID_KINDS)
+    def test_all_vacuous_grid_reports_first_pair(self, kind, l):
+        prof = constant_profile(2.0, 1e6)
+        rep = self.assert_matches_full_grid(
+            kind, prof, power_loss(2.0), [0.9, 0.3, 0.6], [0.4, 0.05, 0.2], l=l
+        )
+        assert (rep.intermediates["eta"], rep.intermediates["eps"]) == (0.3, 0.05)
+        assert rep.lower_bound == 0.0 and rep.vacuous
+
+    def test_kl_rows_with_one_packing_point_are_skipped(self):
+        """gaussian_1d packs c1/eta points, so N <= 1 from eta = c1 = 1 on:
+        the kl kind drops those rows, chi2 keeps them."""
+        prof = builtin_profile("gaussian_1d", kind="kl", c1=1.0, c2=1.0, eta0=2.0, eps0=1.0, n=4.0)
+        etas, epss = [1.0, 0.5, 0.25, 1.0], [0.9, 0.5, 0.7]
+        rep = self.assert_matches_full_grid("kl", prof, power_loss(2.0), etas, epss)
+        assert rep.intermediates["feasible_grid_points"] == 2 * 3
+        with pytest.raises(ValueError, match="validity"):
+            optimize_entropy_bound("kl", prof, power_loss(2.0), [1.0], epss)
+
+    @pytest.mark.parametrize("kind,l", GRID_KINDS)
+    def test_flat_loss(self, kind, l):
+        """With loss 1 the bound is 1 - star alone: the loss favours no row."""
+        prof = grid_profile("gaussian_ball", kind)
+        flat = LossSpec(lambda x: 1.0, name="flat")
+        self.assert_matches_full_grid(kind, prof, flat, MESSY_ETAS, MESSY_EPSS, l=l)
+
+    def test_star_entries_per_call(self, monkeypatch):
+        """One optimize call forms star at |eta| + |eps| grid entries plus
+        the witness point, not at |eta| * |eps|."""
+        entries = []
+        star = entropy_bounds._star
+
+        def counted(*args):
+            value = star(*args)
+            entries.append(np.size(value))
+            return value
+
+        monkeypatch.setattr(entropy_bounds, "_star", counted)
+        prof = grid_profile("gaussian_ball", "chi2")
+        etas = np.geomspace(1e-3, 100.0, 256)
+        epss = np.geomspace(1e-3, 1e3, 256)
+        rep = optimize_entropy_bound("chi2", prof, power_loss(2.0), etas, epss)
+        feasible = rep.intermediates["feasible_grid_points"]
+        valid_etas = int(np.sum(etas <= prof.eta_max))
+        assert feasible % valid_etas == 0 and feasible > 100 * 100
+        assert sum(entries) == valid_etas + feasible // valid_etas + 1
+        assert sum(entries) <= etas.size + epss.size
 
 
 class TestProfileKindGuard:
