@@ -158,7 +158,7 @@ def _cmd_divergence(args) -> int:
     gen = divergences.builtin_generator(args.gen)
     p = load_distribution(args.p)
     q = load_distribution(args.q)
-    if args.product_power > 1:
+    if args.product_power != 1:
         p = product_distribution(p, args.product_power)
         q = product_distribution(q, args.product_power)
     value = divergences.eval_divergence(gen, p, q)

@@ -90,10 +90,9 @@ def apply_generator(gen: DivergenceGenerator, x) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _make_power(exponent: float) -> DivergenceGenerator:
-    """The power generator x^l - 1, built and convexity-checked once per
-    exponent; generators are immutable, so every caller shares it."""
-    if not exponent > 1.0:
-        raise ValueError("power generator needs exponent > 1")
+    """The power generator x^l - 1 at a checked exponent, built and
+    convexity-checked once per exponent; generators are immutable, so every
+    caller shares it."""
     return DivergenceGenerator(
         name=f"power:{exponent:g}",
         f=lambda x: x**exponent - 1.0,
@@ -151,12 +150,23 @@ _FIXED_GENERATORS = {
 GENERATOR_NAMES = tuple(_FIXED_GENERATORS) + ("power:l",)
 
 
+def power_exponent(name: str) -> float:
+    """The exponent l of a ``power:l`` name, after refusing an l that is not
+    a finite number above 1 (NaN and +inf included): the one parser of the
+    power family's names."""
+    text = name.split(":", 1)[1]
+    exponent = float(text)
+    if not 1.0 < exponent < math.inf:
+        raise ValueError(f"power generator needs a finite exponent > 1, got {text!r}")
+    return exponent
+
+
 def builtin_generator(name: str) -> DivergenceGenerator:
     """Look up a generator by name; ``power:l`` parses l from the name."""
     if name in _FIXED_GENERATORS:
         return _FIXED_GENERATORS[name]
     if name.startswith("power:"):
-        return _make_power(float(name.split(":", 1)[1]))
+        return _make_power(power_exponent(name))
     raise ValueError(f"unknown generator {name!r}; choose from {GENERATOR_NAMES}")
 
 

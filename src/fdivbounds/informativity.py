@@ -40,6 +40,7 @@ from .divergences import (
     apply_generator,
     builtin_generator,
     divergence_matrix,
+    power_exponent,
 )
 
 CLOSED_FORM_GENERATORS = (
@@ -115,7 +116,8 @@ class CoveringFamily:
 
 def informativity_closed_form(gen_name: str, ens: Ensemble) -> InformativityResult:
     """Exact minimizer and value for kl, chi2, hellinger_half, hellinger_sq,
-    reverse_kl and power:l generators.
+    reverse_kl and power:l generators: :func:`closed_forms` on the one
+    ensemble, with no minimizer where the value is +inf.
 
     kl: the minimizer is the uniform mixture and the value is the mean KL
     to it.  power:l (chi2 is l=2): the first-order condition on the simplex
@@ -130,34 +132,24 @@ def informativity_closed_form(gen_name: str, ens: Ensemble) -> InformativityResu
     common support, with value -log sum_x g(x); +inf when the members share
     no support point.
     """
-    if gen_name == "reverse_kl":
-        pmat = ens.pmf_matrix()
-        common = np.all(pmat > 0.0, axis=0)
-        if not np.any(common):
-            return InformativityResult(math.inf, None, "closed_form")
-        geo = np.zeros(pmat.shape[1])
-        geo[common] = np.exp(np.log(pmat[:, common]).mean(axis=0))
-        total = float(geo.sum())
-        minimizer = DiscreteDistribution(geo / total)
-        return InformativityResult(max(-math.log(total), 0.0), minimizer, "closed_form")
-    q, value = closed_forms(gen_name, ens.pmf_matrix())
-    return InformativityResult(float(value), DiscreteDistribution(q), "closed_form")
+    q, values = closed_forms(gen_name, ens.pmf_matrix())
+    value = float(values)
+    minimizer = None if math.isinf(value) else DiscreteDistribution(q)
+    return InformativityResult(value, minimizer, "closed_form")
 
 
 def closed_forms(gen_name: str, pmats) -> tuple[np.ndarray, np.ndarray]:
-    """The kl, chi2, power:l and hellinger closed forms of
-    :func:`informativity_closed_form` for every ensemble in ``pmats``
-    (..., N, S): the minimizers (..., S), unchecked, and the values (...).
-    Each ensemble gets the bits it gets alone."""
+    """The closed forms of :func:`informativity_closed_form` for every
+    ensemble in ``pmats`` (..., N, S): the minimizers (..., S), unchecked
+    (NaN rows where a reverse-KL value is +inf), and the values (...).
+    Each ensemble gets the bits it gets alone: the reverse-KL log means
+    are taken over a contiguous member axis, and each log of a total is
+    the C library's (``math.log``)."""
     n = pmats.shape[-2]
     if gen_name == "kl":
         return _mixture_divergence(builtin_generator("kl"), pmats)
-    if gen_name == "chi2":
-        gen_name = "power:2"
-    if gen_name.startswith("power:"):
-        l = float(gen_name.split(":", 1)[1])
-        if l <= 1.0:
-            raise ValueError("power generator needs exponent > 1")
+    if gen_name == "chi2" or gen_name.startswith("power:"):
+        l = 2.0 if gen_name == "chi2" else power_exponent(gen_name)
         s_x = (pmats**l).sum(axis=-2) ** (1.0 / l)
         total = s_x.sum(axis=-1)
         # float_power is the C library's pow, as Python's ** on floats
@@ -168,6 +160,14 @@ def closed_forms(gen_name: str, pmats) -> tuple[np.ndarray, np.ndarray]:
         mass = u2.sum(axis=-1)
         value = np.maximum(1.0 - np.sqrt(mass) / n, 0.0)
         return u2 / mass[..., None], 2.0 * value if gen_name == "hellinger_sq" else value
+    if gen_name == "reverse_kl":
+        common = (pmats > 0.0).all(axis=-2)
+        members = np.where(common[..., None, :], pmats, 1.0).swapaxes(-1, -2).copy()
+        geo = np.where(common, np.exp(np.log(members).mean(axis=-1)), 0.0)
+        totals = geo.sum(axis=-1)
+        values = [max(-math.log(t), 0.0) if t > 0.0 else math.inf for t in totals.ravel().tolist()]
+        with np.errstate(invalid="ignore"):  # 0/0 where no point is common
+            return geo / totals[..., None], np.reshape(values, totals.shape)
     raise ValueError(
         f"no closed form for generator {gen_name!r}; "
         f"available: {CLOSED_FORM_GENERATORS}"
@@ -634,15 +634,6 @@ def simple_upper_chains(
     pairwise = divs[..., :n].reshape(b, n * n)
     pairwise[:, :: n + 1] = 0.0  # the diagonal
     return to_mixture, pairwise.sum(axis=-1) / (n * n), pairwise.max(axis=-1)
-
-
-def covering_approx_error(
-    gen: DivergenceGenerator, ens: Ensemble, fam: CoveringFamily
-) -> tuple[float, tuple[int, ...]]:
-    """max_theta min_alpha D_f(P_theta||Q_alpha) and the argmin assignment:
-    :func:`covering_errors` on the one ensemble and family."""
-    errors, best = covering_errors(gen, ens.pmf_matrix()[None], fam.pmf_matrix()[None])
-    return float(errors[0]), tuple(best[0].tolist())
 
 
 def covering_upper_bound(

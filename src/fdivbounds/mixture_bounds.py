@@ -121,15 +121,9 @@ def _uniform_floor(gen: DivergenceGenerator, n, a):
     return _floor_sum(gen, n * (1.0 - a), n * a / (n - 1.0), 1.0, n - 1.0)
 
 
-def uniform_divergence_floor_derivative(gen: DivergenceGenerator, n, a):
-    """d/da of :func:`uniform_divergence_floor`; needs gen.derivative.
-    Takes arrays as the floor does."""
-    n, a, _ = _risk_range(n, a)
-    return _uniform_slope(gen, n, a)
-
-
 def _uniform_slope(gen: DivergenceGenerator, n, a):
-    """:func:`uniform_divergence_floor_derivative` at checked n and a."""
+    """d/da of :func:`uniform_divergence_floor` at checked n and a, as an
+    array or a float as the floor takes them; needs gen.derivative."""
     if gen.derivative is None:
         raise ValueError(f"generator {gen.name!r} has no derivative")
     inner = n * a / (n - 1.0)
@@ -185,35 +179,22 @@ def weighted_divergence_floor(gen: DivergenceGenerator, w_mass, bayes_risk):
     return _floor_sum(gen, ratio, r / (1.0 - w), w, 1.0 - w)
 
 
-def map_reference_mass(ens: Ensemble, q: DiscreteDistribution) -> float:
-    """W = sum_x w_{T(x)} q(x) for the ensemble's MAP test T."""
-    if q.support_size != ens.support_size:
-        raise ValueError("support size mismatch")
-    return float(map_reference_masses(ens.weights(), ens.pmf_matrix(), q.pmf))
-
-
 def map_reference_masses(w, pmats, qs) -> np.ndarray:
-    """:func:`map_reference_mass` for priors w (..., N), members
-    (..., N, S) and references (..., S): one dot product each."""
+    """W = sum_x w_{T(x)} q(x) for the MAP test T of each prior w (..., N)
+    and members (..., N, S), against its reference q (..., S): one dot
+    product each."""
     picked = np.take_along_axis(w, map_tests(w, pmats), axis=-1)
     return (picked[..., None, :] @ qs[..., :, None])[..., 0, 0]
 
 
-def weighted_divergence_sum(
-    gen: DivergenceGenerator, ens: Ensemble, q: DiscreteDistribution
-) -> float:
-    """sum_theta w_theta D_f(P_theta || Q); zero-weight members are skipped,
-    so an infinite divergence of theirs does not count."""
-    w, pmat = ens.weights(), ens.pmf_matrix()
-    return float(weighted_divergence_sums(gen, w[None], pmat[None], q.pmf[None])[0])
-
-
 def weighted_divergence_sums(gen: DivergenceGenerator, w, pmats, qs) -> np.ndarray:
-    """:func:`weighted_divergence_sum` for B stacked instances: priors w
-    (B, N), members (B, N, S) and references (B, S), from one kernel call.
-    Each sum is one dot product of the weights with the divergences; an
-    instance with a zero weight drops those members before its dot
-    product, so every sum has the bits of a one-instance call."""
+    """sum_theta w_theta D_f(P_theta || Q) for B stacked instances: priors
+    w (B, N), members (B, N, S) and references (B, S), from one kernel
+    call.  Zero-weight members are skipped, so an infinite divergence of
+    theirs does not count.  Each sum is one dot product of the weights
+    with the divergences; an instance with a zero weight drops those
+    members before its dot product, so every sum has the bits of a
+    one-instance call."""
     divs = divergence_matrix(gen, pmats, qs[:, None, :])[..., 0]
     with np.errstate(invalid="ignore"):  # 0 * inf: such a sum is redone or set below
         sums = (w[:, None, :] @ divs[:, :, None])[:, 0, 0]
@@ -411,7 +392,7 @@ def ensemble_statistics(family: str, pmats, exponent: float = 3.0):
     if family == "tv":
         q, value = informativity.tv_breakpoints(pmats)
     else:
-        name = {"fano": "kl", "chi2": "chi2", "power_l": f"power:{exponent:g}"}[family]
+        name = {"fano": "kl", "chi2": "chi2", "power_l": f"power:{float(exponent)!r}"}[family]
         q, value = informativity.closed_forms(name, pmats)
     return (value, q) if family == "fano" else (n * value, q)
 
@@ -429,8 +410,8 @@ def named_bound_from_ensemble(family: str, ens: Ensemble, exponent: float = 3.0)
     if family == "reverse_kl_tv":
         if n != 2:
             raise ValueError("reverse_kl_tv applies to two-member ensembles")
-        res = informativity.informativity_closed_form("reverse_kl", ens)
-        return _reverse_kl_tv_report(2.0 * res.value, source)
+        value = informativity.closed_forms("reverse_kl", ens.pmf_matrix())[1]
+        return _reverse_kl_tv_report(2.0 * float(value), source)
     _family(family)
     exponent = check_finite("exponent", exponent) if family == "power_l" else float(exponent)
     stat, q = ensemble_statistics(family, ens.pmf_matrix(), exponent)

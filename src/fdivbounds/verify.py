@@ -347,15 +347,11 @@ def _smaller(x, y):
 _TWO_POINT_ROUNDS = 4
 
 
-def minimize_two_point(gen: DivergenceGenerator, v: float) -> float:
-    """Numeric minimum of the two-point divergence sum at total variation v,
-    by nested grid refinement (81 points per axis per round)."""
-    return float(minimize_two_points(gen, np.array([v]))[0])
-
-
 def minimize_two_points(gen: DivergenceGenerator, vs) -> np.ndarray:
-    """:func:`minimize_two_point` at every total variation in ``vs``, all
-    grids refined together; each gets the bits of its own call."""
+    """Numeric minimum of the two-point divergence sum at every total
+    variation in ``vs``, by nested grid refinement (81 points per axis per
+    round), all grids refined together; each gets the bits of a
+    one-element call."""
     vs = np.asarray(vs, dtype=float)
     rows = np.arange(vs.size)
     a_lo, a_hi = vs, np.ones(vs.size)
@@ -528,18 +524,18 @@ def check_implicit_vs_oracle(seed: int, trials: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def grid_informativity(gen: DivergenceGenerator, ens: Ensemble, step: float = 1e-3) -> float:
-    """Grid-search oracle for the informativity: a coarse sweep of the
-    simplex followed by nested local grids down to ``step``.  The objective
-    is convex, so the coarse argmin localizes the optimum and the refinement
-    is exhaustive at the final resolution.
+def grid_informativity(gen: DivergenceGenerator, pmat: np.ndarray, step: float = 1e-3) -> float:
+    """Grid-search oracle for the informativity of the members ``pmat``
+    (N, S): a coarse sweep of the simplex followed by nested local grids
+    down to ``step``.  The objective is convex, so the coarse argmin
+    localizes the optimum and the refinement is exhaustive at the final
+    resolution.
 
     The objective separates over points, sum_x phi_x(q_x), so the coarse
     sweep (:func:`_coarse_objective`) evaluates each member's term once per
     distinct value of a grid column and gathers the terms cell by cell; the
     refinement evaluates its small grids whole (:func:`_grid_objective`).
     Both give the same values bit for bit."""
-    pmat = ens.pmf_matrix()
     s = pmat.shape[1]
     coarse = 0.02 if s <= 4 else 0.05
     vals = _coarse_objective(gen, pmat, coarse)
@@ -652,12 +648,6 @@ def informativity_oracle_draws(seed: int, trials: int) -> list:
     return draws
 
 
-def informativity_oracle_ensembles(seed: int, trials: int):
-    """The draws of :func:`informativity_oracle_draws` as ensembles."""
-    for pmat in informativity_oracle_draws(seed, trials):
-        yield Ensemble(members=tuple(DiscreteDistribution(row) for row in pmat))
-
-
 def check_informativity_oracles(
     seed: int, trials: int, grid_stride: int = 5
 ) -> dict:
@@ -679,8 +669,7 @@ def check_informativity_oracles(
     worst_grid = 0.0
     for t in range(0, trials, grid_stride):
         j = t % len(names)
-        ens = Ensemble(members=tuple(DiscreteDistribution(row) for row in members[t]))
-        oracle = grid_informativity(builtin_generator(names[j]), ens, step=1e-3)
+        oracle = grid_informativity(builtin_generator(names[j]), members[t], step=1e-3)
         worst_grid = max(worst_grid, abs(float(closed[t, j]) - oracle))
     passed = worst_numeric <= 1e-6 and worst_grid <= 2e-3
     return _record(

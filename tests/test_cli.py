@@ -691,6 +691,35 @@ class TestEntryChecks:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("divergence", "--gen", "{gen}", "{p}", "{q}"),
+            ("jf", "{ens}", "--gen", "{gen}", "--method", "closed"),
+            ("jf", "{ens}", "--gen", "{gen}", "--method", "numeric"),
+            ("bound", "--family", "implicit", "--gen", "{gen}", "--stats", "N=4,sum=1"),
+        ],
+    )
+    @pytest.mark.parametrize("gen", ["power:inf", "power:1e400", "power:nan", "power:1"])
+    def test_power_exponent_refused_by_name(self, files, capsys, argv, gen):
+        """power:inf once printed an infinite divergence or informativity,
+        or failed in the solver's multiplier bracket; power:nan blamed a
+        pmf entry."""
+        fill = dict(gen=gen, p=files["p"], q=files["q"], ens=files["ens"])
+        code = main([a.format(**fill) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: power generator needs a finite exponent > 1")
+
+    @pytest.mark.parametrize("power", ["0", "-2"])
+    def test_product_power_below_one_exit_code(self, files, capsys, power):
+        """--product-power 0 or -2 once printed the base pair's divergence."""
+        code = main(["divergence", "--gen", "kl", str(files["p"]), str(files["q"]),
+                     "--product-power", power])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: n must be a positive integer\n"
+
     def test_emit_refuses_nan(self):
         from fdivbounds.cli import _emit
 

@@ -13,13 +13,15 @@ from fdivbounds.divergences import (
     default_generators,
     divergence_matrix,
     eval_divergence,
+    power_exponent,
     squared_hellinger,
     total_variation,
 )
 from fdivbounds.mixture_bounds import (
+    _uniform_slope,
+    tangent_risk_bound,
     two_point_target,
     uniform_divergence_floor,
-    uniform_divergence_floor_derivative,
     weighted_divergence_floor,
 )
 
@@ -49,6 +51,17 @@ class TestGeneratorCatalog:
     def test_power_needs_exponent_above_one(self):
         with pytest.raises(ValueError):
             builtin_generator("power:1")
+
+    @pytest.mark.parametrize("text", ["inf", "1e400", "nan", "-inf", "1", "0.5"])
+    def test_power_exponent_must_be_finite_above_one(self, text):
+        """power:inf and power:1e400 once built a generator whose
+        divergences read +inf."""
+        with pytest.raises(ValueError, match=f"finite exponent > 1, got '{text}'"):
+            builtin_generator(f"power:{text}")
+
+    def test_power_exponent_is_read_exactly(self):
+        assert power_exponent("power:2.5000001") == 2.5000001
+        assert builtin_generator("power:2.5000001").f(np.array([2.0]))[0] == 2.0**2.5000001 - 1.0
 
     def test_power_generators_are_built_once(self):
         gen = builtin_generator("power:3")
@@ -208,13 +221,13 @@ class TestUniformDivergenceFloor:
                     uniform_divergence_floor(gen, n, a + step)
                     - uniform_divergence_floor(gen, n, a - step)
                 ) / (2 * step)
-                assert uniform_divergence_floor_derivative(gen, n, a) == pytest.approx(
-                    numeric, rel=1e-6
-                )
+                assert _uniform_slope(gen, n, a) == pytest.approx(numeric, rel=1e-6)
 
     def test_derivative_requires_differentiable_generator(self):
         with pytest.raises(ValueError, match="derivative"):
-            uniform_divergence_floor_derivative(builtin_generator("tv"), 2, 0.1)
+            _uniform_slope(builtin_generator("tv"), 2, 0.1)
+        with pytest.raises(ValueError, match="derivative"):
+            tangent_risk_bound(builtin_generator("tv"), 2, 0.5, 0.1)
 
 
 class TestClassicalPairInequalities:
@@ -476,7 +489,7 @@ class TestBatchAxes:
             assert same_bits(target[i], expect)
             assert same_bits(two_point_target(vi, gen), expect)
         if gen.derivative is not None:
-            slopes = uniform_divergence_floor_derivative(gen, n, a)
+            slopes = _uniform_slope(gen, n, a)
             for i in range(k):
                 ni, ai = int(n[i]), float(a[i])
                 inner = ni * ai / (ni - 1.0)
@@ -514,8 +527,9 @@ class TestFloorInputChecks:
     """The floors refuse bad input by name, elementwise in array form."""
 
     def test_derivative_needs_two_hypotheses(self):
+        """The tangent inversion, the floor's slope's one caller, checks n."""
         with pytest.raises(ValueError, match="need at least 2 hypotheses"):
-            uniform_divergence_floor_derivative(builtin_generator("kl"), 1, 0.0)
+            tangent_risk_bound(builtin_generator("kl"), 1, 0.5, 0.0)
         with pytest.raises(ValueError, match="need at least 2 hypotheses"):
             uniform_divergence_floor(builtin_generator("kl"), np.array([2, 1]), 0.0)
 

@@ -24,7 +24,7 @@ from fdivbounds.entropy_bounds import (
 )
 from fdivbounds.informativity import (
     CoveringFamily,
-    covering_approx_error,
+    covering_errors,
     covering_specialization,
     informativity_closed_form,
 )
@@ -751,7 +751,7 @@ class TestSoundnessChain:
                     DiscreteDistribution(rng.dirichlet(np.ones(s))) for _ in range(m)
                 )
             )
-            err, _ = covering_approx_error(chi2, ens, fam)
+            err = covering_errors(chi2, ens.pmf_matrix()[None], fam.pmf_matrix()[None])[0][0]
             eps = math.sqrt(err) if err > 0 else 1e-9
             point = entropy_risk_bound(
                 "chi2", constant_profile(float(n), float(m)), loss, 2.0, eps

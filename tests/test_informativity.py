@@ -21,7 +21,6 @@ from fdivbounds.divergences import (
 from fdivbounds.informativity import (
     COVERING_KINDS,
     CoveringFamily,
-    covering_approx_error,
     covering_bounds,
     covering_errors,
     covering_specialization,
@@ -33,11 +32,7 @@ from fdivbounds.informativity import (
     simple_upper_chain,
     simple_upper_chains,
 )
-from fdivbounds.verify import (
-    grid_informativity,
-    informativity_oracle_draws,
-    informativity_oracle_ensembles,
-)
+from fdivbounds.verify import grid_informativity, informativity_oracle_draws
 
 SINGULAR_PAIR = Ensemble(
     members=(
@@ -58,6 +53,14 @@ def random_ensemble(rng, n_max=4, s_max=4, sparse=False):
             pmat[i, rng.choice(s, size=max(1, s // 3), replace=False)] = 0.0
             pmat[i] /= pmat[i].sum()
     return Ensemble(members=tuple(DiscreteDistribution(r) for r in pmat))
+
+
+def oracle_ensembles(seed, trials):
+    """The draws of the informativity oracle check as ensembles."""
+    return [
+        Ensemble(members=tuple(DiscreteDistribution(r) for r in pmat))
+        for pmat in informativity_oracle_draws(seed, trials)
+    ]
 
 
 #: f(t) = (t - 1)^2 / (t + 1), the triangular discrimination: f'(inf) = 1
@@ -138,6 +141,16 @@ class TestClosedForms:
         res = informativity_closed_form("reverse_kl", SINGULAR_PAIR)
         assert math.isinf(res.value) and res.minimizer is None
 
+    @pytest.mark.parametrize("text", ["inf", "1e400", "nan", "1", "0.5"])
+    def test_power_exponent_refused_by_name(self, text):
+        """power:inf once gave +inf with a uniform minimizer, and power:nan
+        blamed a pmf entry."""
+        name = f"power:{text}"
+        with pytest.raises(ValueError, match="finite exponent > 1"):
+            informativity_closed_form(name, SINGULAR_PAIR)
+        with pytest.raises(ValueError, match="finite exponent > 1"):
+            informativity.closed_forms(name, SINGULAR_PAIR.pmf_matrix()[None])
+
     def test_no_closed_form_for_tv(self):
         with pytest.raises(ValueError, match="no closed form"):
             informativity_closed_form("tv", SINGULAR_PAIR)
@@ -188,7 +201,7 @@ class TestNumericSolver:
         for t in range(12):
             ens = random_ensemble(rng, n_max=4, s_max=3, sparse=t % 2 == 1)
             res = informativity_numeric(gen, ens)
-            oracle = grid_informativity(gen, ens, step=1e-3)
+            oracle = grid_informativity(gen, ens.pmf_matrix(), step=1e-3)
             assert 0.0 <= res.duality_gap <= 1e-8
             assert res.value - res.duality_gap <= oracle + 1e-12
             assert res.value == pytest.approx(oracle, abs=2e-3)
@@ -261,7 +274,7 @@ class TestNumericSolver:
 
         monkeypatch.setattr(informativity, "_h", counted_h)
         steps, evaluations = [], []
-        for ens in informativity_oracle_ensembles(seed=0, trials=200):
+        for ens in oracle_ensembles(seed=0, trials=200):
             for name in ("kl", "chi2", "hellinger_half"):
                 h_calls[0] = 0
                 res = informativity_numeric(builtin_generator(name), ens, tol=1e-9)
@@ -291,7 +304,7 @@ class TestNumericSolver:
 
         monkeypatch.setattr(informativity, "_h", counted_h)
         evaluations = []
-        for ens in informativity_oracle_ensembles(seed=0, trials=200):
+        for ens in oracle_ensembles(seed=0, trials=200):
             for name in ("kl", "chi2", "hellinger_half"):
                 h_calls[0] = 0
                 res = informativity_numeric(builtin_generator(name), ens, tol=1e-9)
@@ -338,7 +351,7 @@ class TestNumericSolver:
         """The mixture start is the KL multiplier itself: every point's
         slope at the uniform mixture is -1, so one step certifies."""
         rng = np.random.default_rng(17)
-        ensembles = list(informativity_oracle_ensembles(seed=0, trials=200))
+        ensembles = oracle_ensembles(seed=0, trials=200)
         ensembles += [
             random_ensemble(rng, n_max=12, s_max=200, sparse=t % 2 == 1)
             for t in range(6)
@@ -397,7 +410,7 @@ class TestNumericSolver:
     def test_singular_pair_matches_grid_oracle(self):
         gen = builtin_generator("power:3")
         res = informativity_numeric(gen, ens=SINGULAR_PAIR, tol=1e-9)
-        oracle = grid_informativity(gen, SINGULAR_PAIR, step=1e-3)
+        oracle = grid_informativity(gen, SINGULAR_PAIR.pmf_matrix(), step=1e-3)
         assert res.value == pytest.approx(oracle, abs=2e-3)
 
     def test_reverse_kl_restricts_to_common_support(self):
@@ -416,7 +429,7 @@ class TestNumericSolver:
         for _ in range(10):
             ens = random_ensemble(rng, n_max=3, s_max=3)
             lp = informativity_tv_exact(ens)
-            oracle = grid_informativity(builtin_generator("tv"), ens, step=1e-3)
+            oracle = grid_informativity(builtin_generator("tv"), ens.pmf_matrix(), step=1e-3)
             assert lp.value <= oracle + 1e-9
             assert lp.value == pytest.approx(oracle, abs=2e-3)
 
@@ -591,7 +604,7 @@ class TestCoveringBounds:
             gen = builtin_generator(gen_name)
             exact = informativity_closed_form(gen_name, ens).value
             generic = covering_upper_bound(gen, ens, fam)
-            err, _ = covering_approx_error(gen, ens, fam)
+            err = covering_errors(gen, ens.pmf_matrix()[None], fam.pmf_matrix()[None])[0][0]
             special = covering_specialization(kind, fam.size, err, l=l)
             assert generic >= exact - 1e-9
             assert special >= generic - 1e-12
@@ -609,7 +622,7 @@ class TestCoveringBounds:
                     for _ in range(3)
                 )
             )
-            _, assignment = covering_approx_error(gen, ens, fam)
+            assignment = covering_errors(gen, ens.pmf_matrix()[None], fam.pmf_matrix()[None])[1][0]
             avg = float(
                 np.mean(
                     [
@@ -683,7 +696,7 @@ class TestGridOracle:
         gen = builtin_generator(name)
         rng = np.random.default_rng(11)
         ensembles = [random_ensemble(rng, sparse=t % 2 == 1) for t in range(8)]
-        found = [grid_informativity(gen, ens, step=1e-3) for ens in ensembles]
+        found = [grid_informativity(gen, ens.pmf_matrix(), step=1e-3) for ens in ensembles]
         for ens in ensembles:
             pmat = ens.pmf_matrix()
             qs = verify._simplex_grid(pmat.shape[1], 0.02)
@@ -693,7 +706,7 @@ class TestGridOracle:
                 equal_nan=True,
             )
         monkeypatch.setattr(verify, "_grid_objective", _masked_grid_objective)
-        reference = [grid_informativity(gen, ens, step=1e-3) for ens in ensembles]
+        reference = [grid_informativity(gen, ens.pmf_matrix(), step=1e-3) for ens in ensembles]
         assert [v.hex() for v in found] == [v.hex() for v in reference]
 
     @pytest.mark.parametrize("name", ["kl", "chi2", "hellinger_half", "reverse_kl"])
@@ -718,16 +731,17 @@ class TestGridOracle:
             assert np.array_equal(swept.view(np.int64), reference.view(np.int64))
 
 
-def test_oracle_draws_are_the_oracle_ensembles():
-    """The oracle check's raw draws are the members of
-    informativity_oracle_ensembles, row for row: one random stream."""
+def test_oracle_draws_follow_one_stream():
+    """The oracle check's raw draws come out of one random stream as the
+    point count, the member count and one Dirichlet call per trial."""
     for seed in (0, 5):
         draws = informativity_oracle_draws(seed, 60)
-        ensembles = list(informativity_oracle_ensembles(seed, 60))
-        assert len(draws) == len(ensembles) == 60
-        for pmat, ens in zip(draws, ensembles):
-            assert pmat.tobytes() == ens.pmf_matrix().tobytes()
-            assert pmat.shape == ens.pmf_matrix().shape
+        rng = np.random.default_rng([seed, 30])
+        assert len(draws) == 60
+        for pmat in draws:
+            s, n = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+            assert pmat.tobytes() == rng.dirichlet(np.ones(s), size=n).tobytes()
+            assert pmat.shape == (n, s)
 
 
 def test_one_dirichlet_call_draws_the_same_members():
@@ -739,6 +753,19 @@ def test_one_dirichlet_call_draws_the_same_members():
         single = np.random.default_rng([3, 30])
         drawn = [single.dirichlet(np.ones(5)) for _ in range(m)]
         assert np.array_equal(batched, np.stack(drawn + drawn[:1] * (4 - m)))
+
+
+def reverse_kl_reference(pmat):
+    """The one-ensemble reverse-KL closed form as first written, value and
+    minimizer: the geometric mean over a column selection, whose Fortran
+    order makes the mean over members numpy's pairwise sum."""
+    common = np.all(pmat > 0.0, axis=0)
+    if not np.any(common):
+        return math.inf, None
+    geo = np.zeros(pmat.shape[1])
+    geo[common] = np.exp(np.log(pmat[:, common]).mean(axis=0))
+    total = float(geo.sum())
+    return max(-math.log(total), 0.0), geo / total
 
 
 class TestStackedClosedForms:
@@ -760,6 +787,45 @@ class TestStackedClosedForms:
                 one = informativity_closed_form(name, ens)
                 assert values[i].tobytes() == np.float64(one.value).tobytes()
                 assert minimizers[i].tobytes() == one.minimizer.pmf.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 5, 8, 9, 12])
+    def test_reverse_kl_stack_equals_slices_and_reference(self, n):
+        """Stacks of 2 to 12 ensembles, on both sides of 8 members, where a
+        mean over members becomes a pairwise sum: sparse supports, no common
+        support point (+inf, no minimizer), identical members (-0.0, as
+        before) and a common subnormal mass."""
+        rng = np.random.default_rng(53 + n)
+        for b in (2, 3, 7, 12):
+            s = int(rng.integers(2, 40))
+            pmats = rng.dirichlet(np.full(s, 0.5), size=(b, n))
+            for i in range(0, b, 4):
+                pmats[i, 0, rng.choice(s, size=max(1, s // 3), replace=False)] = 0.0
+            pmats[1::4, 0] = np.eye(s)[0]
+            pmats[1::4, 1:, 0] = 0.0
+            pmats[2::4, :, 1] = 5e-324
+            pmats[3::4] = pmats[3::4, :1]
+            pmats /= pmats.sum(axis=-1, keepdims=True)
+            minimizers, values = informativity.closed_forms("reverse_kl", pmats)
+            assert np.isinf(values[1::4]).all()
+            assert (np.abs(values[3::4]) <= 1e-12).all()
+            for i in range(b):
+                q_alone, value_alone = informativity.closed_forms("reverse_kl", pmats[i])
+                ens = Ensemble(members=tuple(DiscreteDistribution(r) for r in pmats[i]))
+                one = informativity_closed_form("reverse_kl", ens)
+                value, q = reverse_kl_reference(pmats[i])
+                assert bits(values[i]) == bits(value_alone) == bits(one.value) == bits(value)
+                if q is None:
+                    assert one.minimizer is None
+                    continue
+                assert minimizers[i].tobytes() == q_alone.tobytes() == q.tobytes()
+                assert one.minimizer.pmf.tobytes() == q.tobytes()
+
+    def test_closed_forms_take_every_closed_form_name(self):
+        pmats = np.random.default_rng(54).dirichlet(np.ones(4), size=(3, 2))
+        for name in informativity.CLOSED_FORM_GENERATORS:
+            minimizers, values = informativity.closed_forms(name.replace(":l", ":2.5"), pmats)
+            assert minimizers.shape == (3, 4) and values.shape == (3,)
+            assert np.isfinite(values).all() and (values > 0.0).all()
 
     def test_tv_breakpoints_equal_one_ensemble_results(self):
         rng = np.random.default_rng(52)
@@ -943,8 +1009,8 @@ class TestCoveringArrays:
             given = None if assignment is None else np.array([assignment])
             errors, best, generic = covering_bounds(gen, pmat[None], qmat[None], assignments=given)
             err, argmin, bound = reference_covering(gen, pmat, qmat, assignment)
-            assert bits(errors[0]) == bits(covering_approx_error(gen, ens, fam)[0]) == bits(err)
-            assert tuple(best[0].tolist()) == covering_approx_error(gen, ens, fam)[1] == argmin
+            assert bits(errors[0]) == bits(err)
+            assert tuple(best[0].tolist()) == argmin
             assert bits(generic[0]) == bits(covering_upper_bound(gen, ens, fam)) == bits(bound)
             chains = simple_upper_chains(gen, pmat[None])
             for arr, one, ref in zip(chains, simple_upper_chain(gen, ens), reference_chain(gen, pmat)):

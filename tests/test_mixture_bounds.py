@@ -5,10 +5,10 @@ import pytest
 
 from fdivbounds.distributions import DiscreteDistribution, Ensemble
 from fdivbounds.divergences import builtin_generator, default_generators, total_variation
+from fdivbounds.informativity import closed_forms
 from fdivbounds.mixture_bounds import (
     ensemble_statistics,
     implicit_risk_bound,
-    map_reference_mass,
     map_reference_masses,
     named_bound,
     named_bound_from_ensemble,
@@ -19,11 +19,10 @@ from fdivbounds.mixture_bounds import (
     two_point_pairs,
     two_point_sums,
     weighted_divergence_floor,
-    weighted_divergence_sum,
     weighted_divergence_sums,
 )
 from fdivbounds.testing_risk import bayes_risk_exact
-from fdivbounds.verify import check_weighted_soundness, minimize_two_point
+from fdivbounds.verify import check_weighted_soundness, minimize_two_points
 
 KL = builtin_generator("kl")
 CHI2 = builtin_generator("chi2")
@@ -76,25 +75,19 @@ class TestWeightedDivergenceFloor:
 
     def test_soundness_infinite_lhs_cases(self):
         # reference missing mass where a member has it: the sum is infinite
-        ens = Ensemble(
-            members=(
-                DiscreteDistribution(np.array([0.5, 0.5, 0.0])),
-                DiscreteDistribution(np.array([0.0, 0.5, 0.5])),
-            )
-        )
-        q = DiscreteDistribution(np.array([1.0, 0.0, 0.0]))
-        assert math.isinf(weighted_divergence_sum(KL, ens, q))
+        pmat = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
+        q = np.array([1.0, 0.0, 0.0])
+        w = np.full(2, 0.5)
+        assert math.isinf(weighted_divergence_sums(KL, w[None], pmat[None], q[None])[0])
 
     def test_map_reference_mass_uniform_prior(self):
-        ens = Ensemble(
-            members=(
-                DiscreteDistribution(np.array([0.75, 0.25])),
-                DiscreteDistribution(np.array([0.25, 0.75])),
-            )
-        )
-        q = DiscreteDistribution(np.array([0.3, 0.7]))
+        pmat = np.array([[0.75, 0.25], [0.25, 0.75]])
+        q = np.array([0.3, 0.7])
+        w = np.full(2, 0.5)
         # uniform prior: w_{T(x)} = 1/2 everywhere
-        assert map_reference_mass(ens, q) == pytest.approx(0.5, abs=1e-15)
+        assert map_reference_masses(w[None], pmat[None], q[None])[0] == pytest.approx(
+            0.5, abs=1e-15
+        )
 
 
 class TestImplicitRiskBound:
@@ -322,7 +315,7 @@ class TestTwoPointWitness:
         for v in (0.2, 0.5, 0.9):
             for name in ("kl", "chi2"):
                 gen = builtin_generator(name)
-                numeric = minimize_two_point(gen, v)
+                numeric = float(minimize_two_points(gen, np.array([v]))[0])
                 target = two_point_target(v, gen)
                 assert numeric >= target - 1e-9
                 assert numeric == pytest.approx(target, abs=1e-6)
@@ -375,12 +368,9 @@ class TestArrayForms:
             sums = weighted_divergence_sums(gen, w, pmats, qs)
             masses = map_reference_masses(w, pmats, qs)
             for i in range(30):
-                ens = Ensemble(
-                    members=tuple(DiscreteDistribution(r) for r in pmats[i]), prior=w[i]
-                )
-                q = DiscreteDistribution(qs[i])
-                assert _same_bits(sums[i], weighted_divergence_sum(gen, ens, q))
-                assert _same_bits(masses[i], map_reference_mass(ens, q))
+                one = slice(i, i + 1)
+                assert _same_bits(sums[i], weighted_divergence_sums(gen, w[one], pmats[one], qs[one]))
+                assert _same_bits(masses[i], map_reference_masses(w[i], pmats[i], qs[i]))
         assert math.isfinite(weighted_divergence_sums(KL, w, pmats, qs)[5])
         assert math.isinf(weighted_divergence_sums(KL, w, pmats, qs)[0])
 
@@ -399,6 +389,17 @@ class TestArrayForms:
                         "avg_kl" if family == "fano" else "divergence_sum"
                     )
                     assert _same_bits(stats[i], report.inputs[key])
+
+    @pytest.mark.parametrize("exponent", [2.5000001, 1.1234567])
+    def test_power_l_statistic_at_the_exact_exponent(self, exponent):
+        """The statistic was once read at the exponent rounded to six
+        digits (2.5 for 2.5000001) while the report named the exact one."""
+        pmat = np.array([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6], [0.2, 0.5, 0.3]])
+        ens = Ensemble(members=tuple(DiscreteDistribution(r) for r in pmat))
+        report = named_bound_from_ensemble("power_l", ens, exponent=exponent)
+        _, value = closed_forms(f"power:{exponent!r}", pmat)
+        assert report.inputs["exponent"] == exponent
+        assert _same_bits(report.inputs["divergence_sum"], 3 * value)
 
     def test_named_risk_bounds_refuse_bad_statistics(self):
         with pytest.raises(ValueError, match="divergence_sum is NaN"):
@@ -449,7 +450,6 @@ class TestEntryChecks:
         monkeypatch.setattr(mixture_bounds, "_hypotheses", counted)
         for entry, args in (
             (mixture_bounds.uniform_divergence_floor, (KL, 4, 0.2)),
-            (mixture_bounds.uniform_divergence_floor_derivative, (KL, 4, 0.2)),
             (mixture_bounds.implicit_risk_bound, (KL, 4, 1.0)),
             (mixture_bounds.tangent_risk_bound, (KL, 4, 1.0, 0.2)),
         ):

@@ -53,7 +53,8 @@ def test_minimize_two_points_equals_one_at_a_time():
         gen = builtin_generator(name)
         together = verify.minimize_two_points(gen, v)
         for i, vi in enumerate(v):
-            assert together[i].tobytes() == np.float64(verify.minimize_two_point(gen, float(vi))).tobytes()
+            alone = verify.minimize_two_points(gen, np.array([vi]))
+            assert together[i].tobytes() == alone[0].tobytes()
 
 
 def test_draw_arrays_follow_the_ensemble_stream():
@@ -151,6 +152,7 @@ def test_trials_override_replaces_each_count_up_to_its_cap(suite, trials, expect
     "check",
     [
         verify.check_minimax_dominates_priors,
+        verify.check_informativity_oracles,
         verify.check_upper_chain,
         verify.check_covering_validity,
         verify.check_entropy_finite_chain,
