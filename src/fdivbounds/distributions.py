@@ -61,7 +61,8 @@ def check_mass_rows(rows, name: str = "pmf", length: Optional[int] = None) -> np
     if not fits:
         raise ValueError(f"{name} length does not match member count")
     if arr.min() < 0:
-        detail = f"probability entry (min {arr.min()!r})" if name == "pmf" else f"{name} entry"
+        low = float(arr.min())
+        detail = f"probability entry (min {low!r})" if name == "pmf" else f"{name} entry"
         raise ValueError(f"negative {detail}")
     first = float(np.ravel(totals)[np.ravel(off)][0])
     raise ValueError(f"{name} sums to {first!r}, not 1")

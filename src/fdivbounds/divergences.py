@@ -60,7 +60,7 @@ def _check_midpoint_convexity(gen: "DivergenceGenerator") -> None:
         i, j = np.argwhere(bad)[0]
         raise ValueError(
             f"generator {gen.name!r} fails midpoint convexity at "
-            f"x={x[i, 0]!r}, y={y[0, j]!r}"
+            f"x={float(x[i, 0])!r}, y={float(y[0, j])!r}"
         )
 
 
@@ -94,7 +94,7 @@ def _make_power(exponent: float) -> DivergenceGenerator:
     convexity-checked once per exponent; generators are immutable, so every
     caller shares it."""
     return DivergenceGenerator(
-        name=f"power:{exponent:g}",
+        name=f"power:{exponent_text(exponent)}",
         f=lambda x: x**exponent - 1.0,
         f_at_zero=-1.0,
         derivative=lambda x: exponent * x ** (exponent - 1.0),
@@ -159,6 +159,14 @@ def power_exponent(name: str) -> float:
     if not 1.0 < exponent < math.inf:
         raise ValueError(f"power generator needs a finite exponent > 1, got {text!r}")
     return exponent
+
+
+def exponent_text(exponent: float) -> str:
+    """An exponent as names print it: the shortest text that reads back as
+    the same float, without a trailing ``.0`` (3.0 is ``3``), so that
+    :func:`power_exponent` recovers it exactly from a ``power:l`` name."""
+    text = repr(float(exponent))
+    return text[:-2] if text.endswith(".0") else text
 
 
 def builtin_generator(name: str) -> DivergenceGenerator:

@@ -23,6 +23,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .distributions import check_finite
+from .divergences import exponent_text
 from .report import BoundReport
 
 ENTROPY_KINDS = ("kl", "chi2", "power_l")
@@ -63,7 +64,7 @@ def _finite(what: str, fn: Callable, *args) -> float:
 
 def power_loss(exponent: float = 2.0) -> LossSpec:
     check_finite("loss exponent", exponent)
-    return LossSpec(lambda x: x**exponent, name=f"power{exponent:g}")
+    return LossSpec(lambda x: x**exponent, name=f"power{exponent_text(exponent)}")
 
 
 @dataclass(frozen=True)

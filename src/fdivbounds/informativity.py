@@ -152,8 +152,10 @@ def closed_forms(gen_name: str, pmats) -> tuple[np.ndarray, np.ndarray]:
         l = 2.0 if gen_name == "chi2" else power_exponent(gen_name)
         s_x = (pmats**l).sum(axis=-2) ** (1.0 / l)
         total = s_x.sum(axis=-1)
-        # float_power is the C library's pow, as Python's ** on floats
-        value = (np.float_power(total, l) - n) / n
+        # float_power is the C library's pow, as Python's ** on floats;
+        # a large l may overflow it to +inf, the value's documented bound
+        with np.errstate(over="ignore"):
+            value = (np.float_power(total, l) - n) / n
         return s_x / total[..., None], np.maximum(value, 0.0)
     if gen_name in ("hellinger_half", "hellinger_sq"):
         u2 = np.sqrt(pmats).sum(axis=-2) ** 2

@@ -22,7 +22,13 @@ import numpy as np
 
 from . import informativity
 from .distributions import DiscreteDistribution, Ensemble, check_finite
-from .divergences import VALUE_TOL, DivergenceGenerator, apply_generator, divergence_matrix
+from .divergences import (
+    VALUE_TOL,
+    DivergenceGenerator,
+    apply_generator,
+    divergence_matrix,
+    exponent_text,
+)
 from .report import BoundReport
 from .testing_risk import map_tests
 
@@ -392,7 +398,8 @@ def ensemble_statistics(family: str, pmats, exponent: float = 3.0):
     if family == "tv":
         q, value = informativity.tv_breakpoints(pmats)
     else:
-        name = {"fano": "kl", "chi2": "chi2", "power_l": f"power:{float(exponent)!r}"}[family]
+        power = f"power:{exponent_text(exponent)}"
+        name = {"fano": "kl", "chi2": "chi2", "power_l": power}[family]
         q, value = informativity.closed_forms(name, pmats)
     return (value, q) if family == "fano" else (n * value, q)
 

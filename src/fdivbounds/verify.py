@@ -77,6 +77,18 @@ def _record(name: str, passed: bool, **extra) -> dict:
     return out
 
 
+def _normalized(raw: np.ndarray) -> np.ndarray:
+    """Flat-Dirichlet rows from standard exponentials ``raw`` (..., S): each
+    row times the reciprocal of its left-to-right sum.  For alpha = 1
+    numpy's ``Generator.dirichlet`` draws the same exponentials from the
+    stream and scales them the same way, so a row drawn as
+    ``rng.standard_exponential(s)`` and normalized here has exactly the
+    bits of ``rng.dirichlet(np.ones(s))``, and leaves the stream at the same
+    position.  ``np.cumsum`` keeps that left-to-right order, where
+    ``.sum()`` adds pairwise from 8 points on."""
+    return raw * (1.0 / np.cumsum(raw, axis=-1)[..., -1:])
+
+
 def _draw_arrays(
     rng: np.random.Generator,
     n_max: int = 6,
@@ -85,21 +97,22 @@ def _draw_arrays(
 ) -> tuple:
     """A random ensemble as raw arrays, in this random-stream order: the
     member count n (2 <= n <= n_max), the point count s
-    (2 <= s <= support_max), n flat-Dirichlet members on s points from one
-    draw (an n x s array, the rows n single draws would give) and the
-    flat-Dirichlet prior, or None."""
+    (2 <= s <= support_max), n x s standard exponentials for the members
+    and n for the prior, or None.  :func:`_normalized` makes them the
+    flat-Dirichlet members and prior that n + 1 single Dirichlet draws
+    would give; :func:`_stacked` does that once per shape group."""
     n = int(rng.integers(2, n_max + 1))
     s = int(rng.integers(2, support_max + 1))
-    members = rng.dirichlet(np.ones(s), size=n)
-    prior = rng.dirichlet(np.ones(n)) if with_prior else None
+    members = rng.standard_exponential((n, s))
+    prior = rng.standard_exponential(n) if with_prior else None
     return members, prior
 
 
 def _draw_family(rng: np.random.Generator, m: int, s: int, rows: int) -> np.ndarray:
-    """m flat-Dirichlet candidates on s points from one draw, padded to
-    ``rows`` rows by repeating the first, so that families of different
-    sizes stack (see :func:`.informativity.covering_errors`)."""
-    cands = rng.dirichlet(np.ones(s), size=m)
+    """m raw flat-Dirichlet candidates on s points (see :func:`_draw_arrays`),
+    padded to ``rows`` rows by repeating the first, so that families of
+    different sizes stack (see :func:`.informativity.covering_errors`)."""
+    cands = rng.standard_exponential((m, s))
     return np.concatenate([cands, np.repeat(cands[:1], rows - m, axis=0)])
 
 
@@ -113,9 +126,10 @@ def _by_shape(arrays) -> list:
 
 
 def _stacked(arrays, idx, name: str = "pmf") -> np.ndarray:
-    """The drawn ``arrays`` at ``idx`` stacked, every row checked as the
-    distribution classes check a pmf or a prior (``check_mass_rows``)."""
-    return check_mass_rows(np.stack([arrays[i] for i in idx]), name)
+    """The raw draws ``arrays`` at ``idx`` stacked and normalized
+    (:func:`_normalized`), every row checked as the distribution classes
+    check a pmf or a prior (``check_mass_rows``)."""
+    return check_mass_rows(_normalized(np.stack([arrays[i] for i in idx])), name)
 
 
 def _fold_min(start: float, values) -> float:
@@ -145,7 +159,7 @@ def check_product_marginals(seed: int, trials: int) -> dict:
     for _ in range(trials):
         s = int(rng.integers(2, 5))
         n = int(rng.integers(1, 4))
-        base = DiscreteDistribution(rng.dirichlet(np.ones(s)))
+        base = DiscreteDistribution(_normalized(rng.standard_exponential(s)))
         prod = product_distribution(base, n)
         cube = prod.pmf.reshape((s,) * n)
         for axis in range(n):
@@ -158,14 +172,15 @@ def check_product_marginals(seed: int, trials: int) -> dict:
 
 def check_map_achieves_bayes(seed: int, trials: int) -> dict:
     """The MAP test's error equals the Bayes risk, with and without a
-    prior.  Trials are drawn one by one and scored by shape."""
+    prior.  Trials are drawn one by one and scored by shape; the uniform
+    prior is kept raw as ones, which normalize to exactly 1/n."""
     rng = np.random.default_rng([seed, 11])
     members, priors = [], []
     for _ in range(trials):
         with_prior = bool(rng.integers(0, 2))
         pmat, prior = _draw_arrays(rng, with_prior=with_prior)
         members.append(pmat)
-        priors.append(np.full(len(pmat), 1.0 / len(pmat)) if prior is None else prior)
+        priors.append(np.ones(len(pmat)) if prior is None else prior)
     gaps = np.empty(trials)
     for _, idx in _by_shape(members):
         pmats, w = _stacked(members, idx), _stacked(priors, idx, "prior")
@@ -183,8 +198,8 @@ def check_bayes_concavity(seed: int, trials: int) -> dict:
     for _ in range(trials):
         pmat, _ = _draw_arrays(rng)
         members.append(pmat)
-        firsts.append(rng.dirichlet(np.ones(len(pmat))))
-        seconds.append(rng.dirichlet(np.ones(len(pmat))))
+        firsts.append(rng.standard_exponential(len(pmat)))
+        seconds.append(rng.standard_exponential(len(pmat)))
     slacks = np.empty(trials)
     for _, idx in _by_shape(members):
         pmats = _stacked(members, idx)
@@ -200,19 +215,20 @@ def check_minimax_dominates_priors(seed: int, trials: int) -> dict:
     """The certified minimax risk dominates every drawn prior's Bayes risk,
     the uniform one included, stays below 1 - 1/N, and its certificate's
     gap is at most 1e-9.  All member matrices are solved in one batch, and
-    each one's priors are scored against it."""
+    each one's priors are scored against it, so members and priors are
+    normalized trial by trial."""
     rng = np.random.default_rng([seed, 13])
     tol = 1e-6
     members, priors = [], []
     for _ in range(trials):
         pmat, _ = _draw_arrays(rng, n_max=4, support_max=8)
-        members.append(pmat)
-        priors.append([rng.dirichlet(np.ones(len(pmat))) for _ in range(5)])
+        members.append(_normalized(pmat))
+        priors.append(_normalized(rng.standard_exponential((5, len(pmat)))))
     results = minimax_risks(members, tol=tol)
     slacks = np.empty((trials, 7))
     for t, (pmat, drawn, res) in enumerate(zip(members, priors, results)):
         n = len(pmat)
-        w = check_mass_rows(drawn + [np.full(n, 1.0 / n)], "prior")
+        w = check_mass_rows(np.vstack([drawn, np.full(n, 1.0 / n)]), "prior")
         risks = bayes_risks(w, pmat)
         slacks[t, :5] = res.value + tol - risks[:5]
         slacks[t, 5] = res.value - risks[5]
@@ -242,16 +258,17 @@ def check_weighted_soundness(seed: int, trials: int) -> dict:
     rng = np.random.default_rng([seed, 20])
     gens = default_generators()
     members, priors, refs = [], [], []
+    dead = np.zeros(trials, dtype=bool)
     for t in range(trials):
         pmat, prior = _draw_arrays(rng, with_prior=True)
         s = pmat.shape[1]
+        q = rng.standard_exponential(s)
         if t % 7 == 0 and s > 2:
             # exercise references with a dead point; the sum may be infinite
-            q = rng.dirichlet(np.ones(s))
+            q = _normalized(q)
             q[int(rng.integers(0, s))] = 0.0
             q = q / q.sum()
-        else:
-            q = rng.dirichlet(np.ones(s))
+            dead[t] = True
         members.append(pmat)
         priors.append(prior)
         refs.append(q)
@@ -261,7 +278,9 @@ def check_weighted_soundness(seed: int, trials: int) -> dict:
     sums = np.empty((trials, len(gens)))
     for _, idx in _by_shape(members):
         pmats, w = _stacked(members, idx), _stacked(priors, idx, "prior")
-        qs = _stacked(refs, idx)
+        qs, raw = np.stack([refs[i] for i in idx]), ~dead[idx]
+        qs[raw] = _normalized(qs[raw])  # dead-point references came normalized
+        check_mass_rows(qs)
         w_mass[idx] = map_reference_masses(w, pmats, qs)
         rbar[idx] = bayes_risks(w, pmats)
         for g, gen in enumerate(gens):
@@ -409,7 +428,7 @@ def check_pair_inequalities(seed: int, trials: int) -> dict:
     pairs = []
     for _ in range(trials):
         s = int(rng.integers(2, 17))
-        pairs.append(np.stack([rng.dirichlet(np.ones(s)), rng.dirichlet(np.ones(s))]))
+        pairs.append(rng.standard_exponential((2, s)))
     # per trial: Pinsker, the mixture inequality (NaN where vacuous), Hellinger
     slacks = np.full((trials, 3), math.nan)
     for _, idx in _by_shape(pairs):
@@ -636,15 +655,16 @@ def _grid_columns(s: int, step: float) -> tuple:
 
 
 def informativity_oracle_draws(seed: int, trials: int) -> list:
-    """The seeded members of :func:`check_informativity_oracles` as raw
+    """The seeded members of :func:`check_informativity_oracles` as
     arrays: 2 to 4 flat-Dirichlet members on 2 to 4 points, an n x s array
-    per trial."""
+    per trial, each normalized on its own (:func:`_normalized`), since the
+    grid oracle reads single trials."""
     rng = np.random.default_rng([seed, 30])
     draws = []
     for _ in range(trials):
         s = int(rng.integers(2, 5))
         n = int(rng.integers(2, 5))
-        draws.append(rng.dirichlet(np.ones(s), size=n))
+        draws.append(_normalized(rng.standard_exponential((n, s))))
     return draws
 
 
@@ -661,7 +681,7 @@ def check_informativity_oracles(
     closed = np.empty((trials, len(names)))
     numeric = np.empty((trials, len(names)))
     for _, idx in _by_shape(members):
-        pmats = _stacked(members, idx)
+        pmats = check_mass_rows(np.stack([members[i] for i in idx]))
         for j, name in enumerate(names):
             closed[idx, j] = closed_forms(name, pmats)[1]
             numeric[idx, j] = kkt_solutions(builtin_generator(name), pmats, tol=1e-9)[1]
@@ -691,7 +711,7 @@ def check_compensation_identity(seed: int, trials: int) -> dict:
     for _ in range(trials):
         pmat, _ = _draw_arrays(rng, n_max=5, support_max=8)
         members.append(pmat)
-        refs.append(rng.dirichlet(np.ones(pmat.shape[1])))
+        refs.append(rng.standard_exponential(pmat.shape[1]))
     errors = np.empty(trials)
     for (n, _), idx in _by_shape(members):
         pmats, qs = _stacked(members, idx), _stacked(refs, idx)[:, None]

@@ -50,6 +50,14 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
+    def test_divergence_names_the_exact_power_exponent(self, files, capsys):
+        """The generator's name once rounded the exponent to power:2.5."""
+        code, out = run_cli(
+            capsys, "divergence", "--gen", "power:2.5000001", str(files["p"]), str(files["q"])
+        )
+        assert code == 0
+        assert '"generator": "power:2.5000001"' in out
+
     def test_bayes_risk(self, files, capsys):
         code, out = run_cli(capsys, "bayes-risk", str(files["ens"]))
         assert code == 0

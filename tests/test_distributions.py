@@ -37,6 +37,12 @@ class TestDiscreteDistribution:
         with pytest.raises(ValueError, match="negative"):
             DiscreteDistribution(np.array([1.1, -0.1]))
 
+    def test_negative_entry_message_prints_a_plain_float(self):
+        """The message once printed the minimum as np.float64(-0.5)."""
+        with pytest.raises(ValueError) as err:
+            DiscreteDistribution([1.5, -0.5])
+        assert str(err.value) == "negative probability entry (min -0.5)"
+
     def test_rounding_slack_within_input_tolerance(self):
         DiscreteDistribution(np.array([0.5, 0.5 + 5e-10]))
         with pytest.raises(ValueError):
@@ -177,7 +183,7 @@ def _expected_error(values, name, negative, length=None):
 
 def _pmf_error(values):
     return _expected_error(
-        values, "pmf", lambda arr: f"negative probability entry (min {arr.min()!r})"
+        values, "pmf", lambda arr: f"negative probability entry (min {float(arr.min())!r})"
     )
 
 

@@ -63,6 +63,19 @@ class TestGeneratorCatalog:
         assert power_exponent("power:2.5000001") == 2.5000001
         assert builtin_generator("power:2.5000001").f(np.array([2.0]))[0] == 2.0**2.5000001 - 1.0
 
+    @pytest.mark.parametrize(
+        "exponent,name",
+        [(2.5000001, "power:2.5000001"), (1.1234567, "power:1.1234567"),
+         (3.0, "power:3"), (1.5, "power:1.5")],
+    )
+    def test_power_name_round_trips(self, exponent, name):
+        """The name once kept 6 digits, so power:2.5000001 was named
+        power:2.5; whole exponents still print without a trailing .0."""
+        gen = builtin_generator(f"power:{exponent!r}")
+        assert gen.name == name
+        assert builtin_generator(gen.name) is gen
+        assert power_exponent(gen.name) == exponent
+
     def test_power_generators_are_built_once(self):
         gen = builtin_generator("power:3")
         assert builtin_generator("power:3.0") is gen
@@ -103,6 +116,15 @@ class TestGeneratorCatalog:
     def test_user_generator_rejected_when_concave(self):
         with pytest.raises(ValueError, match="convexity"):
             DivergenceGenerator(name="sqrt", f=lambda x: np.sqrt(x) - x, f_at_zero=0.0)
+
+    def test_convexity_message_prints_plain_floats(self):
+        """The message once printed x=np.float64(...)."""
+        with pytest.raises(ValueError) as err:
+            DivergenceGenerator(name="sqrt", f=lambda x: np.sqrt(x) - x, f_at_zero=0.0)
+        message = str(err.value)
+        assert "np." not in message
+        x, y = (float(part.split("=")[1]) for part in message.split(" at ")[1].split(", "))
+        assert message.endswith(f"x={x!r}, y={y!r}")
 
     def test_f_at_one_must_vanish(self):
         with pytest.raises(ValueError, match="f\\(1\\)"):

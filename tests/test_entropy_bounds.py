@@ -80,6 +80,12 @@ class TestPointEvaluation:
                 "power_l", constant_profile(100, 4), TENTH_LOSS, 1.0, 1.0, l=2.0
             )
 
+    def test_power_loss_names_its_exact_exponent(self):
+        """The name once kept 6 digits of the exponent."""
+        assert power_loss(2.0).name == "power2"
+        assert power_loss(1.5).name == "power1.5"
+        assert power_loss(2.5000001).name == "power2.5000001"
+
     def test_monotonicity_in_counts(self):
         loss = power_loss(1.0)
         for kind, l in (("kl", None), ("chi2", None), ("power_l", 3.0)):

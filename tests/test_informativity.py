@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -150,6 +151,15 @@ class TestClosedForms:
             informativity_closed_form(name, SINGULAR_PAIR)
         with pytest.raises(ValueError, match="finite exponent > 1"):
             informativity.closed_forms(name, SINGULAR_PAIR.pmf_matrix()[None])
+
+    def test_power_closed_form_overflow_is_silent(self):
+        """A large exponent overflows the power closed form to +inf; the
+        overflow once raised a RuntimeWarning (an error under -W error)."""
+        ens = Ensemble(members=tuple(DiscreteDistribution(row) for row in np.eye(3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = informativity_closed_form("power:1000", ens)
+        assert res.value == math.inf and res.minimizer is None
 
     def test_no_closed_form_for_tv(self):
         with pytest.raises(ValueError, match="no closed form"):
@@ -749,7 +759,7 @@ def test_one_dirichlet_call_draws_the_same_members():
     would, so the verify reports do not change with the batching; the
     padding repeats the first row."""
     for m in (1, 3, 4):
-        batched = verify._draw_family(np.random.default_rng([3, 30]), m, 5, 4)
+        batched = verify._normalized(verify._draw_family(np.random.default_rng([3, 30]), m, 5, 4))
         single = np.random.default_rng([3, 30])
         drawn = [single.dirichlet(np.ones(5)) for _ in range(m)]
         assert np.array_equal(batched, np.stack(drawn + drawn[:1] * (4 - m)))

@@ -65,11 +65,26 @@ def test_draw_arrays_follow_the_ensemble_stream():
         members, prior = verify._draw_arrays(a, with_prior=with_prior)
         n, s = int(b.integers(2, 7)), int(b.integers(2, 13))
         assert members.shape == (n, s)
-        for row in members:
+        for row in verify._normalized(members):
             assert np.array_equal(row, b.dirichlet(np.ones(s)))
         assert (prior is None) == (not with_prior)
         if prior is not None:
-            assert np.array_equal(prior, b.dirichlet(np.ones(n)))
+            assert np.array_equal(verify._normalized(prior), b.dirichlet(np.ones(n)))
+
+
+@pytest.mark.parametrize("s", [*range(2, 13), 16, 64, 128, 200])
+def test_normalized_exponentials_are_flat_dirichlet_draws(s):
+    """Standard exponentials normalized by the helper carry exactly the
+    bits of numpy's flat Dirichlet draws of the same shape, and both leave
+    the stream at the same position."""
+    for m in (None, 1, 5):
+        a, b = np.random.default_rng([s, 1]), np.random.default_rng([s, 1])
+        shape = (s,) if m is None else (m, s)
+        rows = verify._normalized(a.standard_exponential(shape))
+        want = b.dirichlet(np.ones(s), size=m)
+        assert rows.shape == want.shape
+        assert rows.tobytes() == want.tobytes()
+        assert a.standard_exponential() == b.standard_exponential()
 
 
 @pytest.mark.parametrize(
