@@ -10,6 +10,7 @@ and the acceptance tests (which raise the trial counts).
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import time
@@ -1228,9 +1229,14 @@ def check_covariance_smoke(seed: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
+#: Marks a fixed check that ignores its seed in ``_SUITES``: its record is
+#: computed once per process and every suite run gets a deep copy of it.
+_SEED_FREE = "seed-free"
+
 #: Each suite's checks in report order, as (check, trial count, cap): a
 #: ``trials`` override replaces the count, clipped to the cap when there is
-#: one; a check with no count is fixed and runs on the seed alone.
+#: one.  A check with no count is fixed: ``None`` runs it on the seed alone,
+#: and ``_SEED_FREE`` marks one whose record is the same at every seed.
 _SUITES = {
     "core": (
         (check_product_marginals, 50, None),
@@ -1241,9 +1247,9 @@ _SUITES = {
     "mixture": (
         (check_weighted_soundness, 400, None),
         (check_uniform_floor_shape, 40, None),
-        (check_two_point_sharpness, None, None),
+        (check_two_point_sharpness, _SEED_FREE, None),
         (check_pair_inequalities, 400, None),
-        (check_pinsker_constant, None, None),
+        (check_pinsker_constant, _SEED_FREE, None),
         (check_named_bound_soundness, 400, None),
         (check_implicit_vs_oracle, 120, None),
     ),
@@ -1254,18 +1260,18 @@ _SUITES = {
         (check_covering_validity, 300, None),
     ),
     "entropy": (
-        (check_entropy_arithmetic, None, None),
-        (check_entropy_monotonicity, None, None),
+        (check_entropy_arithmetic, _SEED_FREE, None),
+        (check_entropy_monotonicity, _SEED_FREE, None),
         (check_entropy_finite_chain, 60, None),
-        (check_rate_contrast, None, None),
-        (check_ball_volumetrics, None, None),
+        (check_rate_contrast, _SEED_FREE, None),
+        (check_ball_volumetrics, _SEED_FREE, None),
     ),
     "constructions": (
-        (check_gilbert_varshamov_count, None, None),
+        (check_gilbert_varshamov_count, _SEED_FREE, None),
         (check_code_invariants, None, None),
         (check_spectral_separation, 100, 100),
         (check_kl_frobenius, 60, 100),
-        (check_cap_formulas, None, None),
+        (check_cap_formulas, _SEED_FREE, None),
         (check_support_packing, None, None),
         (check_covariance_smoke, None, None),
     ),
@@ -1277,23 +1283,37 @@ SUITE_NAMES = tuple(_SUITES)
 def run_suite(name: str = "all", seed: int = 0, trials=None, timings=None) -> dict:
     """Run one suite (or all) and return a deterministic report.
 
+    ``seed`` must be an integer >= 0 and ``trials`` None or an integer >= 1;
+    either is refused by name before any check runs.  The checks marked
+    ``_SEED_FREE`` run once per process: later calls get a deep copy of the
+    first record, so a caller may change its report freely.
+
     ``timings``, when a dict, receives each check's wall time in seconds
-    (``time.perf_counter``) as ``timings[suite][check]``; the report itself
-    carries no time."""
+    (``time.perf_counter``) as ``timings[suite][check]``, the copy's time
+    for a seed-free check already computed; the report itself carries no
+    time."""
     if name == "all":
         names = SUITE_NAMES
     elif name in _SUITES:
         names = (name,)
     else:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
+    _check_integer("seed", seed, 0)
+    if trials is not None:
+        _check_integer("trials", trials, 1)
     suites = {}
     for suite_name in names:
         checks = []
         for check, count, cap in _SUITES[suite_name]:
-            if count is not None and trials is not None:
-                count = trials if cap is None else min(trials, cap)
             start = time.perf_counter()
-            checks.append(check(seed) if count is None else check(seed, count))
+            if count is _SEED_FREE:
+                checks.append(_seed_free_record(check))
+            elif count is None:
+                checks.append(check(seed))
+            else:
+                if trials is not None:
+                    count = trials if cap is None else min(trials, cap)
+                checks.append(check(seed, count))
             if timings is not None:
                 timings.setdefault(suite_name, {})[checks[-1]["name"]] = (
                     time.perf_counter() - start
@@ -1307,3 +1327,19 @@ def run_suite(name: str = "all", seed: int = 0, trials=None, timings=None) -> di
         "suites": suites,
         "pass": all(s["pass"] for s in suites.values()),
     }
+
+
+def _check_integer(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+#: the first record of each seed-free check, keyed on the check alone
+_SEED_FREE_RECORDS: dict = {}
+
+
+def _seed_free_record(check) -> dict:
+    """A deep copy of a seed-free check's record, computed on first use."""
+    if check not in _SEED_FREE_RECORDS:
+        _SEED_FREE_RECORDS[check] = check(0)
+    return copy.deepcopy(_SEED_FREE_RECORDS[check])

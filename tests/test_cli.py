@@ -674,6 +674,25 @@ class TestEntryChecks:
     @pytest.mark.parametrize(
         "argv,message",
         [
+            (("--suite", "core", "--trials", "0"), "trials must be an integer >= 1, got 0"),
+            (("--suite", "jf", "--trials", "0"), "trials must be an integer >= 1, got 0"),
+            (("--suite", "constructions", "--trials", "0"), "trials must be an integer >= 1, got 0"),
+            (("--suite", "mixture", "--trials", "0"), "trials must be an integer >= 1, got 0"),
+            (("--suite", "all", "--trials", "-3"), "trials must be an integer >= 1, got -3"),
+            (("--suite", "all", "--seed", "-1"), "seed must be an integer >= 0, got -1"),
+        ],
+    )
+    def test_verify_bad_trials_and_seed_exit_1(self, capsys, argv, message):
+        """``--trials 0`` once printed a passing report that checked
+        nothing; the rest failed inside numpy without naming the flag."""
+        code = main(["verify", *argv])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
             (("divergence", "--model", "uniform_scale", "--theta0", "nan", "--theta1", "1", "--n", "2"),
              "theta0 must be a finite number, got nan"),
             (("divergence", "--model", "gaussian_location", "--theta1", "inf"),

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
+from scipy.sparse import coo_matrix
 
 from fdivbounds import testing_risk, verify
 from fdivbounds.distributions import DiscreteDistribution, Ensemble
@@ -302,6 +304,46 @@ class TestMinimaxTolerance:
             res = minimax_risk(ens, tol=tol)
         assert res.value == 0.75
         assert 0.0 <= res.duality_gap <= tol
+
+    @pytest.mark.parametrize("kind", ["seeded", "identical", "disjoint"])
+    def test_lone_lps_match_a_dense_reference(self, kind):
+        """Ensembles above BATCH_CELLS, each solved alone, certify a gap of
+        at most 1e-12 and match the prior LP written out here, solved at
+        the same feasibility tolerance."""
+        if kind == "seeded":
+            pmat = np.random.default_rng(7).dirichlet(np.ones(500), size=20)
+        elif kind == "identical":
+            pmat = np.tile(np.random.default_rng(8).dirichlet(np.ones(60)), (6, 1))
+        else:
+            pmat = np.kron(np.eye(5), np.full(20, 1.0 / 20))
+        n, s = pmat.shape
+        assert pmat.size > testing_risk.BATCH_CELLS
+        res = minimax_risks([pmat], tol=1e-12)[0]
+        assert 0.0 <= res.duality_gap <= 1e-12
+        # variables [w_0..w_{n-1}, t_0..t_{s-1}]: min sum t, w_theta p_theta(x) <= t_x
+        rows = np.arange(n * s)
+        theta, x = np.divmod(rows, s)
+        a_ub = coo_matrix(
+            (np.concatenate([pmat.ravel(), -np.ones(n * s)]),
+             (np.concatenate([rows, rows]), np.concatenate([theta, n + x]))),
+            shape=(n * s, n + s),
+        )
+        ref = linprog(
+            np.concatenate([np.zeros(n), np.ones(s)]),
+            A_ub=a_ub,
+            b_ub=np.zeros(n * s),
+            A_eq=np.concatenate([np.ones(n), np.zeros(s)])[None, :],
+            b_eq=[1.0],
+            bounds=[(0.0, None)] * n + [(None, None)] * s,
+            method="highs",
+            options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+        )
+        assert ref.status == 0
+        assert res.value == pytest.approx(1.0 - ref.fun, abs=1e-9)
+        if kind == "identical":
+            assert res.value == pytest.approx(1.0 - 1.0 / n, abs=1e-12)
+        if kind == "disjoint":
+            assert res.value == pytest.approx(0.0, abs=1e-12)
 
     def test_cli_tol_below_the_highs_floor_writes_no_stderr(self, tmp_path):
         path = tmp_path / "ens.json"

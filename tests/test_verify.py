@@ -1,6 +1,10 @@
-"""The helpers of the shape-batched verify sweeps."""
+"""The helpers of the shape-batched verify sweeps, and how ``run_suite``
+runs the checks of its table."""
 
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,8 @@ from fdivbounds import verify
 from fdivbounds.distributions import DiscreteDistribution, Ensemble, check_mass_rows
 from fdivbounds.divergences import builtin_generator
 from fdivbounds.informativity import CoveringFamily
+
+DATA = Path(__file__).parent / "data"
 
 
 def builtin_min_fold(start, values):
@@ -189,3 +195,124 @@ def test_array_sweeps_build_no_objects(check, monkeypatch):
         monkeypatch.setattr(cls, "__post_init__", counted)
     assert check(0, count)["pass"]
     assert built == []
+
+
+SEED_FREE = [
+    check
+    for checks in verify._SUITES.values()
+    for check, count, _ in checks
+    if count is verify._SEED_FREE
+]
+
+
+def test_the_eight_seed_free_checks_are_marked():
+    assert sorted(check.__name__ for check in SEED_FREE) == [
+        "check_ball_volumetrics",
+        "check_cap_formulas",
+        "check_entropy_arithmetic",
+        "check_entropy_monotonicity",
+        "check_gilbert_varshamov_count",
+        "check_pinsker_constant",
+        "check_rate_contrast",
+        "check_two_point_sharpness",
+    ]
+
+
+@pytest.mark.parametrize("check", SEED_FREE, ids=lambda c: c.__name__)
+def test_seed_free_checks_give_one_record_at_every_seed(check):
+    """Run fresh, a marked check gives the same record at seeds 0, 1 and
+    2**31 - 1, and at a seed no random generator accepts, so it never
+    reads its seed; a seeded check would differ or raise."""
+    want = json.dumps(check(0), sort_keys=True)
+    for seed in (1, 2**31 - 1, object()):
+        assert json.dumps(check(seed), sort_keys=True) == want
+
+
+def _mutate(value):
+    """Change every leaf of a report in place, lists included."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, leaf in list(items):
+        if isinstance(leaf, (dict, list)):
+            _mutate(leaf)
+            if isinstance(leaf, list):
+                leaf.append("appended")
+        else:
+            value[key] = "changed"
+
+
+def test_a_changed_report_leaves_the_next_report_alone():
+    golden = (DATA / "verify_all_seed0.json").read_text(encoding="utf-8")
+    first = verify.run_suite("all", 0)
+    short_at = next(
+        c["short_at"] for c in first["suites"]["constructions"]["checks"] if "short_at" in c
+    )
+    _mutate(first)
+    assert short_at[-1] == "appended"
+    second = verify.run_suite("all", 0)
+    assert json.dumps(second, sort_keys=True, indent=2) + "\n" == golden
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_two_reports_in_one_process_equal_the_golden_digest(seed):
+    digests = json.loads((DATA / "verify_all_sha256.json").read_text(encoding="utf-8"))
+    texts = [json.dumps(verify.run_suite("all", seed), sort_keys=True) for _ in range(2)]
+    assert texts[0] == texts[1]
+    assert hashlib.sha256(texts[0].encode()).hexdigest() == digests[str(seed)]
+
+
+def test_each_seed_free_check_runs_once_across_suite_runs(monkeypatch):
+    calls = []
+
+    def counted(check):
+        def run(seed):
+            calls.append(check.__name__)
+            return check(seed)
+
+        return run
+
+    suites = {
+        name: tuple(
+            (counted(check) if count is verify._SEED_FREE else check, count, cap)
+            for check, count, cap in checks
+        )
+        for name, checks in verify._SUITES.items()
+    }
+    monkeypatch.setattr(verify, "_SUITES", suites)
+    monkeypatch.setattr(verify, "_SEED_FREE_RECORDS", {})
+    first = verify.run_suite("all", 0)
+    second = verify.run_suite("all", 5)
+    assert sorted(calls) == sorted(check.__name__ for check in SEED_FREE)
+    names = {check.__name__.removeprefix("check_") for check in SEED_FREE}
+
+    def seed_free(report):
+        return [c for s in report["suites"].values() for c in s["checks"] if c["name"] in names]
+
+    assert len(seed_free(first)) == len(names)
+    assert seed_free(first) == seed_free(second)
+
+
+@pytest.mark.parametrize("suite", ["core", "mixture", "all"])
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"trials": 0}, "trials must be an integer >= 1, got 0"),
+        ({"trials": -3}, "trials must be an integer >= 1, got -3"),
+        ({"trials": 2.5}, "trials must be an integer >= 1, got 2.5"),
+        ({"trials": True}, "trials must be an integer >= 1, got True"),
+        ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+        ({"seed": 1.0}, "seed must be an integer >= 0, got 1.0"),
+    ],
+)
+def test_bad_trials_and_seeds_are_refused_before_any_check(suite, kwargs, message, monkeypatch):
+    """A trial count of 0 once passed with nothing checked, and the other
+    values failed inside numpy with messages that named neither."""
+    ran = []
+    suites = {
+        name: tuple(((lambda *args: ran.append(args)), count, cap) for _, count, cap in checks)
+        for name, checks in verify._SUITES.items()
+    }
+    monkeypatch.setattr(verify, "_SUITES", suites)
+    with pytest.raises(ValueError) as err:
+        verify.run_suite(suite, **kwargs)
+    assert str(err.value) == message
+    assert ran == []
