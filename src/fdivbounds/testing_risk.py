@@ -3,16 +3,18 @@
 The Bayes testing risk has the closed form 1 - sum_x max_theta w_theta
 p_theta(x), attained by the maximum-a-posteriori test.  The minimax testing
 risk is reported through its prior dual: the maximum of the Bayes risk over
-priors, which is computed exactly as a linear program.  The Bayes risk at
-the LP's prior is a certified lower bound on the minimax risk, and the
-worst-case error of the randomized test in the LP's duals a certified upper
-bound; their gap is reported, and bounded by the caller's tolerance.
+priors.  For two members it is found exactly by sorting the breakpoints of
+the Bayes risk in the prior; for more, it is a linear program.  The Bayes
+risk at the maximizing prior is a certified lower bound on the minimax risk,
+and the worst-case error of a randomized test (the one that equalizes the
+two errors, or the one in the LP's duals) a certified upper bound; their
+gap is reported, and bounded by the caller's tolerance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
@@ -70,13 +72,18 @@ class MinimaxResult:
 
     ``value`` is the Bayes risk at the witness ``prior``, a lower bound on
     the minimax risk.  ``value + duality_gap`` is the worst-case error of
-    the randomized test read from the LP's duals, an upper bound, so
-    ``duality_gap`` is the LP's primal-dual gap: the width of the interval
-    that holds the minimax risk."""
+    the certifying randomized test, an upper bound, so ``duality_gap`` is
+    the primal-dual gap: the width of the interval that holds the minimax
+    risk."""
 
     value: float
     prior: np.ndarray
     duality_gap: float
+    #: how the value was found, kept out of ``to_json`` and of equality:
+    #: ``method`` is ``two_point_sort``, ``highs_dual_simplex`` or
+    #: ``highs_ipm``, and ``iterations`` HiGHS's iteration count for the LP
+    #: that solved it (shared by the blocks of one LP), or None for the sort
+    diagnostics: dict = field(default_factory=dict, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -86,21 +93,27 @@ class MinimaxResult:
         }
 
 
-#: Ensembles with at most this many cells (members x support points) share
-#: a block-diagonal LP in ``minimax_risks``; larger ones get an LP each.
-#: Median time per ensemble, B ensembles in one LP against one ``linprog``
-#: call each (two runs, 2 vCPUs, one BLAS thread, scipy 1.17.1):
+#: Ensembles of three or more members with at most this many cells
+#: (members x support points) share a block-diagonal LP on the dual simplex
+#: in ``minimax_risks``; larger ones get an interior-point LP each.
+#: Two-member ensembles never reach an LP.  Median time per ensemble, B
+#: ensembles in one dual-simplex LP against one call each on the dual
+#: simplex and on the interior-point method (two runs of 5 reps, one of 3
+#: at 20 x 500; 2 vCPUs, one BLAS thread, scipy 1.17.1):
 #:
-#:     block size   B    one LP, per ensemble   separate calls
-#:     3 x 8        60   0.29-0.38 ms           3.1-5.2 ms
-#:     5 x 32       32   2.3-3.4 ms             3.6-3.8 ms
-#:     6 x 64       16   5.9-6.1 ms             5.9-6.4 ms
-#:     8 x 72        8   9.7-11.3 ms            7.7-8.2 ms
-#:     12 x 128      8   40-46 ms               21-24 ms
+#:     block size   B    one LP, per ensemble   dual simplex   interior point
+#:     3 x 8        60   0.21-0.22 ms           2.0 ms         2.2 ms
+#:     5 x 32       32   1.5 ms                 2.7-3.0 ms     3.0-3.5 ms
+#:     4 x 64       16   2.6-2.7 ms             3.5-3.6 ms     3.3-3.5 ms
+#:     6 x 64       16   4.4-4.6 ms             4.2-4.5 ms     3.9-4.2 ms
+#:     8 x 72        8   6.5-6.6 ms             5.6-5.7 ms     4.8-4.9 ms
+#:     12 x 128      8   27 ms                  15 ms          9.0-9.2 ms
+#:     20 x 500      2   316 ms                 232 ms         55 ms
 #:
 #: Below a few hundred cells ``linprog``'s input handling outweighs HiGHS's
 #: solve, and one call pays it once; above, the simplex on the joined LP
-#: costs more than the blocks alone.
+#: costs more than the blocks alone, and the interior-point method (with
+#: its crossover to a vertex) less than the simplex on each.
 BATCH_CELLS = 256
 
 #: The most cells one joined LP takes; more small ensembles start another.
@@ -124,7 +137,9 @@ def minimax_risks(ensembles, tol: float = 1e-6) -> list[MinimaxResult]:
     pmfs (``check_mass_rows``).
 
     The objective w -> 1 - sum_x max_theta w_theta p_theta(x) is concave and
-    piecewise linear, so the maximization is the exact linear program
+    piecewise linear.  For two members it is found exactly by a sort
+    (``_two_point_sort``), in O(S log S) and to rounding.  For more, the
+    maximization is the exact linear program
 
         min sum_x t_x  s.t.  t_x >= w_theta p_theta(x),  w in the simplex,
 
@@ -137,15 +152,17 @@ def minimax_risks(ensembles, tol: float = 1e-6) -> list[MinimaxResult]:
     1 - min_theta sum_x delta(theta|x) p_theta(x) is the certified upper
     value, and the Bayes risk at the LP's prior the lower one.
 
-    Ensembles of at most ``BATCH_CELLS`` cells are solved together as the
-    blocks of a block-diagonal LP, each with its own w, t and simplex row,
-    up to ``LP_CELLS`` cells per LP; larger ensembles are solved alone.
-    Results come back in input order, and an ensemble's prior, if it
-    carries one, is ignored.
+    Ensembles of at most ``BATCH_CELLS`` cells are solved together on the
+    dual simplex as the blocks of a block-diagonal LP, each with its own w,
+    t and simplex row, up to ``LP_CELLS`` cells per LP; larger ensembles
+    are solved alone on HiGHS's interior-point method, which then crosses
+    over to a vertex.  Results come back in input order, each naming its
+    method in ``diagnostics``, and an ensemble's prior, if it carries one,
+    is ignored.
 
     ``tol`` bounds the certified gap: a larger one raises, as does a solve
     that HiGHS does not report as optimal.  It also guards the prior: the
-    Bayes risk at the LP's prior may sit at most ``tol`` below the
+    Bayes risk at the found prior may sit at most ``tol`` below the
     uniform-prior Bayes risk, which the maximum never does; a smaller
     shortfall is replaced by the uniform prior, a larger one raises.
     """
@@ -155,23 +172,27 @@ def minimax_risks(ensembles, tol: float = 1e-6) -> list[MinimaxResult]:
         ens.pmf_matrix() if isinstance(ens, Ensemble) else _member_matrix(ens)
         for ens in ensembles
     ]
+    results: list = [None] * len(pmats)
     groups, batch, cells = [], [], 0
     for i, p in enumerate(pmats):
+        if p.shape[0] == 2:
+            w, test = _two_point_sort(p)
+            results[i] = _certify(p, w, test, tol, "two_point_sort", None)
+            continue
         if p.size > BATCH_CELLS:
-            groups.append([i])
+            groups.append(([i], "highs-ipm"))
             continue
         if cells + p.size > LP_CELLS:
-            groups.append(batch)
+            groups.append((batch, "highs-ds"))
             batch, cells = [], 0
         batch.append(i)
         cells += p.size
     if batch:
-        groups.append(batch)
-    results: list = [None] * len(pmats)
-    for group in groups:
-        solved = _solve_prior_lps([pmats[i] for i in group], tol / 10.0)
+        groups.append((batch, "highs-ds"))
+    for group, method in groups:
+        solved, nit = _solve_prior_lps([pmats[i] for i in group], tol / 10.0, method)
         for i, (w, duals) in zip(group, solved):
-            results[i] = _certify(pmats[i], w, duals, tol)
+            results[i] = _certify(pmats[i], w, duals, tol, _METHOD_NAMES[method], nit)
     return results
 
 
@@ -190,13 +211,53 @@ HIGHS_FEASIBILITY = 1e-7
 HIGHS_MIN_FEASIBILITY = 1e-10
 
 
-def _solve_prior_lps(pmats: list, feasibility: float) -> list:
-    """One block-diagonal LP over the prior LPs of ``pmats``, solved to a
-    primal and dual feasibility tolerance of min(HIGHS_FEASIBILITY,
-    ``feasibility``), clamped from below at HIGHS_MIN_FEASIBILITY; per
-    block, the prior part of the solution and the N x S duals of its rows.
-    The options are passed only to tighten the default: passing them costs
-    about 0.4 ms a call, 17% of a 2 x 8 solve."""
+#: diagnostics names of the ``linprog`` methods ``minimax_risks`` uses
+_METHOD_NAMES = {"highs-ds": "highs_dual_simplex", "highs-ipm": "highs_ipm"}
+
+
+def _two_point_sort(pmat: np.ndarray) -> tuple:
+    """The maximizing prior (w, 1 - w) of the two-member Bayes risk
+    R(w) = sum_x min(w p0(x), (1 - w) p1(x)), and the randomized test that
+    certifies it, as a 2 x S array of decision probabilities.
+
+    R is concave and piecewise linear with breakpoints w_x = p1(x) /
+    (p0(x) + p1(x)) at the live points (p0 + p1 > 0); its right slope at w
+    is sum_{w_x > w} p0 - sum_{w_x <= w} p1, which falls as w grows and is
+    -sum p1 past the last breakpoint, so the maximum sits at the first
+    sorted breakpoint where that slope is at most 0.  The test there decides member 0 where
+    w_x < w, member 1 where w_x > w, and on the tied points member 0 with
+    the probability that makes its two errors equal, so its worst-case
+    error is R(w); dead points go to member 0."""
+    p0, p1 = pmat
+    mass = p0 + p1
+    live = np.flatnonzero(mass > 0.0)
+    breaks = p1[live] / mass[live]
+    order = np.argsort(breaks, kind="stable")
+    b, q0, q1 = breaks[order], p0[live][order], p1[live][order]
+    below1 = np.cumsum(q1)
+    above0 = np.append(np.cumsum(q0[::-1])[-2::-1], 0.0)
+    # slopes right of each breakpoint, read at the last of its ties
+    last = np.append(b[1:] != b[:-1], True)
+    k = int(np.flatnonzero(last & (above0 <= below1))[0])
+    w = b[k]
+    first = int(np.searchsorted(b, w))
+    tied0, tied1 = q0[first : k + 1].sum(), q1[first : k + 1].sum()
+    before1 = below1[first - 1] if first else 0.0
+    # err0 = above0 + (1 - lam) tied0 equals err1 = before1 + lam tied1
+    lam = min(1.0, max(0.0, (above0[k] + tied0 - before1) / (tied0 + tied1)))
+    decide0 = np.ones(pmat.shape[1])
+    decide0[live] = np.where(breaks < w, 1.0, np.where(breaks > w, 0.0, lam))
+    return np.array([w, 1.0 - w]), np.vstack([decide0, 1.0 - decide0])
+
+
+def _solve_prior_lps(pmats: list, feasibility: float, method: str) -> tuple:
+    """One block-diagonal LP over the prior LPs of ``pmats``, solved by the
+    ``linprog`` ``method`` to a primal and dual feasibility tolerance of
+    min(HIGHS_FEASIBILITY, ``feasibility``), clamped from below at
+    HIGHS_MIN_FEASIBILITY: per block, the prior part of the solution and the
+    N x S duals of its rows, and HiGHS's iteration count.  The options are
+    passed only to tighten the default: passing them costs about 0.4 ms a
+    call, 17% of a 2 x 8 solve."""
     feasibility = max(feasibility, HIGHS_MIN_FEASIBILITY)
     ns = np.array([p.shape[0] for p in pmats])
     ss = np.array([p.shape[1] for p in pmats])
@@ -232,7 +293,7 @@ def _solve_prior_lps(pmats: list, feasibility: float) -> list:
         A_eq=a_eq,
         b_eq=np.ones(len(pmats)),
         bounds=bounds,
-        method="highs",
+        method=method,
         options=None
         if feasibility >= HIGHS_FEASIBILITY
         else {
@@ -243,18 +304,22 @@ def _solve_prior_lps(pmats: list, feasibility: float) -> list:
     if res.status != 0:
         raise RuntimeError(f"prior maximization failed to converge: {res.message}")
     duals = -res.ineqlin.marginals
-    return [
+    solved = [
         (
             res.x[var_off[k] : var_off[k] + ns[k]],
             duals[row_off[k] : row_off[k + 1]].reshape(ns[k], ss[k]),
         )
         for k in range(len(pmats))
     ]
+    return solved, int(res.nit)
 
 
-def _certify(pmat: np.ndarray, w: np.ndarray, duals: np.ndarray, tol: float) -> MinimaxResult:
-    """The lower value from the LP's prior, the upper value from the
-    randomized test in its duals, and the checks ``tol`` sets."""
+def _certify(
+    pmat: np.ndarray, w: np.ndarray, duals: np.ndarray, tol: float, method: str, iterations
+) -> MinimaxResult:
+    """The lower value from the found prior, the upper value from the
+    randomized test in ``duals`` (per point, unnormalized weights on the
+    members), and the checks ``tol`` sets."""
     n = pmat.shape[0]
     w = np.clip(w, 0.0, None)
     w = w / w.sum()
@@ -273,4 +338,9 @@ def _certify(pmat: np.ndarray, w: np.ndarray, duals: np.ndarray, tol: float) -> 
     # also refuses a NaN, from the prior or from a dual column summing to 0
     if not gap <= tol:
         raise RuntimeError(f"certified gap {gap!r} exceeds tol {tol!r}")
-    return MinimaxResult(value=float(value), prior=w, duality_gap=max(0.0, gap))
+    return MinimaxResult(
+        value=float(value),
+        prior=w,
+        duality_gap=max(0.0, gap),
+        diagnostics={"method": method, "iterations": iterations},
+    )

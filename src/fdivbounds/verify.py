@@ -215,9 +215,10 @@ def check_bayes_concavity(seed: int, trials: int) -> dict:
 def check_minimax_dominates_priors(seed: int, trials: int) -> dict:
     """The certified minimax risk dominates every drawn prior's Bayes risk,
     the uniform one included, stays below 1 - 1/N, and its certificate's
-    gap is at most 1e-9.  All member matrices are solved in one batch, and
-    each one's priors are scored against it, so members and priors are
-    normalized trial by trial."""
+    gap is at most 1e-9.  All member matrices go to one ``minimax_risks``
+    call, which sorts the two-member ones and solves the rest as one
+    block-diagonal LP, and each one's priors are scored against it, so
+    members and priors are normalized trial by trial."""
     rng = np.random.default_rng([seed, 13])
     tol = 1e-6
     members, priors = [], []

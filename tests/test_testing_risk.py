@@ -29,6 +29,33 @@ def ens_of(*rows, prior=None):
 TWO_POINT = ens_of([0.75, 0.25], [0.25, 0.75])
 
 
+def dense_prior_lp(pmat):
+    """The prior LP of one (N, S) member matrix written out densely and
+    solved on its own at feasibility 1e-10: min sum_x t_x s.t.
+    w_theta p_theta(x) <= t_x, w in the simplex, over [w_0..w_{N-1},
+    t_0..t_{S-1}]; 1 - fun is the minimax risk."""
+    n, s = pmat.shape
+    rows = np.arange(n * s)
+    theta, x = np.divmod(rows, s)
+    a_ub = coo_matrix(
+        (np.concatenate([pmat.ravel(), -np.ones(n * s)]),
+         (np.concatenate([rows, rows]), np.concatenate([theta, n + x]))),
+        shape=(n * s, n + s),
+    )
+    ref = linprog(
+        np.concatenate([np.zeros(n), np.ones(s)]),
+        A_ub=a_ub,
+        b_ub=np.zeros(n * s),
+        A_eq=np.concatenate([np.ones(n), np.zeros(s)])[None, :],
+        b_eq=[1.0],
+        bounds=[(0.0, None)] * n + [(None, None)] * s,
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert ref.status == 0
+    return ref
+
+
 def worst_case_error(ens, choice):
     """max_theta P_theta{T != theta}: the minimax value of one deterministic
     test, by a loop over the members."""
@@ -284,12 +311,15 @@ class TestStackedRisks:
 
 class TestMinimaxTolerance:
     def test_tol_below_highs_default_is_certified(self):
-        """At the default tolerance this 20 x 1000 ensemble certifies a gap
-        of about 1.4e-7, HiGHS's own feasibility tolerance; a tol of 1e-8
-        tightens the solve to match."""
+        """This 20 x 1000 ensemble is solved alone on the interior-point
+        method, which crosses over to a vertex: at the default tolerance it
+        certifies a gap of rounding size and matches the dense reference,
+        and a tol of 1e-8 certifies at most 1e-8."""
         rows = np.random.default_rng(3).dirichlet(np.ones(1000), size=20)
         ens = ens_of(*rows)
-        assert minimax_risk(ens).duality_gap > 1e-8
+        res = minimax_risk(ens)
+        assert 0.0 <= res.duality_gap <= 1e-12
+        assert res.value == pytest.approx(1.0 - dense_prior_lp(rows).fun, abs=1e-9)
         res = minimax_risk(ens, tol=1e-8)
         assert 0.0 <= res.duality_gap <= 1e-8
 
@@ -375,3 +405,106 @@ class TestMemberMatrices:
     def test_bad_matrices_are_refused(self, rows, message):
         with pytest.raises(ValueError, match=message):
             minimax_risks([TWO_POINT, np.array(rows)])
+
+
+#: two-member cases where the sort meets its degenerate inputs, with the
+#: minimax risk of each
+DEGENERATE_PAIRS = {
+    "identical": ([[0.4, 0.6], [0.4, 0.6]], 0.5),
+    "disjoint": ([[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]], 0.0),
+    "point_masses": ([[1.0, 0.0], [0.0, 1.0]], 0.0),
+    "subnormal_mass": ([[5e-324, 0.5, 0.5], [1 / 3, 1 / 3, 1 / 3]], 0.4),
+    "dead_point": ([[0.5, 0.0, 0.5], [0.25, 0.0, 0.75]], 0.4),
+    # breakpoints 2/7, 1/2, 1/2, 8/13: the maximum is at the tied pair
+    "tied_breakpoints": ([[0.25] * 4, [0.25, 0.25, 0.1, 0.4]], 0.425),
+}
+
+
+def _two_member_matrices():
+    """Seeded 2 x S member matrices up to S = 2000; every third has half of
+    its first member's points zeroed."""
+    rng = np.random.default_rng(26)
+    out = []
+    for i, s in enumerate([2, 3, 4, 7, 16, 33, 64, 128, 129, 300, 777, 2000]):
+        pmat = rng.dirichlet(np.ones(s), size=2)
+        if i % 3 == 2:
+            pmat[0, rng.choice(s, size=s // 2, replace=False)] = 0.0
+            pmat[0] /= pmat[0].sum()
+        out.append(pmat)
+    return out
+
+
+class TestTwoPointSort:
+    @pytest.mark.parametrize("as_ensembles", [False, True])
+    def test_matches_a_dense_reference(self, as_ensembles):
+        pmats = _two_member_matrices()
+        batch = [ens_of(*p) for p in pmats] if as_ensembles else pmats
+        results = minimax_risks(batch, tol=1e-12)
+        for pmat, res in zip(pmats, results):
+            assert res.diagnostics["method"] == "two_point_sort"
+            assert res.value == pytest.approx(1.0 - dense_prior_lp(pmat).fun, abs=1e-12)
+            assert 0.0 <= res.duality_gap <= 1e-15
+
+    @pytest.mark.parametrize("case", sorted(DEGENERATE_PAIRS))
+    def test_degenerate_pairs(self, case):
+        rows, expected = DEGENERATE_PAIRS[case]
+        pmat = np.array(rows)
+        res = minimax_risks([pmat], tol=1e-12)[0]
+        assert res.value == pytest.approx(expected, abs=1e-15)
+        assert res.value == pytest.approx(1.0 - dense_prior_lp(pmat).fun, abs=1e-12)
+        attained = bayes_risk_exact(ens_of(*rows, prior=res.prior))
+        assert attained == pytest.approx(res.value, abs=1e-15)
+        assert 0.0 <= res.duality_gap <= 1e-15
+        _, test = testing_risk._two_point_sort(pmat)
+        assert np.allclose(test.sum(axis=0), 1.0, rtol=0.0, atol=1e-15)
+        err0, err1 = 1.0 - (test * pmat).sum(axis=1)
+        assert err0 == pytest.approx(err1, abs=1e-15)
+
+    def test_mixed_list_keeps_input_order(self):
+        rng = np.random.default_rng(27)
+        shapes = [(2, 5), (3, 8), (2, 300), (4, 100), (2, 2), (5, 6), (2, 64)]
+        pmats = [rng.dirichlet(np.ones(s), size=n) for n, s in shapes]
+        results = minimax_risks(pmats)
+        for pmat, res in zip(pmats, results):
+            alone = minimax_risks([pmat])[0]
+            assert res.prior.shape == (pmat.shape[0],)
+            assert res.diagnostics["method"] == alone.diagnostics["method"]
+            if pmat.shape[0] == 2:
+                assert res.value == alone.value
+                assert res.duality_gap == alone.duality_gap
+                assert np.array_equal(res.prior, alone.prior)
+            else:
+                assert res.value == pytest.approx(alone.value, abs=1e-12)
+                assert res.duality_gap <= 1e-9
+
+
+class TestDiagnostics:
+    @pytest.mark.parametrize(
+        "n,s,method",
+        [
+            (2, 2, "two_point_sort"),
+            (2, 128, "two_point_sort"),
+            (2, 129, "two_point_sort"),
+            (2, 2000, "two_point_sort"),
+            (3, 8, "highs_dual_simplex"),
+            (4, 64, "highs_dual_simplex"),
+            (3, 86, "highs_ipm"),
+            (12, 128, "highs_ipm"),
+        ],
+    )
+    def test_method_pins_the_route(self, n, s, method):
+        pmat = np.random.default_rng(n * s).dirichlet(np.ones(s), size=n)
+        if n > 2:
+            assert (pmat.size > testing_risk.BATCH_CELLS) == (method == "highs_ipm")
+        diagnostics = minimax_risks([pmat])[0].diagnostics
+        assert diagnostics["method"] == method
+        if method == "two_point_sort":
+            assert diagnostics["iterations"] is None
+        else:
+            assert isinstance(diagnostics["iterations"], int)
+            assert diagnostics["iterations"] >= 0
+
+    def test_kept_out_of_json_and_equality(self):
+        res = minimax_risk(TWO_POINT)
+        assert set(res.to_json()) == {"value", "prior", "duality_gap"}
+        assert dataclasses.replace(res, diagnostics={"method": "other"}) == res
