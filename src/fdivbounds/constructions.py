@@ -318,39 +318,83 @@ def build_cov_family(
 
 
 def spectral_separation(fam: CovarianceFamily, tau, tau_prime) -> tuple[float, float]:
-    """(achieved, guaranteed) spectral-norm separation of two family members.
+    """(achieved, guaranteed) spectral-norm separation of two family members;
+    see :func:`spectral_separations`."""
+    achieved, guaranteed = spectral_separations(fam, [tau], [tau_prime])
+    return float(achieved[0]), float(guaranteed[0])
 
-    achieved comes from a dense eigensolver; guaranteed is the exact harmonic
-    tail times sqrt(hamming/k) and never exceeds achieved (up to 1e-10).
+
+def spectral_separations(fam: CovarianceFamily, taus, tau_primes) -> tuple:
+    """(achieved, guaranteed) spectral-norm separations of the pairs of
+    family members ``taus[b]``, ``tau_primes[b]`` (B, k), as two (B,) arrays.
+
+    Two members differ only in the off-diagonal block and its transpose,
+    where the difference is ``base[:k, k:] * tau - base[:k, k:] * tau'`` row
+    by row: the bits of ``materialize(tau) - materialize(tau')``.  achieved
+    is the largest eigenvalue magnitude of each difference, from one stacked
+    symmetric eigensolve; guaranteed is the exact harmonic tail times
+    sqrt(hamming/k) and never exceeds achieved (up to 1e-10).  A pair of
+    equal members, or a tau of the wrong length, raises ValueError.
     """
-    tau = np.asarray(tau)
-    tau_prime = np.asarray(tau_prime)
-    ups = hamming_distance(tau, tau_prime)
-    if ups == 0:
+    taus = np.asarray(taus, dtype=float)
+    tau_primes = np.asarray(tau_primes, dtype=float)
+    if taus.shape != tau_primes.shape or taus.ndim != 2 or taus.shape[1] != fam.k:
+        raise ValueError(f"tau must have length {fam.k}")
+    ups = np.count_nonzero(taus != tau_primes, axis=1)
+    if not ups.all():
         raise ValueError("tau and tau_prime must differ")
-    diff = fam.materialize(tau) - fam.materialize(tau_prime)
-    achieved = float(np.abs(np.linalg.eigvalsh(diff)).max())
-    guaranteed = fam.harmonic_tail() * math.sqrt(ups / fam.k)
+    block = fam.base[: fam.k, fam.k :]
+    edge = block * taus[:, :, None] - block * tau_primes[:, :, None]
+    diffs = np.zeros((len(taus), fam.p, fam.p))
+    diffs[:, : fam.k, fam.k :] = edge
+    diffs[:, fam.k :, : fam.k] = edge.transpose(0, 2, 1)
+    achieved = np.abs(np.linalg.eigvalsh(diffs)).max(axis=1)
+    guaranteed = fam.harmonic_tail() * np.sqrt(ups / fam.k)
     return achieved, guaranteed
+
+
+def _whitened_eigenvalues(sigma0: np.ndarray, sigma1: np.ndarray) -> np.ndarray:
+    """The eigenvalues, ascending, of B = L^-1 S0 L^-T with S1 = L L^T: one
+    Cholesky factor, two triangular solves (B is L^-1 X^T for
+    X = L^-1 S0, as S0 is symmetric) and one symmetric eigensolve.  B has
+    the eigenvalues of S1^-1 S0 and is positive definite exactly when S0
+    is.  A non-finite entry, or a matrix that is not positive definite,
+    raises ValueError."""
+    sigma0 = np.asarray(sigma0, dtype=float)
+    sigma1 = np.asarray(sigma1, dtype=float)
+    if sigma0.shape != sigma1.shape or sigma0.ndim != 2 or sigma0.shape[0] != sigma0.shape[1]:
+        raise ValueError("covariances must be square matrices of equal order")
+    if not sigma0.size:
+        raise ValueError("covariances must have at least one row")
+    if not (np.isfinite(sigma0).all() and np.isfinite(sigma1).all()):
+        raise ValueError("covariance matrices must be finite")
+    try:
+        chol = np.linalg.cholesky(sigma1)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("covariance matrices must be positive definite") from exc
+    # LAPACK's triangular solve on its own: the bits of
+    # scipy.linalg.solve_triangular without its 10-15 us of input handling
+    half, _ = linalg.lapack.dtrtrs(chol, sigma0, lower=1)
+    whitened, _ = linalg.lapack.dtrtrs(chol, half.T, lower=1)
+    evals = np.linalg.eigvalsh(whitened)
+    if not (evals > 0.0).all():
+        raise ValueError("covariance matrices must be positive definite")
+    return evals
+
+
+def _kl_from_eigenvalues(evals: np.ndarray) -> float:
+    """Single-sample KL(N(0,S0)||N(0,S1)) from the eigenvalues of
+    B = L^-1 S0 L^-T: (tr(B) - p - log det B) / 2, summed per eigenvalue as
+    (lam - 1 - log lam) / 2, which keeps the cancellation of tr(B) - p from
+    costing relative accuracy when the KL is small."""
+    return float(((evals - 1.0) - np.log(evals)).sum()) / 2.0
 
 
 def gaussian_kl(sigma0: np.ndarray, sigma1: np.ndarray, n: int = 1) -> float:
     """KL between n-fold products of centered Gaussians:
-    n (tr(S1^-1 S0) - p + log det S1 - log det S0) / 2."""
-    sigma0 = np.asarray(sigma0, dtype=float)
-    sigma1 = np.asarray(sigma1, dtype=float)
-    if sigma0.shape != sigma1.shape or sigma0.ndim != 2:
-        raise ValueError("covariances must be square matrices of equal order")
-    p = sigma0.shape[0]
-    try:
-        chol1 = linalg.cho_factor(sigma1, lower=True)
-        chol0 = linalg.cho_factor(sigma0, lower=True)
-    except linalg.LinAlgError as exc:
-        raise ValueError("covariance matrices must be positive definite") from exc
-    trace_term = float(np.trace(linalg.cho_solve(chol1, sigma0)))
-    logdet1 = 2.0 * float(np.log(np.diag(chol1[0])).sum())
-    logdet0 = 2.0 * float(np.log(np.diag(chol0[0])).sum())
-    return n * (trace_term - p + logdet1 - logdet0) / 2.0
+    n (tr(S1^-1 S0) - p + log det S1 - log det S0) / 2, from the one
+    Cholesky factor of S1 (:func:`_whitened_eigenvalues`)."""
+    return n * _kl_from_eigenvalues(_whitened_eigenvalues(sigma0, sigma1))
 
 
 @dataclass(frozen=True)
@@ -361,15 +405,14 @@ class KlFrobeniusReport:
     c_spec: float
 
 
-def _quadratic_form_constant(sigma0: np.ndarray, sigma1: np.ndarray) -> float:
+def _quadratic_form_constant(sigma1: np.ndarray, evals: np.ndarray) -> float:
     """C with KL(N(0,S0)||N(0,S1)) <= C ||S0 - S1||_F^2, from the extreme
-    eigenvalues: C = 1/(2 lam_min(S1)^2 min(1, lam_min(B))) where
-    B = S1^(-1/2) S0 S1^(-1/2)."""
-    evals1 = np.linalg.eigvalsh(sigma1)
-    lam_min1 = float(evals1.min())
-    b = linalg.solve(sigma1, sigma0)
-    lam_min_b = float(np.real(np.linalg.eigvals(b)).min())
-    return 1.0 / (2.0 * lam_min1**2 * min(1.0, lam_min_b))
+    eigenvalues: C = 1/(2 lam_min(S1)^2 min(1, lam_min(B))), where
+    B = L^-1 S0 L^-T with S1 = L L^T has the eigenvalues of S1^-1 S0 and is
+    symmetric, so ``evals`` comes from a symmetric eigensolve
+    (:func:`_whitened_eigenvalues`)."""
+    lam_min1 = float(np.linalg.eigvalsh(sigma1)[0])
+    return 1.0 / (2.0 * lam_min1**2 * min(1.0, float(evals[0])))
 
 
 def kl_frobenius_check(fam: CovarianceFamily, tau, m: int) -> KlFrobeniusReport:
@@ -381,7 +424,9 @@ def kl_frobenius_check(fam: CovarianceFamily, tau, m: int) -> KlFrobeniusReport:
 
     The reported c_spec certifies exact_kl <= c_spec * frobenius_sq via a
     quadratic-form bound computed from the extreme eigenvalues; no claim
-    about any external constant is made.
+    about any external constant is made.  Both read one Cholesky factor of
+    A(tau') and the eigenvalues of the whitened B = L^-1 A(tau) L^-T
+    (:func:`_whitened_eigenvalues`).
     """
     tau = np.asarray(tau, dtype=float)
     if not 1 <= m < fam.k:
@@ -394,9 +439,10 @@ def kl_frobenius_check(fam: CovarianceFamily, tau, m: int) -> KlFrobeniusReport:
     tail = fam.frobenius_tail(m)
     if np.array_equal(tau, tau_prime):
         return KlFrobeniusReport(0.0, 0.0, tail, 0.0)
-    exact = gaussian_kl(a0, a1, n=1)
-    c_spec = _quadratic_form_constant(a0, a1)
-    return KlFrobeniusReport(exact, frob_sq, tail, c_spec)
+    evals = _whitened_eigenvalues(a0, a1)
+    return KlFrobeniusReport(
+        _kl_from_eigenvalues(evals), frob_sq, tail, _quadratic_form_constant(a1, evals)
+    )
 
 
 def covariance_minimax_bound(

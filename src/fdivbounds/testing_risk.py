@@ -3,12 +3,12 @@
 The Bayes testing risk has the closed form 1 - sum_x max_theta w_theta
 p_theta(x), attained by the maximum-a-posteriori test.  The minimax testing
 risk is reported through its prior dual: the maximum of the Bayes risk over
-priors.  For two members it is found exactly by sorting the breakpoints of
-the Bayes risk in the prior; for more, it is a linear program.  The Bayes
-risk at the maximizing prior is a certified lower bound on the minimax risk,
-and the worst-case error of a randomized test (the one that equalizes the
-two errors, or the one in the LP's duals) a certified upper bound; their
-gap is reported, and bounded by the caller's tolerance.
+priors.  For one member it is 0; for two it is found exactly by sorting
+the breakpoints of the Bayes risk in the prior; for more, it is a linear
+program.  The Bayes risk at the maximizing prior is a certified lower bound
+on the minimax risk, and the worst-case error of a randomized test (the one
+that equalizes the two errors, or the one in the LP's duals) a certified
+upper bound; their gap is reported, and bounded by the caller's tolerance.
 """
 
 from __future__ import annotations
@@ -80,10 +80,23 @@ class MinimaxResult:
     prior: np.ndarray
     duality_gap: float
     #: how the value was found, kept out of ``to_json`` and of equality:
-    #: ``method`` is ``two_point_sort``, ``highs_dual_simplex`` or
-    #: ``highs_ipm``, and ``iterations`` HiGHS's iteration count for the LP
-    #: that solved it (shared by the blocks of one LP), or None for the sort
+    #: ``method`` is ``closed_form`` (one member), ``two_point_sort``,
+    #: ``highs_dual_simplex`` or ``highs_ipm``, and ``iterations`` HiGHS's
+    #: iteration count for the LP that solved it (shared by the blocks of one
+    #: LP), or None where no LP ran
     diagnostics: dict = field(default_factory=dict, compare=False)
+
+    def __eq__(self, other) -> bool:
+        """Equal value, gap and prior entries; the generated equality would
+        compare the prior arrays with ``==``, whose truth value is
+        ambiguous."""
+        if not isinstance(other, MinimaxResult):
+            return NotImplemented
+        return (
+            self.value == other.value
+            and self.duality_gap == other.duality_gap
+            and np.array_equal(self.prior, other.prior)
+        )
 
     def to_json(self) -> dict:
         return {
@@ -96,7 +109,7 @@ class MinimaxResult:
 #: Ensembles of three or more members with at most this many cells
 #: (members x support points) share a block-diagonal LP on the dual simplex
 #: in ``minimax_risks``; larger ones get an interior-point LP each.
-#: Two-member ensembles never reach an LP.  Median time per ensemble, B
+#: One- and two-member ensembles never reach an LP.  Median time per ensemble, B
 #: ensembles in one dual-simplex LP against one call each on the dual
 #: simplex and on the interior-point method (two runs of 5 reps, one of 3
 #: at 20 x 500; 2 vCPUs, one BLAS thread, scipy 1.17.1):
@@ -137,7 +150,8 @@ def minimax_risks(ensembles, tol: float = 1e-6) -> list[MinimaxResult]:
     pmfs (``check_mass_rows``).
 
     The objective w -> 1 - sum_x max_theta w_theta p_theta(x) is concave and
-    piecewise linear.  For two members it is found exactly by a sort
+    piecewise linear.  For one member it is 0, certified by the test that
+    always decides that member.  For two members it is found exactly by a sort
     (``_two_point_sort``), in O(S log S) and to rounding.  For more, the
     maximization is the exact linear program
 
@@ -175,6 +189,10 @@ def minimax_risks(ensembles, tol: float = 1e-6) -> list[MinimaxResult]:
     results: list = [None] * len(pmats)
     groups, batch, cells = [], [], 0
     for i, p in enumerate(pmats):
+        if p.shape[0] == 1:
+            # always deciding the only member never errs: no solve needed
+            results[i] = _certify(p, np.ones(1), np.ones_like(p), tol, "closed_form", None)
+            continue
         if p.shape[0] == 2:
             w, test = _two_point_sort(p)
             results[i] = _certify(p, w, test, tol, "two_point_sort", None)

@@ -552,9 +552,11 @@ def grid_informativity(gen: DivergenceGenerator, pmat: np.ndarray, step: float =
     localizes the optimum and the refinement is exhaustive at the final
     resolution.
 
-    The objective separates over points, sum_x phi_x(q_x), so the coarse
-    sweep (:func:`_coarse_objective`) evaluates each member's term once per
-    distinct value of a grid column and gathers the terms cell by cell; the
+    The objective separates over points, sum_x phi_x(q_x), and the coarse
+    grid is a lattice on which each column depends on its leading indices
+    only, so the coarse sweep (:func:`_coarse_objective`) evaluates each
+    member's term on a leading column's own lattice axes and broadcasts it,
+    and on each distinct value of the last two columns and gathers it; the
     refinement evaluates its small grids whole (:func:`_grid_objective`).
     Both give the same values bit for bit."""
     s = pmat.shape[1]
@@ -604,19 +606,36 @@ def _grid_objective(gen: DivergenceGenerator, pmat: np.ndarray, qs: np.ndarray) 
 
 def _coarse_objective(gen: DivergenceGenerator, pmat: np.ndarray, step: float) -> np.ndarray:
     """:func:`_grid_objective` over the whole of ``_simplex_grid(S, step)``,
-    bit for bit, from the grid's distinct column values.
+    bit for bit, on the grid's lattice (:func:`_grid_columns`).
 
-    Each member's row sum is its terms added column by column, left to
-    right, and the members' sums are added in member order, as
-    ``_grid_objective`` adds them."""
-    (first, cells), *rest = _grid_columns(pmat.shape[1], step)
-    rows = _terms(gen, pmat[:, :1], first).take(cells, axis=1)
-    for x, (values, cells) in enumerate(rest, start=1):
-        rows += _terms(gen, pmat[:, x, None], values).take(cells, axis=1)
-    total = np.zeros(rows.shape[1])
-    for row in rows:
-        total = total + row
-    return total / pmat.shape[0]
+    The leading columns' terms are evaluated on their own lattice axes and
+    added by broadcasting; the last two columns' terms are evaluated once
+    per distinct value and gathered, one member at a time into two reused
+    lattice-sized buffers.  Each member's row sum is its terms added column
+    by column, left to right, and the members' sums are added in member
+    order, as ``_grid_objective`` adds them; the in-place adds keep that
+    order."""
+    leading, ((values0, cells0), (values1, cells1)) = _grid_columns(pmat.shape[1], step)
+    lattice = cells0.shape
+    p = pmat.reshape(pmat.shape + (1,) * len(lattice))
+    lead = [_terms(gen, p[:, x], values) for x, values in enumerate(leading)]
+    lead = functools.reduce(np.add, lead) if lead else None
+    x = len(leading)
+    terms0 = _terms(gen, pmat[:, x, None], values0)
+    terms1 = _terms(gen, pmat[:, x + 1, None], values1)
+    total = np.zeros(lattice)
+    row = np.empty(lattice)
+    term = np.empty(lattice)
+    for n in range(pmat.shape[0]):
+        # the cells index into the values by construction; a mode other
+        # than "raise" lets take write straight into its out buffer
+        np.take(terms0[n], cells0, out=row, mode="clip")
+        if lead is not None:
+            np.add(lead[n], row, out=row)
+        np.take(terms1[n], cells1, out=term, mode="clip")
+        row += term
+        total += row
+    return total.ravel() / pmat.shape[0]
 
 
 @functools.lru_cache(maxsize=16)
@@ -642,18 +661,32 @@ def _simplex_grid(s: int, step: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _grid_columns(s: int, step: float) -> tuple:
-    """Per column of ``_simplex_grid(s, step)``: its distinct values and
-    each cell's index into them.  The later columns are products of
-    scaled ticks, so they hold more than 1/step + 1 values (at s = 4 and
-    step 0.02: 51, 904, 12,996 and 22,928 of 132,651 cells), still far
-    fewer than the cells.  Cached and read-only, like the grid."""
-    columns = []
-    for col in _simplex_grid(s, step).T:
+    """The columns of ``_simplex_grid(s, step)`` on its lattice: the grid's
+    rows are the cells of a (1/step + 1)^(s - 1) lattice in C order, and
+    column x depends only on the first min(x + 1, s - 1) lattice indices.
+
+    Returns (leading, gathered).  ``leading`` holds columns 0 to s - 3,
+    column x as an array of the lattice's shape with every axis past the
+    x-th of length 1, ready to broadcast.  ``gathered`` holds the last two
+    columns, which span the whole lattice, as their distinct values and
+    each cell's index into them, in the lattice's shape; they hold more
+    than 1/step + 1 values (at s = 4 and step 0.02: 12,996 and 22,928 of
+    132,651 cells), still far fewer than the cells.  Cached and read-only,
+    like the grid."""
+    grid = _simplex_grid(s, step)
+    lattice = (int(round(1.0 / step)) + 1,) * (s - 1)
+    leading = []
+    for x in range(s - 2):
+        axes = tuple(slice(None) if a <= x else slice(0, 1) for a in range(s - 1))
+        leading.append(grid[:, x].reshape(lattice)[axes])
+    gathered = []
+    for col in grid[:, s - 2 :].T:
         values, cells = np.unique(col, return_inverse=True)
+        cells = cells.reshape(lattice)
         values.setflags(write=False)
         cells.setflags(write=False)
-        columns.append((values, cells))
-    return tuple(columns)
+        gathered.append((values, cells))
+    return tuple(leading), tuple(gathered)
 
 
 def informativity_oracle_draws(seed: int, trials: int) -> list:
@@ -1084,18 +1117,26 @@ def check_code_invariants(seed: int) -> dict:
     return _record("code_invariants", ok, **details)
 
 
+def _distinct_pairs(rng: np.random.Generator, k: int, count: int) -> tuple:
+    """``count`` seeded pairs of words in {0,1}^k as two (B, k) arrays of
+    the B pairs that differ: equal pairs are dropped.  One ``rng.integers``
+    call draws them all; it takes the same bits from the stream, and leaves
+    it in the same state, as one call per word would (the bit generator
+    keeps the unused half of a 64-bit draw for the next call)."""
+    pairs = rng.integers(0, 2, size=(count, 2, k))
+    kept = pairs[(pairs[:, 0] != pairs[:, 1]).any(axis=1)]
+    return kept[:, 0], kept[:, 1]
+
+
 def check_spectral_separation(seed: int, trials: int) -> dict:
+    """The guaranteed separation never exceeds the achieved one, on
+    ``trials`` seeded pairs per family, each family's pairs in one call."""
     rng = np.random.default_rng([seed, 50])
     worst = math.inf
     for p, k, alpha in ((8, 3, 0.5), (12, 4, 1.0), (16, 6, 2.0)):
         fam = cons.build_cov_family(p, k, alpha)
-        for _ in range(trials):
-            tau = rng.integers(0, 2, size=k)
-            tau_prime = rng.integers(0, 2, size=k)
-            if np.array_equal(tau, tau_prime):
-                continue
-            achieved, guaranteed = cons.spectral_separation(fam, tau, tau_prime)
-            worst = min(worst, achieved - guaranteed)
+        achieved, guaranteed = cons.spectral_separations(fam, *_distinct_pairs(rng, k, trials))
+        worst = _fold_min(worst, achieved - guaranteed)
     return _record(
         "spectral_separation", worst >= -1e-10, trials=3 * trials, worst_slack=worst
     )
@@ -1201,14 +1242,8 @@ def check_covariance_smoke(seed: int) -> dict:
     k = report.intermediates["k"]
     fam = cons.build_cov_family(report.inputs["p"], k, 1.0)
     rng = np.random.default_rng([seed, 52])
-    worst = math.inf
-    for _ in range(10):
-        tau = rng.integers(0, 2, size=k)
-        tau_prime = rng.integers(0, 2, size=k)
-        if np.array_equal(tau, tau_prime):
-            continue
-        achieved, guaranteed = cons.spectral_separation(fam, tau, tau_prime)
-        worst = min(worst, achieved - guaranteed)
+    achieved, guaranteed = cons.spectral_separations(fam, *_distinct_pairs(rng, k, 10))
+    worst = _fold_min(math.inf, achieved - guaranteed)
     rep = cons.kl_frobenius_check(fam, np.ones(k), report.intermediates["m"])
     ok = (
         report.lower_bound > 0

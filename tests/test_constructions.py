@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import linalg as scipy_linalg
 
 from fdivbounds.constructions import (
     build_cov_family,
@@ -14,6 +15,7 @@ from fdivbounds.constructions import (
     hamming_distance,
     kl_frobenius_check,
     spectral_separation,
+    spectral_separations,
     sphere_packing_points,
     support_packing_bound,
     varshamov_gilbert_code,
@@ -267,6 +269,45 @@ class TestSpectralSeparation:
             assert achieved >= guaranteed - 1e-10
             checked += 1
 
+    @pytest.mark.parametrize(
+        "shape", [(8, 3, 0.5), (12, 4, 1.0), (16, 6, 2.0), "covariance_smoke"]
+    )
+    def test_batch_equals_the_single_pair_formula(self, shape):
+        """The stacked kernel gives, bit for bit, what one pair at a time
+        gives through the two dense members: the three verify families and
+        the family of ``covariance_minimax_bound(64, 1.0)``."""
+        if shape == "covariance_smoke":
+            report = covariance_minimax_bound(64, 1.0)
+            k = report.intermediates["k"]
+            fam = build_cov_family(report.inputs["p"], k, 1.0)
+        else:
+            fam = build_cov_family(*shape)
+        rng = np.random.default_rng(41)
+        pairs = rng.integers(0, 2, size=(40, 2, fam.k))
+        pairs = pairs[(pairs[:, 0] != pairs[:, 1]).any(axis=1)]
+        achieved, guaranteed = spectral_separations(fam, pairs[:, 0], pairs[:, 1])
+        for (tau, tau_prime), got, floor in zip(pairs, achieved, guaranteed):
+            diff = fam.materialize(tau) - fam.materialize(tau_prime)
+            expected = float(np.abs(np.linalg.eigvalsh(diff)).max())
+            ups = hamming_distance(tau, tau_prime)
+            assert got.hex() == expected.hex()
+            assert floor.hex() == (fam.harmonic_tail() * math.sqrt(ups / fam.k)).hex()
+            assert spectral_separation(fam, tau, tau_prime) == (got, floor)
+
+    def test_batch_refuses_equal_pairs_and_wrong_lengths(self):
+        fam = build_cov_family(8, 3, 1.0, 4.0)
+        with pytest.raises(ValueError, match="differ"):
+            spectral_separations(fam, [[1, 0, 1], [0, 0, 1]], [[0, 0, 1], [0, 0, 1]])
+        for taus, tau_primes in (
+            ([[1, 0]], [[0, 0]]),
+            ([[1, 0, 1, 0]], [[0, 0, 1, 0]]),
+            ([[1, 0, 1]], [[0, 0, 1], [1, 1, 1]]),
+        ):
+            with pytest.raises(ValueError, match="length 3"):
+                spectral_separations(fam, taus, tau_primes)
+        with pytest.raises(ValueError, match="length 3"):
+            spectral_separation(fam, [1, 0], [0, 0])
+
     def test_harmonic_tail_dominates_inverse_power(self):
         # S_k >= 2^(-alpha-1) k^(-alpha) / delta: the closed-form floor
         for alpha in (0.5, 1.0, 2.0):
@@ -310,6 +351,21 @@ class TestGaussianKl:
     def test_non_positive_definite_rejected(self):
         with pytest.raises(ValueError):
             gaussian_kl(np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2), 1)
+        with pytest.raises(ValueError, match="positive definite"):
+            gaussian_kl(np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]), 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        sigma = np.array([[1.0, bad], [bad, 1.0]])
+        for args in ((sigma, np.eye(2)), (np.eye(2), sigma)):
+            with pytest.raises(ValueError, match="finite"):
+                gaussian_kl(*args)
+
+    def test_empty_and_mismatched_rejected(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            gaussian_kl(np.zeros((0, 0)), np.zeros((0, 0)))
+        with pytest.raises(ValueError, match="equal order"):
+            gaussian_kl(np.eye(2), np.eye(3))
 
 
 class TestKlFrobenius:
@@ -359,6 +415,58 @@ class TestKlFrobenius:
             assert fam.gershgorin_interval() == pytest.approx(
                 (1.0 - radius, 1.0 + radius), rel=1e-14, abs=0
             )
+
+    @staticmethod
+    def _seeded_truncations(seed, count):
+        """``count`` (A(tau), A(tau'), report) triples with k from 3 to 8,
+        drawn as the verify check draws them, truncations that change
+        nothing left out."""
+        rng = np.random.default_rng(seed)
+        out = []
+        while len(out) < count:
+            k = int(rng.integers(3, 9))
+            p = 2 * k + int(rng.integers(0, 4))
+            fam = build_cov_family(p, k, float(rng.uniform(0.5, 2.0)))
+            tau = rng.integers(0, 2, size=k).astype(float)
+            m = int(rng.integers(1, k))
+            rep = kl_frobenius_check(fam, tau, m)
+            if rep.frobenius_sq > 0:
+                tau_prime = tau.copy()
+                tau_prime[: m - 1] = 0.0
+                out.append((fam.materialize(tau), fam.materialize(tau_prime), rep))
+        return out
+
+    def test_one_cholesky_matches_the_general_solves(self):
+        """exact_kl and c_spec agree with the route through a general
+        solve of S1^-1 S0 and its non-symmetric eigenvalues to 1e-12
+        relative.  The KL also gets an absolute floor of 2 p eps, the
+        rounding of the p-term trace the reference cancels against p: at a
+        KL near 1e-7 that reference is only good to about 1e-9 relative."""
+        eps = np.finfo(float).eps
+        for s0, s1, rep in self._seeded_truncations(29, 200):
+            p = s0.shape[0]
+            b = scipy_linalg.solve(s1, s0)
+            kl = 0.5 * (np.trace(b) - p + np.linalg.slogdet(s1)[1] - np.linalg.slogdet(s0)[1])
+            lam_b = float(np.real(np.linalg.eigvals(b)).min())
+            c_spec = 1.0 / (2.0 * np.linalg.eigvalsh(s1).min() ** 2 * min(1.0, lam_b))
+            assert rep.exact_kl == pytest.approx(kl, rel=1e-12, abs=2 * p * eps)
+            assert rep.c_spec == pytest.approx(c_spec, rel=1e-12, abs=0)
+            assert gaussian_kl(s0, s1, 3) == 3 * rep.exact_kl
+
+    def test_kl_against_high_precision(self):
+        """Summed per eigenvalue of the whitened matrix, the KL keeps its
+        relative accuracy when it is small: within 1e-11 of a 30-digit
+        evaluation of (tr(S1^-1 S0) - p + log det S1 - log det S0) / 2."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            for s0, s1, rep in self._seeded_truncations(37, 8):
+                m0, m1 = mpmath.matrix(s0.tolist()), mpmath.matrix(s1.tolist())
+                ratio = m1**-1 * m0
+                trace = mpmath.fsum(ratio[i, i] for i in range(s0.shape[0]))
+                exact = (
+                    trace - s0.shape[0] + mpmath.log(mpmath.det(m1)) - mpmath.log(mpmath.det(m0))
+                ) / 2
+                assert rep.exact_kl == pytest.approx(float(exact), rel=1e-11, abs=0)
 
     def test_tail_decay_bounded(self):
         fam = build_cov_family(24, 8, 1.0)

@@ -508,3 +508,52 @@ class TestDiagnostics:
         res = minimax_risk(TWO_POINT)
         assert set(res.to_json()) == {"value", "prior", "duality_gap"}
         assert dataclasses.replace(res, diagnostics={"method": "other"}) == res
+
+
+class TestEquality:
+    @pytest.mark.parametrize("n,s", [(2, 5), (3, 8), (4, 100)])
+    def test_two_independent_solves_compare_equal(self, n, s):
+        """Two solves of one ensemble give distinct prior arrays; they
+        compare by their entries, without raising."""
+        ens = ens_of(*np.random.default_rng(n * s).dirichlet(np.ones(s), size=n))
+        first, second = minimax_risk(ens), minimax_risk(ens)
+        assert first.prior is not second.prior
+        assert first == second
+        assert not first != second
+
+    def test_differences_compare_unequal(self):
+        res = minimax_risk(ens_of([0.6, 0.3, 0.1], [0.1, 0.3, 0.6], [0.3, 0.4, 0.3]))
+        assert res != dataclasses.replace(res, prior=res.prior[::-1].copy())
+        assert res != dataclasses.replace(res, value=res.value + 1e-12)
+        assert res != dataclasses.replace(res, duality_gap=res.duality_gap + 1e-12)
+        assert res != res.to_json()
+
+
+class TestOneMember:
+    @pytest.mark.parametrize("row", [[0.3, 0.7], [1.0], [0.2, 0.0, 0.5, 0.3]])
+    def test_closed_form_without_an_lp(self, row, monkeypatch):
+        """A lone member is decided without error: risk 0, gap 0, prior
+        [1], and no linear program runs."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("linprog ran for a one-member ensemble")
+
+        monkeypatch.setattr(testing_risk, "linprog", refuse)
+        res = minimax_risks([np.array([row])])[0]
+        assert res.value == 0.0
+        assert res.duality_gap == 0.0
+        assert res.prior.tolist() == [1.0]
+        assert res.diagnostics == {"method": "closed_form", "iterations": None}
+
+    def test_mixed_list_keeps_input_order(self):
+        rng = np.random.default_rng(28)
+        pmats = [rng.dirichlet(np.ones(s), size=n) for n, s in ((1, 4), (3, 5), (1, 2), (2, 6))]
+        results = minimax_risks(pmats)
+        assert [r.diagnostics["method"] for r in results] == [
+            "closed_form",
+            "highs_dual_simplex",
+            "closed_form",
+            "two_point_sort",
+        ]
+        for pmat, res in zip(pmats, results):
+            assert res == minimax_risks([pmat])[0]

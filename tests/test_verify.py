@@ -78,6 +78,26 @@ def test_draw_arrays_follow_the_ensemble_stream():
             assert np.array_equal(verify._normalized(prior), b.dirichlet(np.ones(n)))
 
 
+@pytest.mark.parametrize("k", [1, 3, 4, 6, 44, 45])
+def test_distinct_pairs_follow_the_word_at_a_time_stream(k):
+    """One draw of all the pairs gives the words that one ``integers``
+    call per word gives, keeps the pairs that differ in draw order, and
+    leaves the stream where the word-at-a-time calls leave it."""
+    for seed, count in ((0, 1), (3, 10), (5, 100)):
+        a, b = np.random.default_rng([seed, 50]), np.random.default_rng([seed, 50])
+        taus, tau_primes = verify._distinct_pairs(a, k, count)
+        kept = []
+        for _ in range(count):
+            tau, tau_prime = b.integers(0, 2, size=k), b.integers(0, 2, size=k)
+            if not np.array_equal(tau, tau_prime):
+                kept.append((tau, tau_prime))
+        assert taus.shape == tau_primes.shape == (len(kept), k)
+        for tau, tau_prime, (want, want_prime) in zip(taus, tau_primes, kept):
+            assert np.array_equal(tau, want) and np.array_equal(tau_prime, want_prime)
+        assert a.bit_generator.state == b.bit_generator.state
+        assert a.random() == b.random()
+
+
 @pytest.mark.parametrize("s", [*range(2, 13), 16, 64, 128, 200])
 def test_normalized_exponentials_are_flat_dirichlet_draws(s):
     """Standard exponentials normalized by the helper carry exactly the
