@@ -193,15 +193,14 @@ def map_reference_masses(w, pmats, qs) -> np.ndarray:
     return (picked[..., None, :] @ qs[..., :, None])[..., 0, 0]
 
 
-def weighted_divergence_sums(gen: DivergenceGenerator, w, pmats, qs) -> np.ndarray:
+def weighted_sums(w, divs) -> np.ndarray:
     """sum_theta w_theta D_f(P_theta || Q) for B stacked instances: priors
-    w (B, N), members (B, N, S) and references (B, S), from one kernel
-    call.  Zero-weight members are skipped, so an infinite divergence of
-    theirs does not count.  Each sum is one dot product of the weights
-    with the divergences; an instance with a zero weight drops those
-    members before its dot product, so every sum has the bits of a
-    one-instance call."""
-    divs = divergence_matrix(gen, pmats, qs[:, None, :])[..., 0]
+    w (B, N) and the members' divergences to the reference, ``divs``
+    (B, N), as :func:`.divergences.divergence_matrix` gives them.
+    Zero-weight members are skipped, so an infinite divergence of theirs
+    does not count.  Each sum is one dot product of the weights with the
+    divergences; an instance with a zero weight drops those members before
+    its dot product, so every sum has the bits of a one-instance call."""
     with np.errstate(invalid="ignore"):  # 0 * inf: such a sum is redone or set below
         sums = (w[:, None, :] @ divs[:, :, None])[:, 0, 0]
     for b in np.flatnonzero(w.min(axis=1) == 0.0):

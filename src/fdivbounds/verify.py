@@ -14,6 +14,7 @@ import copy
 import functools
 import math
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,7 +62,7 @@ from .mixture_bounds import (
     two_point_target,
     uniform_divergence_floor,
     weighted_divergence_floor,
-    weighted_divergence_sums,
+    weighted_sums,
 )
 from .testing_risk import (
     bayes_risks,
@@ -101,7 +102,8 @@ def _draw_arrays(
     (2 <= s <= support_max), n x s standard exponentials for the members
     and n for the prior, or None.  :func:`_normalized` makes them the
     flat-Dirichlet members and prior that n + 1 single Dirichlet draws
-    would give; :func:`_stacked` does that once per shape group."""
+    would give; :func:`_stacked` does that once per shape group, and
+    :func:`_by_support` once per support size."""
     n = int(rng.integers(2, n_max + 1))
     s = int(rng.integers(2, support_max + 1))
     members = rng.standard_exponential((n, s))
@@ -127,10 +129,83 @@ def _by_shape(arrays) -> list:
 
 
 def _stacked(arrays, idx, name: str = "pmf") -> np.ndarray:
-    """The raw draws ``arrays`` at ``idx`` stacked and normalized
-    (:func:`_normalized`), every row checked as the distribution classes
-    check a pmf or a prior (``check_mass_rows``)."""
+    """The raw draws ``arrays`` at ``idx``, which share one shape, stacked
+    and normalized (:func:`_normalized`), every row checked as the
+    distribution classes check a pmf or a prior (``check_mass_rows``).
+    The checks whose library calls average over the member axis stack
+    each (members x points) shape group (:func:`_by_shape`); the others
+    use :func:`_by_support`."""
     return check_mass_rows(_normalized(np.stack([arrays[i] for i in idx])), name)
+
+
+class _SupportGroup(NamedTuple):
+    """The trials of one support size s, from :func:`_by_support`."""
+
+    #: the trials' indices, in draw order
+    idx: np.ndarray
+    #: each trial's member count n
+    counts: np.ndarray
+    #: every member row, normalized and checked, trial after trial (R, s)
+    rows: np.ndarray
+    #: True at each trial's real members (B, n_max)
+    live: np.ndarray
+    #: each trial's rows, zero past its count (B, n_max, s)
+    members: np.ndarray
+
+    def divergences(self, gen: DivergenceGenerator, qs) -> np.ndarray:
+        """D_f(P_theta||Q) of every member row against its trial's
+        reference, ``qs`` (B, s), in one kernel call on the flat rows,
+        laid out per trial (B, n_max), zero past each trial's count."""
+        paired = np.repeat(qs, self.counts, axis=0)[:, None]
+        out = np.zeros(self.live.shape)
+        out[self.live] = divergence_matrix(gen, self.rows[:, None], paired)[:, 0, 0]
+        return out
+
+    def priors(self, arrays) -> np.ndarray:
+        """Raw per-trial draws ``arrays`` (..., n) zero-padded to n_max
+        entries (B, ..., n_max), then normalized and checked as
+        :func:`_stacked` does.  The zeros leave each row's total, and so
+        its normalized entries, with the bits of the unpadded row."""
+        lead = np.shape(arrays[self.idx[0]])[:-1]
+        raw = np.zeros((len(self.idx),) + lead + self.live.shape[1:])
+        for j, (i, n) in enumerate(zip(self.idx, self.counts)):
+            raw[j, ..., :n] = arrays[i]
+        return check_mass_rows(_normalized(raw), "prior")
+
+
+def _by_support(members) -> list:
+    """The raw member draws ``members`` (each n x s) grouped by support
+    size s alone, in order of first appearance, as :class:`_SupportGroup`:
+    at most 11 groups in verify's sweeps, where (n, s) shapes give up to
+    55, each paying its own stacking, row check and library calls.
+
+    Every member row is normalized and checked once, as the flat rows
+    (R, s) that the divergence kernel reads paired with its trial's
+    reference (:meth:`_SupportGroup.divergences`), and laid out per trial
+    with zero rows past each count (B, n_max, s) for the maxima,
+    argmaxima and member sums.  A check reads the same bits as one (n, s)
+    group would give it, because
+    - the kernel reduces over points only, so each row's divergence is
+      that of its own call;
+    - the zero rows come after the real members, so they change no max
+      of the non-negative w_theta p_theta(x) and no first-index argmax;
+    - a sum over the member axis adds them last, and adding 0 to a sum
+      of fewer than 8 terms (added left to right) changes no bit.
+    The weights of a weighted sum are not padded: a zero weight sends
+    :func:`.mixture_bounds.weighted_sums` down its per-instance loop, one
+    dot product per trial, to redo the 0 * inf = NaN of a padded row."""
+    groups: dict = {}
+    for i, arr in enumerate(members):
+        groups.setdefault(arr.shape[-1], []).append(i)
+    out = []
+    for idx in groups.values():
+        counts = np.array([len(members[i]) for i in idx])
+        rows = check_mass_rows(_normalized(np.concatenate([members[i] for i in idx])))
+        live = np.arange(counts.max()) < counts[:, None]
+        padded = np.zeros(live.shape + rows.shape[1:])
+        padded[live] = rows
+        out.append(_SupportGroup(np.array(idx), counts, rows, live, padded))
+    return out
 
 
 def _fold_min(start: float, values) -> float:
@@ -183,10 +258,10 @@ def check_map_achieves_bayes(seed: int, trials: int) -> dict:
         members.append(pmat)
         priors.append(np.ones(len(pmat)) if prior is None else prior)
     gaps = np.empty(trials)
-    for _, idx in _by_shape(members):
-        pmats, w = _stacked(members, idx), _stacked(priors, idx, "prior")
+    for group in _by_support(members):
+        pmats, w = group.members, group.priors(priors)
         errors = error_probabilities(w, pmats, map_tests(w, pmats))
-        gaps[idx] = np.abs(errors - bayes_risks(w, pmats))
+        gaps[group.idx] = np.abs(errors - bayes_risks(w, pmats))
     worst = _fold_max(0.0, gaps)
     return _record("map_achieves_bayes", worst <= 1e-12, trials=trials, worst_error=worst)
 
@@ -202,12 +277,12 @@ def check_bayes_concavity(seed: int, trials: int) -> dict:
         firsts.append(rng.standard_exponential(len(pmat)))
         seconds.append(rng.standard_exponential(len(pmat)))
     slacks = np.empty(trials)
-    for _, idx in _by_shape(members):
-        pmats = _stacked(members, idx)
-        w1, w2 = _stacked(firsts, idx, "prior"), _stacked(seconds, idx, "prior")
+    for group in _by_support(members):
+        pmats = group.members
+        w1, w2 = group.priors(firsts), group.priors(seconds)
         mid = check_mass_rows((w1 + w2) / 2.0, "prior")
         halves = (bayes_risks(w1, pmats) + bayes_risks(w2, pmats)) / 2.0
-        slacks[idx] = bayes_risks(mid, pmats) - halves
+        slacks[group.idx] = bayes_risks(mid, pmats) - halves
     worst = _fold_min(math.inf, slacks)
     return _record("bayes_concavity", worst >= -1e-12, trials=trials, worst_slack=worst)
 
@@ -216,25 +291,30 @@ def check_minimax_dominates_priors(seed: int, trials: int) -> dict:
     """The certified minimax risk dominates every drawn prior's Bayes risk,
     the uniform one included, stays below 1 - 1/N, and its certificate's
     gap is at most 1e-9.  All member matrices go to one ``minimax_risks``
-    call, which sorts the two-member ones and solves the rest as one
-    block-diagonal LP, and each one's priors are scored against it, so
-    members and priors are normalized trial by trial."""
+    call, in draw order, which sorts the two-member ones and solves the
+    rest as one block-diagonal LP; the six priors of each trial (the
+    uniform one kept raw as ones) are scored with one Bayes-risk call per
+    support size."""
     rng = np.random.default_rng([seed, 13])
     tol = 1e-6
     members, priors = [], []
     for _ in range(trials):
         pmat, _ = _draw_arrays(rng, n_max=4, support_max=8)
-        members.append(_normalized(pmat))
-        priors.append(_normalized(rng.standard_exponential((5, len(pmat)))))
+        members.append(pmat)
+        priors.append(np.vstack([rng.standard_exponential((5, len(pmat))), np.ones(len(pmat))]))
+    groups = _by_support(members)
+    for group in groups:  # the normalized members, in draw order
+        for j, (i, n) in enumerate(zip(group.idx, group.counts)):
+            members[i] = group.members[j, :n]
     results = minimax_risks(members, tol=tol)
+    values = np.array([res.value for res in results])
     slacks = np.empty((trials, 7))
-    for t, (pmat, drawn, res) in enumerate(zip(members, priors, results)):
-        n = len(pmat)
-        w = check_mass_rows(np.vstack([drawn, np.full(n, 1.0 / n)]), "prior")
-        risks = bayes_risks(w, pmat)
-        slacks[t, :5] = res.value + tol - risks[:5]
-        slacks[t, 5] = res.value - risks[5]
-        slacks[t, 6] = 1.0 - 1.0 / n + 1e-12 - res.value
+    for group in groups:
+        risks = bayes_risks(group.priors(priors), group.members[:, None])
+        at = values[group.idx]
+        slacks[group.idx, :5] = at[:, None] + tol - risks[:, :5]
+        slacks[group.idx, 5] = at - risks[:, 5]
+        slacks[group.idx, 6] = 1.0 - 1.0 / group.counts + 1e-12 - at
     worst = _fold_min(math.inf, slacks)
     worst_gap = _fold_max(0.0, [res.duality_gap for res in results])
     return _record(
@@ -255,8 +335,10 @@ def check_weighted_soundness(seed: int, trials: int) -> dict:
     """The central sweep: random ensembles, priors, references, and every
     built-in generator; the weighted divergence sum must dominate the floor.
     Trials whose MAP reference mass W is 0 or 1 are skipped, and an
-    infinite sum is counted as checked.  One kernel call per shape and
-    generator, and one floor call per generator."""
+    infinite sum is counted as checked.  One kernel call per support size
+    and generator on the member rows (:func:`_by_support`), one
+    weighted-sum call per member count and generator, and one floor call
+    per generator."""
     rng = np.random.default_rng([seed, 20])
     gens = default_generators()
     members, priors, refs = [], [], []
@@ -274,19 +356,29 @@ def check_weighted_soundness(seed: int, trials: int) -> dict:
         members.append(pmat)
         priors.append(prior)
         refs.append(q)
-    # per trial: W, the Bayes risk and each generator's sum; the floor is
-    # elementwise, so each generator gets one floor call over all trials
+    # per trial: W, the Bayes risk, the prior and each member's divergence
+    # per generator, padded past the member count; then each generator's
+    # sums per member count, unpadded; the floor is elementwise, so each
+    # generator gets one floor call over all trials
+    ns = np.array([len(pmat) for pmat in members])
     w_mass, rbar = np.empty(trials), np.empty(trials)
-    sums = np.empty((trials, len(gens)))
-    for _, idx in _by_shape(members):
-        pmats, w = _stacked(members, idx), _stacked(priors, idx, "prior")
+    weights = np.zeros((trials, ns.max()))
+    divs = np.zeros((len(gens), trials, ns.max()))
+    for group in _by_support(members):
+        idx, pmats, w = group.idx, group.members, group.priors(priors)
         qs, raw = np.stack([refs[i] for i in idx]), ~dead[idx]
         qs[raw] = _normalized(qs[raw])  # dead-point references came normalized
         check_mass_rows(qs)
         w_mass[idx] = map_reference_masses(w, pmats, qs)
         rbar[idx] = bayes_risks(w, pmats)
+        weights[idx, : w.shape[1]] = w
         for g, gen in enumerate(gens):
-            sums[idx, g] = weighted_divergence_sums(gen, w, pmats, qs)
+            divs[g, idx, : w.shape[1]] = group.divergences(gen, qs)
+    sums = np.empty((trials, len(gens)))
+    for n in np.unique(ns):
+        at = ns == n
+        for g in range(len(gens)):
+            sums[at, g] = weighted_sums(weights[at, :n], divs[g, at, :n])
     valid = (0.0 < w_mass) & (w_mass < 1.0)
     # slack per (trial, generator); NaN where nothing is checked
     slacks = np.full((trials, len(gens)), math.nan)
@@ -738,8 +830,8 @@ def check_informativity_oracles(
 
 def check_compensation_identity(seed: int, trials: int) -> dict:
     """sum KL(P_theta||Q) = sum KL(P_theta||mixture) + N KL(mixture||Q),
-    with three kernel calls per shape; each sum over members is added in
-    member order."""
+    with three kernel calls per support size (:func:`_by_support`); each
+    sum over members, the mixture's included, is added in member order."""
     rng = np.random.default_rng([seed, 31])
     kl = builtin_generator("kl")
     members, refs = [], []
@@ -748,16 +840,18 @@ def check_compensation_identity(seed: int, trials: int) -> dict:
         members.append(pmat)
         refs.append(rng.standard_exponential(pmat.shape[1]))
     errors = np.empty(trials)
-    for (n, _), idx in _by_shape(members):
-        pmats, qs = _stacked(members, idx), _stacked(refs, idx)[:, None]
-        mix = check_mass_rows(pmats.mean(axis=1))[:, None]
-        to_q = divergence_matrix(kl, pmats, qs)[..., 0]
-        to_mix = divergence_matrix(kl, pmats, mix)[..., 0]
+    for group in _by_support(members):
+        pmats, counts, qs = group.members, group.counts, _stacked(refs, group.idx)
+        total = pmats[:, 0]
+        for i in range(1, pmats.shape[1]):
+            total = total + pmats[:, i]
+        mix = check_mass_rows(total / counts[:, None])
+        to_q, to_mix = group.divergences(kl, qs), group.divergences(kl, mix)
         lhs, rhs = to_q[:, 0], to_mix[:, 0]
-        for i in range(1, n):
+        for i in range(1, pmats.shape[1]):
             lhs, rhs = lhs + to_q[:, i], rhs + to_mix[:, i]
-        rhs = rhs + n * divergence_matrix(kl, mix, qs)[:, 0, 0]
-        errors[idx] = np.abs(lhs - rhs)
+        rhs = rhs + counts * divergence_matrix(kl, mix[:, None], qs[:, None])[:, 0, 0]
+        errors[group.idx] = np.abs(lhs - rhs)
     worst = _fold_max(0.0, errors)
     return _record(
         "compensation_identity", worst <= 1e-10, trials=trials, worst_error=worst

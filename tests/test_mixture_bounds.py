@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from fdivbounds.distributions import DiscreteDistribution, Ensemble
-from fdivbounds.divergences import builtin_generator, default_generators, total_variation
+from fdivbounds.divergences import (
+    builtin_generator,
+    default_generators,
+    divergence_matrix,
+    total_variation,
+)
 from fdivbounds.informativity import closed_forms
 from fdivbounds.mixture_bounds import (
     ensemble_statistics,
@@ -19,13 +24,20 @@ from fdivbounds.mixture_bounds import (
     two_point_pairs,
     two_point_sums,
     weighted_divergence_floor,
-    weighted_divergence_sums,
+    weighted_sums,
 )
 from fdivbounds.testing_risk import bayes_risk_exact
 from fdivbounds.verify import check_weighted_soundness, minimize_two_points
 
 KL = builtin_generator("kl")
 CHI2 = builtin_generator("chi2")
+
+
+def weighted_divergence_sums(gen, w, pmats, qs):
+    """sum_theta w_theta D_f(P_theta||Q) of B stacked instances (priors
+    (B, N), members (B, N, S), references (B, S)): the paired kernel call
+    and ``weighted_sums``."""
+    return weighted_sums(w, divergence_matrix(gen, pmats, qs[:, None, :])[..., 0])
 
 
 class TestWeightedDivergenceFloor:

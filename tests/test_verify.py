@@ -1,5 +1,6 @@
-"""The helpers of the shape-batched verify sweeps, and how ``run_suite``
-runs the checks of its table."""
+"""The helpers of the batched verify sweeps, the support-size sweeps
+against trial-at-a-time references, and how ``run_suite`` runs the checks
+of its table."""
 
 import hashlib
 import json
@@ -11,8 +12,14 @@ import pytest
 
 from fdivbounds import verify
 from fdivbounds.distributions import DiscreteDistribution, Ensemble, check_mass_rows
-from fdivbounds.divergences import builtin_generator
+from fdivbounds.divergences import builtin_generator, default_generators, divergence_matrix
 from fdivbounds.informativity import CoveringFamily
+from fdivbounds.mixture_bounds import (
+    map_reference_masses,
+    weighted_divergence_floor,
+    weighted_sums,
+)
+from fdivbounds.testing_risk import bayes_risks, error_probabilities, map_tests
 
 DATA = Path(__file__).parent / "data"
 
@@ -143,6 +150,155 @@ def test_by_shape_groups_in_first_appearance_order():
     assert [list(idx) for _, idx in groups] == [[0, 2], [1], [3]]
 
 
+def test_by_support_groups_by_point_count_in_first_appearance_order():
+    """Trials group by point count alone, in order of first appearance;
+    each member row, prior and divergence has the bits of its own trial,
+    and past a trial's member count the rows, prior entries and
+    divergences are zero."""
+    rng = np.random.default_rng(4)
+    shapes = [(2, 3), (3, 4), (4, 3), (2, 4), (3, 3)]
+    members = [rng.standard_exponential(shape) for shape in shapes]
+    priors = [rng.standard_exponential((2, n)) for n, _ in shapes]
+    groups = verify._by_support(members)
+    assert [g.members.shape for g in groups] == [(3, 4, 3), (2, 3, 4)]
+    assert [list(g.idx) for g in groups] == [[0, 2, 4], [1, 3]]
+    assert [list(g.counts) for g in groups] == [[2, 4, 3], [3, 2]]
+    kl = builtin_generator("kl")
+    for g in groups:
+        w = g.priors(priors)
+        assert w.shape == (len(g.idx), 2, g.members.shape[1])
+        flat = np.concatenate([verify._normalized(members[i]) for i in g.idx])
+        assert g.rows.tobytes() == flat.tobytes()
+        qs = verify._normalized(rng.standard_exponential((len(g.idx), g.members.shape[2])))
+        divs = g.divergences(kl, qs)
+        for j, (i, n) in enumerate(zip(g.idx, g.counts)):
+            p = verify._normalized(members[i])
+            assert g.members[j, :n].tobytes() == p.tobytes()
+            assert g.live[j].tolist() == [k < n for k in range(g.members.shape[1])]
+            assert w[j, :, :n].tobytes() == verify._normalized(priors[i]).tobytes()
+            assert divs[j, :n].tobytes() == divergence_matrix(kl, p, qs[j][None])[:, 0].tobytes()
+            assert not g.members[j, n:].any() and not w[j, :, n:].any() and not divs[j, n:].any()
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ([0.5, math.nan, 1.0], "pmf has a non-finite entry"),
+        ([0.5, -0.2, 1.0], "negative probability entry"),
+    ],
+)
+def test_by_support_refuses_a_malformed_row_by_name(row, message):
+    members = [np.ones((2, 3)), np.array([[1.0, 2.0, 3.0], row]), np.ones((3, 3))]
+    with pytest.raises(ValueError, match=message):
+        verify._by_support(members)
+
+
+def test_support_group_priors_refuse_a_malformed_row_by_name():
+    (group,) = verify._by_support([np.ones((2, 3)), np.ones((3, 3))])
+    with pytest.raises(ValueError, match="negative prior entry"):
+        group.priors([np.ones(2), np.array([1.0, -0.5, 1.0])])
+    with pytest.raises(ValueError, match="prior has a non-finite entry"):
+        group.priors([np.array([1.0, math.nan]), np.ones(3)])
+
+
+# Trial-at-a-time references for the sweeps that group by support size:
+# each trial is drawn, normalized and scored alone, in draw order, and the
+# worst value is folded with the builtin min or max.
+
+
+def reference_map_achieves_bayes(seed, trials):
+    rng = np.random.default_rng([seed, 11])
+    worst = 0.0
+    for _ in range(trials):
+        with_prior = bool(rng.integers(0, 2))
+        pmat, prior = verify._draw_arrays(rng, with_prior=with_prior)
+        p = verify._normalized(pmat)
+        w = verify._normalized(np.ones(len(p)) if prior is None else prior)
+        errors = error_probabilities(w, p, map_tests(w, p))
+        worst = max(worst, float(abs(errors - bayes_risks(w, p))))
+    return {"name": "map_achieves_bayes", "pass": worst <= 1e-12, "trials": trials,
+            "worst_error": worst}
+
+
+def reference_bayes_concavity(seed, trials):
+    rng = np.random.default_rng([seed, 12])
+    worst = math.inf
+    for _ in range(trials):
+        pmat, _ = verify._draw_arrays(rng)
+        w1 = verify._normalized(rng.standard_exponential(len(pmat)))
+        w2 = verify._normalized(rng.standard_exponential(len(pmat)))
+        p = verify._normalized(pmat)
+        halves = (bayes_risks(w1, p) + bayes_risks(w2, p)) / 2.0
+        worst = min(worst, float(bayes_risks((w1 + w2) / 2.0, p) - halves))
+    return {"name": "bayes_concavity", "pass": worst >= -1e-12, "trials": trials,
+            "worst_slack": worst}
+
+
+def reference_weighted_soundness(seed, trials):
+    rng = np.random.default_rng([seed, 20])
+    gens = default_generators()
+    worst, checked = math.inf, 0
+    for t in range(trials):
+        pmat, prior = verify._draw_arrays(rng, with_prior=True)
+        s = pmat.shape[1]
+        q = verify._normalized(rng.standard_exponential(s))
+        if t % 7 == 0 and s > 2:
+            q[int(rng.integers(0, s))] = 0.0
+            q = q / q.sum()
+        p, w = verify._normalized(pmat), verify._normalized(prior)
+        w_mass = map_reference_masses(w, p, q)
+        if not 0.0 < w_mass < 1.0:
+            continue
+        checked += len(gens)
+        rbar = bayes_risks(w, p)
+        for gen in gens:
+            total = weighted_sums(w[None], divergence_matrix(gen, p, q[None])[None, :, 0])[0]
+            if not math.isinf(total):
+                worst = min(worst, float(total - weighted_divergence_floor(gen, w_mass, rbar)))
+    return {"name": "weighted_soundness", "pass": worst >= -1e-9, "trials": checked,
+            "worst_slack": worst}
+
+
+def reference_compensation_identity(seed, trials):
+    rng = np.random.default_rng([seed, 31])
+    kl = builtin_generator("kl")
+    worst = 0.0
+    for _ in range(trials):
+        pmat, _ = verify._draw_arrays(rng, n_max=5, support_max=8)
+        q = verify._normalized(rng.standard_exponential(pmat.shape[1]))[None]
+        p = verify._normalized(pmat)
+        mix = p.mean(axis=0)[None]
+        to_q = divergence_matrix(kl, p, q)[:, 0]
+        to_mix = divergence_matrix(kl, p, mix)[:, 0]
+        lhs, rhs = to_q[0], to_mix[0]
+        for i in range(1, len(p)):
+            lhs, rhs = lhs + to_q[i], rhs + to_mix[i]
+        rhs = rhs + len(p) * divergence_matrix(kl, mix, q)[0, 0]
+        worst = max(worst, float(abs(lhs - rhs)))
+    return {"name": "compensation_identity", "pass": worst <= 1e-10, "trials": trials,
+            "worst_error": worst}
+
+
+SUPPORT_SWEEPS = {
+    verify.check_map_achieves_bayes: reference_map_achieves_bayes,
+    verify.check_bayes_concavity: reference_bayes_concavity,
+    verify.check_weighted_soundness: reference_weighted_soundness,
+    verify.check_compensation_identity: reference_compensation_identity,
+}
+
+
+@pytest.mark.parametrize("check", SUPPORT_SWEEPS, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("trials", [1, None, 1000])
+def test_support_sweeps_equal_their_trial_at_a_time_references(check, trials):
+    """Whole records, every bit (``json.dumps`` keeps the sign of a zero),
+    at suite seeds 0-3, at one trial, the suite's count and 1000."""
+    if trials is None:
+        trials = next(c for suite in verify._SUITES.values() for f, c, _ in suite if f is check)
+    for seed in range(4):
+        got = json.dumps(check(seed, trials), sort_keys=True)
+        assert got == json.dumps(SUPPORT_SWEEPS[check](seed, trials), sort_keys=True)
+
+
 @pytest.mark.parametrize(
     "suite, trials, expected",
     [
@@ -192,7 +348,11 @@ def test_trials_override_replaces_each_count_up_to_its_cap(suite, trials, expect
 @pytest.mark.parametrize(
     "check",
     [
+        verify.check_map_achieves_bayes,
+        verify.check_bayes_concavity,
         verify.check_minimax_dominates_priors,
+        verify.check_weighted_soundness,
+        verify.check_compensation_identity,
         verify.check_informativity_oracles,
         verify.check_upper_chain,
         verify.check_covering_validity,

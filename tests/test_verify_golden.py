@@ -1,5 +1,5 @@
-"""Golden verify reports: the shape-batched sweeps give the exact records of
-the per-trial loops they replaced.
+"""Golden verify reports: the batched sweeps, grouped by shape or by support
+size, give the exact records of the per-trial loops they replaced.
 
 ``data/verify_all_seed0.json`` is ``fdivbounds verify --suite all --seed 0``
 as the per-trial implementation printed it (``json.dumps`` with sorted keys

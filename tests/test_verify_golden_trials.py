@@ -1,6 +1,6 @@
-"""Golden verify reports at a trial override of 1000: larger shape groups,
-more dead-point references and the 200- and 100-trial caps than the default
-counts reach.
+"""Golden verify reports at a trial override of 1000: larger shape and
+support-size groups, more dead-point references and the 200- and 100-trial
+caps than the default counts reach.
 
 ``data/verify_all_seed0_trials1000.json`` is
 ``fdivbounds verify --suite all --seed 0 --trials 1000`` as printed when the
