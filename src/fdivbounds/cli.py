@@ -22,8 +22,8 @@ import numpy as np
 
 from . import constructions, divergences, entropy_bounds, informativity
 from . import mixture_bounds, testing_risk, verify
-from .distributions import Ensemble, check_json_lists, load_distribution, load_ensemble
-from .distributions import product_distribution
+from .distributions import Ensemble, check_json_lists, check_param_names, check_tol
+from .distributions import load_distribution, load_ensemble, product_distribution
 from .report import jsonable
 
 #: subcommand -> the public operations filed under it (partition-tested)
@@ -133,6 +133,10 @@ def _bound_stats(text: str) -> dict:
     return stats
 
 
+#: the --params keys of ``entropy-bound --schedule-n`` and their defaults
+_SCHEDULE_DEFAULTS = {"d": 2.0, "c_prime": 1.0, "c_dprime": 1.0, "gamma": 1.0, "sigma": 1.0}
+
+
 def _parse_grid(text: str) -> np.ndarray:
     """Comma list of floats, or ``logspace:lo:hi:count``."""
     if text.startswith("logspace:"):
@@ -217,9 +221,7 @@ def _cmd_bound_generic(args) -> int:
     gen = divergences.builtin_generator(args.gen)
     stats = _bound_stats(args.stats)
     keys = _GENERIC_STATS[args.family]
-    missing = [key for key in keys if key not in stats]
-    if missing:
-        raise ValueError(f"{args.family} needs {', '.join(missing)}")
+    check_param_names(args.family, keys, stats)
     values = [stats[key] for key in keys]
     out = {"family": args.family, "generator": gen.name}
     if args.family == "implicit":
@@ -236,6 +238,7 @@ def _cmd_bound_generic(args) -> int:
 
 
 def _cmd_jf(args) -> int:
+    check_tol(args.tol)
     ens = load_ensemble(args.ensemble)
     if args.method == "closed":
         res = informativity.informativity_closed_form(args.gen, ens)
@@ -280,14 +283,12 @@ def _cmd_jf_cover(args) -> int:
 def _cmd_entropy_bound(args) -> int:
     params = _parse_stats(args.params) if args.params else {}
     if args.schedule_n is not None:
-        schedule = entropy_bounds.support_function_schedule(
-            args.schedule_n,
-            int(params.get("d", 2)),
-            params.get("c_prime", 1.0),
-            params.get("c_dprime", 1.0),
-            params.get("gamma", 1.0),
-            params.get("sigma", 1.0),
-        )
+        params = {**_SCHEDULE_DEFAULTS, **params}
+        check_param_names("--schedule-n", tuple(_SCHEDULE_DEFAULTS), params)
+        d = params.pop("d")
+        if not d.is_integer():
+            raise ValueError(f"d must be an integer, got {d!r}")
+        schedule = entropy_bounds.support_function_schedule(args.schedule_n, int(d), **params)
         _emit(
             {
                 "n": args.schedule_n,

@@ -76,6 +76,24 @@ def check_finite(name: str, value) -> float:
     return value
 
 
+def check_param_names(what: str, keys: Sequence[str], params) -> None:
+    """Refuse ``params`` unless its names are exactly ``keys``, the
+    parameters ``what`` reads: a missing one first, then any other one,
+    each by name."""
+    missing = [key for key in keys if key not in params]
+    if missing:
+        raise ValueError(f"{what} needs {', '.join(missing)}")
+    unknown = [key for key in params if key not in keys]
+    if unknown:
+        raise ValueError(f"{what} does not read {', '.join(unknown)}; it reads {', '.join(keys)}")
+
+
+def check_tol(tol: float) -> None:
+    """Refuse a solver tolerance that is not positive and finite."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be a positive finite number")
+
+
 def check_json_lists(obj: dict, what: str, keys: Sequence[str]) -> None:
     """Refuse each field of ``keys`` that ``obj`` has but not as a list."""
     for key in keys:

@@ -619,6 +619,7 @@ def support_function_schedule(
     c fixed by c^((d-1)/2) = c'/(2 + 2c''), u(n) = (gamma sqrt(n)/sigma)
     ^((d-1)/(d+3)), and eps(n) from log(1+eps^2) = u^2.  No claim is made
     about the risk value itself; the schedule feeds the chi2 entropy bound.
+    An eps that leaves the float range is refused, naming n and d.
     """
     if d < 2:
         raise ValueError("support-function schedule needs d >= 2")
@@ -632,5 +633,11 @@ def support_function_schedule(
         * n ** (-2.0 / (d + 3.0))
     )
     u = (gamma * math.sqrt(n) / sigma) ** ((d - 1.0) / (d + 3.0))
-    eps = math.sqrt(math.expm1(u**2))
+    try:
+        eps = math.sqrt(math.expm1(u**2))
+    except OverflowError:
+        raise ValueError(
+            f"support-function schedule at n={n}, d={d}: "
+            f"eps = sqrt(e^(u^2) - 1) leaves the float range (u = {u!r})"
+        ) from None
     return SupportFunctionSchedule(eta=eta, u=u, eps=eps, c=c)

@@ -31,6 +31,7 @@ from .distributions import (
     DiscreteDistribution,
     Ensemble,
     check_json_lists,
+    check_tol,
     distribution_from_json,
     stack_pmfs,
 )
@@ -286,11 +287,6 @@ def _reset_ends(ends: np.ndarray, stale: np.ndarray, fresh: np.ndarray) -> None:
     np.copyto(ends, fresh, where=stale)
 
 
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be a positive finite number")
-
-
 def informativity_numeric(
     gen: DivergenceGenerator, ens: Ensemble, tol: float = 1e-8
 ) -> InformativityResult:
@@ -301,7 +297,7 @@ def informativity_numeric(
     Total variation has no derivative and is routed to the exact
     sorted-breakpoint solver."""
     if gen.name == "tv":
-        _check_tol(tol)
+        check_tol(tol)
         return informativity_tv_exact(ens)
     q, values, gaps, iterations, rounds = kkt_solutions(gen, ens.pmf_matrix()[None], tol)
     value = float(values[0])
@@ -376,7 +372,7 @@ def kkt_solutions(
     of its root bracket, so the reported gap is never smaller than the
     true one.  An ensemble's search stops once its gap is at most ``tol``.
     """
-    _check_tol(tol)
+    check_tol(tol)
     if gen.derivative is None:
         raise ValueError(
             f"generator {gen.name!r} has no derivative; the numeric solver "

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from . import informativity
-from .distributions import DiscreteDistribution, Ensemble, check_finite
+from .distributions import DiscreteDistribution, Ensemble, check_finite, check_param_names
 from .divergences import (
     VALUE_TOL,
     DivergenceGenerator,
@@ -367,12 +367,11 @@ def named_bound(family: str, **params) -> BoundReport:
                                  total variation <= sqrt(1 - exp(-sum))
                                  (an upper bound, not a risk lower bound)
 
-    A missing parameter is refused by name.
+    A missing parameter, then one the family does not read, is refused by
+    name (:func:`check_param_names`).
     """
     keys = ("divergence_sum",) if family == "reverse_kl_tv" else _family(family)[0]
-    missing = [key for key in keys if key not in params]
-    if missing:
-        raise ValueError(f"{family} needs {', '.join(missing)}")
+    check_param_names(family, keys, params)
     stat = float(params[keys[-1]])
     if family == "reverse_kl_tv":
         return _reverse_kl_tv_report(stat, {})

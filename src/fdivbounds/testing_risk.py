@@ -13,14 +13,13 @@ upper bound; their gap is reported, and bounded by the caller's tolerance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
-from .distributions import Ensemble, check_mass_rows
+from .distributions import Ensemble, check_mass_rows, check_tol
 
 
 def bayes_risk_exact(ens: Ensemble) -> float:
@@ -180,8 +179,7 @@ def minimax_risks(ensembles, tol: float = 1e-6) -> list[MinimaxResult]:
     uniform-prior Bayes risk, which the maximum never does; a smaller
     shortfall is replaced by the uniform prior, a larger one raises.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be a positive finite number")
+    check_tol(tol)
     pmats = [
         ens.pmf_matrix() if isinstance(ens, Ensemble) else _member_matrix(ens)
         for ens in ensembles

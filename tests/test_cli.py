@@ -145,6 +145,36 @@ class TestSubcommands:
         assert payload["c"] == pytest.approx(0.0625)
         assert np.log1p(payload["eps"] ** 2) == pytest.approx(payload["u"] ** 2)
 
+    @pytest.mark.parametrize(
+        "params,message",
+        [
+            ("dd=3", "--schedule-n does not read dd; it reads d, c_prime, c_dprime, gamma, sigma"),
+            ("d=2,eta0=1", "--schedule-n does not read eta0; it reads d, c_prime, c_dprime, gamma, sigma"),
+            ("d=2.7", "d must be an integer, got 2.7"),
+        ],
+    )
+    def test_entropy_schedule_bad_params(self, capsys, params, message):
+        """An unknown key once gave the d = 2 schedule, and d=2.7 the d = 2
+        one."""
+        code = main(
+            ["entropy-bound", "--kind", "chi2", "--model", "support_function",
+             "--schedule-n", "100", "--params", params]
+        )
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_entropy_schedule_overflow_names_inputs(self, capsys):
+        """This once printed only "math range error"."""
+        code = main(
+            ["entropy-bound", "--kind", "chi2", "--model", "support_function",
+             "--schedule-n", "1000000000000", "--params", "d=3"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "n=1000000000000, d=3" in captured.err
+        assert "eps" in captured.err and "leaves the float range" in captured.err
+
     def test_jf_closed_and_numeric(self, files, capsys):
         code, out = run_cli(
             capsys, "jf", str(files["ens"]), "--gen", "chi2", "--method", "closed"
@@ -458,6 +488,15 @@ class TestSubcommands:
         code = main([command, str(files["ens"]), *extra, "--tol", tol])
         assert code == 1
         assert "tol must be a positive finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["closed", "numeric"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_bad_tol_exit_code_for_every_method(self, files, capsys, method, tol):
+        """--method closed, which runs no solver, once ignored --tol."""
+        code = main(["jf", str(files["ens"]), "--gen", "chi2", "--method", method, "--tol", tol])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: tol must be a positive finite number\n"
 
     @pytest.mark.parametrize("tol", ["nan", "0", "-1"])
     def test_bad_tol_exit_code_for_tv(self, files, capsys, tol):
@@ -779,6 +818,13 @@ class TestEntryChecks:
             (("power_l",), "N=4,divergence_sum=1", "power_l needs exponent"),
             (("fano",), "N=4.7,avgKL=1", "N must be an integer, got 4.7"),
             (("implicit", "--gen", "kl"), "N=4.7,sum=1", "N must be an integer, got 4.7"),
+            (("fano",), "N=16,avgKL=1,bogus=3", "fano does not read bogus; it reads n, avg_kl"),
+            (("fano",), "N=4,bogus=3", "fano needs avg_kl"),
+            (("reverse_kl_tv",), "N=2,divergence_sum=1",
+             "reverse_kl_tv does not read n; it reads divergence_sum"),
+            (("implicit", "--gen", "chi2"), "N=4,sum=1.5,zzz=1", "implicit does not read zzz; it reads n, sum"),
+            (("two_point", "--gen", "kl"), "V=0.3,W=0.3", "two_point does not read W; it reads V"),
+            (("floor", "--gen", "kl"), "W=0.5,rbar=0.2,N=4,x=1", "floor does not read n, x; it reads W, rbar"),
         ],
     )
     def test_bad_stats_named(self, capsys, family, stats, message):

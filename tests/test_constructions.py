@@ -22,7 +22,6 @@ from fdivbounds.constructions import (
     verify_code,
 )
 from fdivbounds import constructions as cons
-from fdivbounds import verify
 
 
 def sequential_code(k, seed):
@@ -128,13 +127,6 @@ class TestGilbertVarshamovCount:
             assert -(-(2**k) // ball) >= size, k
             if k >= 8:
                 assert cons._gilbert_varshamov(k) == (math.log(size), distance)
-
-    def test_pascal_prefix_sums_match_comb(self):
-        sums = verify._binomial_prefix_sums(400)
-        assert sums == [
-            sum(math.comb(k, i) for i in range(math.ceil(k / 4.0)))
-            for k in range(1, 401)
-        ]
 
     def test_log_size_continues_past_float_range(self):
         """The log of ceil(e^(k/8)) is exact while e^(k/8) is a float and

@@ -734,6 +734,11 @@ class TestBuiltinProfiles:
         assert s2.u / s1.u == pytest.approx(32.0 ** 0.1, rel=1e-9)
         assert math.log1p(s1.eps**2) == pytest.approx(s1.u**2, rel=1e-9)
 
+    def test_schedule_overflow_names_inputs(self):
+        """expm1(u^2) once raised a bare OverflowError here."""
+        with pytest.raises(ValueError, match=r"n=1000000000000, d=3: eps .* leaves the float range"):
+            support_function_schedule(10**12, 3, 1.0, 1.0, 1.0, 1.0)
+
 
 class TestSoundnessChain:
     def test_finite_instance_chain(self):

@@ -482,6 +482,23 @@ class TestEntryChecks:
         with pytest.raises(ValueError, match=f"^{family} needs {missing}$"):
             named_bound(family, **params)
 
+    @pytest.mark.parametrize(
+        "family,params,message",
+        [
+            ("fano", {"n": 4, "avg_kl": 1.0, "bogus": 3.0}, "fano does not read bogus; it reads n, avg_kl"),
+            ("chi2", {"n": 4, "divergence_sum": 1.0, "exponent": 3.0},
+             "chi2 does not read exponent; it reads n, divergence_sum"),
+            ("reverse_kl_tv", {"n": 2, "divergence_sum": 1.0},
+             "reverse_kl_tv does not read n; it reads divergence_sum"),
+            ("fano", {"avg_kl": 1.0, "bogus": 3.0}, "fano needs n"),
+        ],
+    )
+    def test_named_bound_names_an_unknown_parameter(self, family, params, message):
+        """An unknown parameter was once ignored; a missing one is named
+        first."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            named_bound(family, **params)
+
     @pytest.mark.parametrize("exponent", [math.nan, math.inf])
     def test_ensemble_exponent_checked_before_statistics(self, exponent):
         """A NaN exponent was once reported as a non-finite pmf entry."""
