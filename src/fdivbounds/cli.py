@@ -91,7 +91,7 @@ def _emit(obj) -> None:
 def _emit_csv(header: list[str], rows: list[list]) -> None:
     print(",".join(header))
     for row in rows:
-        print(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+        print(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
 
 
 def _finite_float(text: str) -> float:

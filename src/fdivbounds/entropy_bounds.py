@@ -619,25 +619,41 @@ def support_function_schedule(
     c fixed by c^((d-1)/2) = c'/(2 + 2c''), u(n) = (gamma sqrt(n)/sigma)
     ^((d-1)/(d+3)), and eps(n) from log(1+eps^2) = u^2.  No claim is made
     about the risk value itself; the schedule feeds the chi2 entropy bound.
-    An eps that leaves the float range is refused, naming n and d.
+    A value that leaves the float range is refused, naming it and the
+    inputs.
     """
     if d < 2:
         raise ValueError("support-function schedule needs d >= 2")
     if min(n, c_prime, c_dprime, gamma, sigma) <= 0:
         raise ValueError("all schedule parameters must be positive")
-    c = (c_prime / (2.0 + 2.0 * c_dprime)) ** (2.0 / (d - 1.0))
-    eta = (
-        c
+
+    def in_range(name: str, compute) -> float:
+        try:
+            value = compute()
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(
+                f"support-function schedule at n={n}, d={d}: {name} leaves the "
+                f"float range (c_prime={c_prime!r}, c_dprime={c_dprime!r}, "
+                f"gamma={gamma!r}, sigma={sigma!r})"
+            )
+        return value
+
+    c = in_range(
+        "c = (c'/(2 + 2c''))^(2/(d-1))",
+        lambda: (c_prime / (2.0 + 2.0 * c_dprime)) ** (2.0 / (d - 1.0)),
+    )
+    eta = in_range(
+        "eta = c sigma^(4/(d+3)) gamma^((d-1)/(d+3)) n^(-2/(d+3))",
+        lambda: c
         * sigma ** (4.0 / (d + 3.0))
         * gamma ** ((d - 1.0) / (d + 3.0))
-        * n ** (-2.0 / (d + 3.0))
+        * n ** (-2.0 / (d + 3.0)),
     )
-    u = (gamma * math.sqrt(n) / sigma) ** ((d - 1.0) / (d + 3.0))
-    try:
-        eps = math.sqrt(math.expm1(u**2))
-    except OverflowError:
-        raise ValueError(
-            f"support-function schedule at n={n}, d={d}: "
-            f"eps = sqrt(e^(u^2) - 1) leaves the float range (u = {u!r})"
-        ) from None
+    u = in_range(
+        "u = (gamma sqrt(n)/sigma)^((d-1)/(d+3))",
+        lambda: (gamma * math.sqrt(n) / sigma) ** ((d - 1.0) / (d + 3.0)),
+    )
+    eps = in_range("eps = sqrt(e^(u^2) - 1)", lambda: math.sqrt(math.expm1(u**2)))
     return SupportFunctionSchedule(eta=eta, u=u, eps=eps, c=c)

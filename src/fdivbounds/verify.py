@@ -631,18 +631,15 @@ def grid_informativity(gen: DivergenceGenerator, pmat: np.ndarray, step: float =
     localizes the optimum and the refinement is exhaustive at the final
     resolution.
 
-    The objective separates over points, sum_x phi_x(q_x), and the coarse
-    grid is a lattice on which each column depends on its leading indices
-    only, so the coarse sweep (:func:`_coarse_objective`) evaluates each
-    member's term on a leading column's own lattice axes and broadcasts it,
-    and on each distinct value of the last two columns and gathers it; the
-    refinement evaluates its small grids whole (:func:`_grid_objective`).
-    Both give the same values bit for bit."""
+    The coarse sweep (:func:`_coarse_minimum`) screens the grid with an
+    approximate objective and evaluates exactly only the cells within a
+    rounding margin of its minimum; the refinement evaluates its small
+    grids whole (:func:`_grid_objective`).  Both give the minimum and
+    first argmin that exact values on every cell give, bit for bit."""
     s = pmat.shape[1]
     coarse = 0.02 if s <= 4 else 0.05
-    vals = _coarse_objective(gen, pmat, coarse)
-    center = _simplex_grid(s, coarse)[int(np.argmin(vals))]
-    best = float(vals.min())
+    best, at = _coarse_minimum(gen, pmat, coarse)
+    center = _simplex_grid(s, coarse)[at]
     radius = coarse
     while radius > step / 2.0:
         axes = [
@@ -683,38 +680,57 @@ def _grid_objective(gen: DivergenceGenerator, pmat: np.ndarray, qs: np.ndarray) 
     return total / pmat.shape[0]
 
 
-def _coarse_objective(gen: DivergenceGenerator, pmat: np.ndarray, step: float) -> np.ndarray:
-    """:func:`_grid_objective` over the whole of ``_simplex_grid(S, step)``,
-    bit for bit, on the grid's lattice (:func:`_grid_columns`).
+def _coarse_minimum(gen: DivergenceGenerator, pmat: np.ndarray, step: float) -> tuple:
+    """(min, first argmin) of :func:`_grid_objective` over the whole of
+    ``_simplex_grid(S, step)``, bit for bit, without its exact value on
+    every cell.
 
-    The leading columns' terms are evaluated on their own lattice axes and
-    added by broadcasting; the last two columns' terms are evaluated once
-    per distinct value and gathered, one member at a time into two reused
-    lattice-sized buffers.  Each member's row sum is its terms added column
-    by column, left to right, and the members' sums are added in member
-    order, as ``_grid_objective`` adds them; the in-place adds keep that
-    order."""
+    The objective separates over points, and on the grid's lattice
+    (:func:`_grid_columns`) each leading column depends on its own lattice
+    axes and the last two take far fewer distinct values than there are
+    cells.  So a screen sums each column's terms over the members first,
+    broadcasts the leading ones and gathers the last two once each.  Its
+    value A(c) adds the same m = N*S terms as the exact N*V(c), in
+    another order.
+
+    The margin.  Any order of m terms is within gamma*B_c of their real
+    sum, where gamma = (m - 1)u/(1 - (m - 1)u), u = 2^-53 and B_c is the
+    cell's sum of absolute terms; the division by N adds a relative u and
+    at most 2^-1075 where it underflows.  So a cell with
+    A(c) > A(c0) + 4*gamma*B + 3u*B + N*2^-1074, c0 the screen's argmin
+    and B >= every B_c, has V(c) > V(c0) >= min V.  B is the sum over
+    members and columns of the largest finite absolute term each member
+    has in the column: a cell with a +inf term has V = A = +inf.  The margin
+    8*m*u*B + 2^-1022 covers that bound, the rounding of B and that of
+    the threshold, so every cell of the exact minimum lies within it;
+    :func:`_grid_objective` evaluates those cells in ascending order.
+    Where the screen's minimum is not finite (a NaN or -inf term, or
+    every cell +inf) or B is past 2^1000, where a sum could overflow,
+    every cell is evaluated exactly."""
+    grid = _simplex_grid(pmat.shape[1], step)
     leading, ((values0, cells0), (values1, cells1)) = _grid_columns(pmat.shape[1], step)
-    lattice = cells0.shape
-    p = pmat.reshape(pmat.shape + (1,) * len(lattice))
-    lead = [_terms(gen, p[:, x], values) for x, values in enumerate(leading)]
-    lead = functools.reduce(np.add, lead) if lead else None
+    p = pmat.reshape(pmat.shape + (1,) * cells0.ndim)
     x = len(leading)
-    terms0 = _terms(gen, pmat[:, x, None], values0)
-    terms1 = _terms(gen, pmat[:, x + 1, None], values1)
-    total = np.zeros(lattice)
-    row = np.empty(lattice)
-    term = np.empty(lattice)
-    for n in range(pmat.shape[0]):
-        # the cells index into the values by construction; a mode other
-        # than "raise" lets take write straight into its out buffer
-        np.take(terms0[n], cells0, out=row, mode="clip")
-        if lead is not None:
-            np.add(lead[n], row, out=row)
-        np.take(terms1[n], cells1, out=term, mode="clip")
-        row += term
-        total += row
-    return total.ravel() / pmat.shape[0]
+    terms = [_terms(gen, p[:, k], values) for k, values in enumerate(leading)]
+    terms.append(_terms(gen, pmat[:, x, None], values0))
+    terms.append(_terms(gen, pmat[:, x + 1, None], values1))
+    with np.errstate(invalid="ignore", over="ignore"):
+        sums = [t.sum(axis=0) for t in terms]
+        approx = sums[x][cells0] + sum(sums[:x])
+        approx += sums[x + 1][cells1]
+        bound = sum(
+            np.max(np.abs(t), axis=tuple(range(1, t.ndim)), where=np.isfinite(t), initial=0.0).sum()
+            for t in terms
+        )
+    low = float(approx.min())
+    if math.isfinite(low) and bound < 2.0**1000:
+        margin = 8.0 * pmat.size * 2.0**-53 * bound + 2.0**-1022
+        cells = np.flatnonzero(approx <= low + margin)
+    else:
+        cells = np.arange(grid.shape[0])
+    vals = _grid_objective(gen, pmat, grid[cells])
+    at = int(np.argmin(vals))
+    return float(vals[at]), int(cells[at])
 
 
 @functools.lru_cache(maxsize=16)

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -174,6 +175,28 @@ class TestSubcommands:
         assert code == 1 and captured.out == ""
         assert "n=1000000000000, d=3" in captured.err
         assert "eps" in captured.err and "leaves the float range" in captured.err
+
+    @pytest.mark.parametrize(
+        "params,value",
+        [
+            ("gamma=1e300,sigma=1e-300", "u = (gamma sqrt(n)/sigma)"),
+            ("c_prime=1e300,d=2", "c = (c'/(2 + 2c''))"),
+        ],
+    )
+    def test_entropy_schedule_out_of_range_names_inputs(self, capsys, params, value):
+        """The first once printed "eps": "inf" and exited 0, the second
+        only "(34, 'Numerical result out of range')"."""
+        code = main(
+            ["entropy-bound", "--kind", "chi2", "--model", "support_function",
+             "--schedule-n", "100", "--params", params]
+        )
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert f"n=100, d=2: {value}" in captured.err
+        assert "leaves the float range" in captured.err
+        for key, number in (pair.split("=") for pair in params.split(",")):
+            if key != "d":
+                assert f"{key}={float(number)!r}" in captured.err
 
     def test_jf_closed_and_numeric(self, files, capsys):
         code, out = run_cli(
@@ -412,6 +435,18 @@ class TestSubcommands:
         lines = out.strip().splitlines()
         assert len(lines) == 3
         assert lines[0].startswith("epsilon,")
+
+    def test_cap_packing_csv_d3_cells_parse(self, capsys):
+        """The d = 3 sweep once printed numpy scalars as np.float64(...)."""
+        code, out = run_cli(
+            capsys, "cap-packing", "--d", "3", "--p", "1", "--eps", "0.005,0.01",
+            "--format", "csv",
+        )
+        assert code == 0
+        header, *rows = [line.split(",") for line in out.strip().splitlines()]
+        assert len(rows) == 2 and all(len(row) == len(header) for row in rows)
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+        assert [row[header.index("caps")] for row in rows] == ["190", "100"]
 
     def test_verify_single_suite(self, capsys):
         code, out = run_cli(capsys, "verify", "--suite", "core", "--seed", "0")

@@ -786,9 +786,10 @@ class TestSoundnessChain:
         assert result["pass"], result
 
     @pytest.mark.parametrize("radius", [0.15, 0.2, 0.3, 0.5])
-    def test_windowed_greedy_matches_naive(self, radius):
-        """The lattice-window greedy packing picks the centers of the greedy
-        that tests every remaining point, in the same order."""
+    def test_lattice_greedy_matches_point_list_greedy(self, radius):
+        """The greedy packing on the boolean lattice picks the centers, in
+        the same order, of the greedy that keeps a list of the remaining
+        points and takes the first one."""
         ax = np.arange(-1.0, 1.01, 0.02)
         xx, yy = np.meshgrid(ax, ax)
         pts = np.column_stack([xx.ravel(), yy.ravel()])
@@ -798,5 +799,5 @@ class TestSoundnessChain:
             naive.append(tuple(pts[0]))
             pts = pts[((pts - pts[0]) ** 2).sum(axis=1) >= radius**2]
         inside = ax[None, :] ** 2 + ax[:, None] ** 2 <= 1.0
-        windowed = verify._greedy_packing(ax, inside, radius)
-        assert [(ax[j], ax[i]) for i, j in windowed] == naive
+        lattice = verify._greedy_packing(ax, inside, radius)
+        assert [(ax[j], ax[i]) for i, j in lattice] == naive

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import warnings
@@ -697,6 +698,30 @@ def _masked_grid_objective(gen, pmat, qs):
     return total / pmat.shape[0]
 
 
+def _coarse_objective(gen, pmat, step):
+    """The grid oracle's exact objective on every cell of
+    ``verify._simplex_grid(S, step)``, in the sweep it once ran: each
+    member's terms of the leading columns evaluated on their own lattice
+    axes and broadcast, those of the last two columns evaluated once per
+    distinct value and gathered, each member's row added column by column,
+    left to right, and the members' rows added in member order, as
+    ``verify._grid_objective`` adds them."""
+    leading, ((values0, cells0), (values1, cells1)) = verify._grid_columns(pmat.shape[1], step)
+    p = pmat.reshape(pmat.shape + (1,) * cells0.ndim)
+    lead = [verify._terms(gen, p[:, x], values) for x, values in enumerate(leading)]
+    lead = functools.reduce(np.add, lead) if lead else None
+    x = len(leading)
+    terms0 = verify._terms(gen, pmat[:, x, None], values0)
+    terms1 = verify._terms(gen, pmat[:, x + 1, None], values1)
+    total = np.zeros(cells0.shape)
+    for n in range(pmat.shape[0]):
+        row = terms0[n][cells0]
+        if lead is not None:
+            row = lead[n] + row
+        total = total + (row + terms1[n][cells1])
+    return total.ravel() / pmat.shape[0]
+
+
 class TestGridOracle:
     @pytest.mark.parametrize("name", ["kl", "chi2", "hellinger_half", "reverse_kl"])
     def test_bit_equal_to_masked_reference(self, name, monkeypatch):
@@ -737,8 +762,41 @@ class TestGridOracle:
             reference = _masked_grid_objective(
                 gen, pmat, verify._simplex_grid(pmat.shape[1], step)
             )
-            swept = verify._coarse_objective(gen, pmat, step)
+            swept = _coarse_objective(gen, pmat, step)
             assert np.array_equal(swept.view(np.int64), reference.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "name", ["kl", "chi2", "hellinger_half", "reverse_kl", "tv", "power:3"]
+    )
+    def test_screen_finds_the_exact_sweeps_minimum(self, name):
+        """The screened coarse sweep returns the minimum and first argmin
+        of the exact objective on every cell, bit for bit: on the oracle's
+        draws, on identical members and on a point dead in every member
+        (where reverse_kl's f(0+) is +inf), at 2-5 points."""
+        gen = builtin_generator(name)
+        rng = np.random.default_rng(43)
+        cases = [pmat for seed in (0, 1) for pmat in informativity_oracle_draws(seed, 60)[::5]]
+        for s in (2, 3, 4, 5):
+            cases.append(np.tile(rng.dirichlet(np.ones(s)), (3, 1)))
+            dead = rng.dirichlet(np.ones(s), size=3)
+            dead[:, 1] = 0.0
+            cases.append(dead / dead.sum(axis=1, keepdims=True))
+        for pmat in cases:
+            step = 0.02 if pmat.shape[1] <= 4 else 0.05
+            exact = _coarse_objective(gen, pmat, step)
+            at = int(np.argmin(exact))
+            low, found = verify._coarse_minimum(gen, pmat, step)
+            assert found == at and np.float64(low).tobytes() == exact[at].tobytes()
+
+    def test_screen_where_every_cell_is_infinite(self):
+        """Under reverse_kl, members with disjoint supports put +inf on
+        every cell; the screen then evaluates every cell and returns the
+        exact sweep's +inf at cell 0."""
+        gen = builtin_generator("reverse_kl")
+        pmat = np.array([[0.6, 0.4, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]])
+        exact = _coarse_objective(gen, pmat, 0.02)
+        assert np.isposinf(exact).all()
+        assert verify._coarse_minimum(gen, pmat, 0.02) == (math.inf, 0)
 
 
 def test_oracle_draws_follow_one_stream():

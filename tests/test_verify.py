@@ -12,7 +12,12 @@ import pytest
 
 from fdivbounds import verify
 from fdivbounds.distributions import DiscreteDistribution, Ensemble, check_mass_rows
-from fdivbounds.divergences import builtin_generator, default_generators, divergence_matrix
+from fdivbounds.divergences import (
+    apply_generator,
+    builtin_generator,
+    default_generators,
+    divergence_matrix,
+)
 from fdivbounds.informativity import CoveringFamily
 from fdivbounds.mixture_bounds import (
     map_reference_masses,
@@ -60,14 +65,31 @@ def test_folds_match_the_builtins(values, start):
     assert got_max == want_max
 
 
-def test_minimize_two_points_equals_one_at_a_time():
+def dense_two_point_minimum(gen, v, points=401):
+    """Minimum of D_f(P1||Q) + D_f(P2||Q) over the two-point family with
+    TV = v, P1 = (a, 1-a), P2 = (a-v, 1-a+v) and Q = (c, 1-c), on one
+    dense grid of a in [v, 1] and c in [1e-9, 1 - 1e-9]."""
+    a = np.linspace(v, 1.0, points)[:, None]
+    c = np.linspace(1e-9, 1.0 - 1e-9, points)[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        total = (
+            c * apply_generator(gen, a / c)
+            + (1 - c) * apply_generator(gen, (1 - a) / (1 - c))
+            + c * apply_generator(gen, (a - v) / c)
+            + (1 - c) * apply_generator(gen, (1 - a + v) / (1 - c))
+        )
+    return float(np.nanmin(total))
+
+
+def test_minimize_two_points_matches_a_dense_grid():
+    """The nested refinement finds the minimum that one dense grid finds,
+    at 11 total variations in [0, 1] for each generator of the check."""
     v = np.round(np.linspace(0.0, 1.0, 11), 10)
     for name in ("kl", "chi2", "power:3"):
         gen = builtin_generator(name)
-        together = verify.minimize_two_points(gen, v)
-        for i, vi in enumerate(v):
-            alone = verify.minimize_two_points(gen, np.array([vi]))
-            assert together[i].tobytes() == alone[0].tobytes()
+        found = verify.minimize_two_points(gen, v)
+        dense = [dense_two_point_minimum(gen, vi) for vi in v]
+        assert found.tolist() == pytest.approx(dense, rel=1e-9, abs=1e-12)
 
 
 def test_draw_arrays_follow_the_ensemble_stream():
