@@ -619,8 +619,8 @@ def support_function_schedule(
     c fixed by c^((d-1)/2) = c'/(2 + 2c''), u(n) = (gamma sqrt(n)/sigma)
     ^((d-1)/(d+3)), and eps(n) from log(1+eps^2) = u^2.  No claim is made
     about the risk value itself; the schedule feeds the chi2 entropy bound.
-    A value that leaves the float range is refused, naming it and the
-    inputs.
+    A value that leaves the float range or underflows to 0 is refused,
+    naming it and the inputs.
     """
     if d < 2:
         raise ValueError("support-function schedule needs d >= 2")
@@ -632,13 +632,13 @@ def support_function_schedule(
             value = compute()
         except OverflowError:
             value = math.inf
-        if not math.isfinite(value):
-            raise ValueError(
-                f"support-function schedule at n={n}, d={d}: {name} leaves the "
-                f"float range (c_prime={c_prime!r}, c_dprime={c_dprime!r}, "
-                f"gamma={gamma!r}, sigma={sigma!r})"
-            )
-        return value
+        if math.isfinite(value) and value > 0.0:
+            return value
+        fault = "leaves the float range" if value else "underflows to 0"
+        raise ValueError(
+            f"support-function schedule at n={n}, d={d}: {name} {fault} "
+            f"(c_prime={c_prime!r}, c_dprime={c_dprime!r}, gamma={gamma!r}, sigma={sigma!r})"
+        )
 
     c = in_range(
         "c = (c'/(2 + 2c''))^(2/(d-1))",

@@ -6,6 +6,13 @@ slack breaks an inequality) and a pass flag; suites aggregate checks.  All
 randomness flows from seeded generators, so reports are byte-identical across
 runs with the same seed.  The same functions back the ``verify`` subcommand
 and the acceptance tests (which raise the trial counts).
+
+A sweep draws all its trials at once: each size array in one
+``rng.integers`` call, the masses as one padded block of standard
+exponentials, zero past each trial's members and points
+(:func:`_flat_dirichlet`).  It calls the library on ``pmats[at, :n]``
+once per member count n (and generator), or once on the whole block where
+only maxima, argmaxima or sums over members are read.
 """
 
 from __future__ import annotations
@@ -14,7 +21,6 @@ import copy
 import functools
 import math
 import time
-from typing import NamedTuple
 
 import numpy as np
 
@@ -79,133 +85,50 @@ def _record(name: str, passed: bool, **extra) -> dict:
     return out
 
 
-def _normalized(raw: np.ndarray) -> np.ndarray:
-    """Flat-Dirichlet rows from standard exponentials ``raw`` (..., S): each
-    row times the reciprocal of its left-to-right sum.  For alpha = 1
-    numpy's ``Generator.dirichlet`` draws the same exponentials from the
-    stream and scales them the same way, so a row drawn as
-    ``rng.standard_exponential(s)`` and normalized here has exactly the
-    bits of ``rng.dirichlet(np.ones(s))``, and leaves the stream at the same
-    position.  ``np.cumsum`` keeps that left-to-right order, where
-    ``.sum()`` adds pairwise from 8 points on."""
-    return raw * (1.0 / np.cumsum(raw, axis=-1)[..., -1:])
+def _flat_dirichlet(raw: np.ndarray, points, rows=None, name: str = "pmf") -> np.ndarray:
+    """Flat-Dirichlet mass rows from one block of standard exponentials
+    ``raw`` (T, ..., R, S), in place: the entries past each trial's point
+    count ``points`` (T,) and, when ``rows`` (T,) is given, its rows past
+    that count are set to zero; every other row is divided by its sum and
+    checked as a pmf or a prior (``name``) is (``check_mass_rows``).
+
+    The zero points lie outside every support.  Stacked against references
+    zero there too, they add nothing to a divergence, a maximum or a sum
+    over points, so a library call on the padded rows scores each trial as
+    its own unpadded call does, to rounding.  The zero rows are sliced off
+    (``pmats[at, :n]`` for the trials ``at`` of one member count n) or read
+    where only maxima, argmaxima or sums over members count, as members of
+    prior weight zero."""
+    lead = (len(raw),) + (1,) * (raw.ndim - 1)
+    np.copyto(raw, 0.0, where=np.arange(raw.shape[-1]) >= np.reshape(points, lead))
+    live = np.ones(raw.shape[:-1], dtype=bool)
+    if rows is not None:
+        live &= np.arange(raw.shape[-2]) < np.reshape(rows, lead[:-1])
+        np.copyto(raw, 0.0, where=~live[..., None])
+    np.divide(raw, raw.sum(axis=-1, keepdims=True), out=raw, where=live[..., None])
+    check_mass_rows(raw if rows is None else raw[live], name)
+    return raw
 
 
-def _draw_arrays(
-    rng: np.random.Generator,
-    n_max: int = 6,
-    support_max: int = 12,
-    with_prior: bool = False,
-) -> tuple:
-    """A random ensemble as raw arrays, in this random-stream order: the
-    member count n (2 <= n <= n_max), the point count s
-    (2 <= s <= support_max), n x s standard exponentials for the members
-    and n for the prior, or None.  :func:`_normalized` makes them the
-    flat-Dirichlet members and prior that n + 1 single Dirichlet draws
-    would give; :func:`_stacked` does that once per shape group, and
-    :func:`_by_support` once per support size."""
-    n = int(rng.integers(2, n_max + 1))
-    s = int(rng.integers(2, support_max + 1))
-    members = rng.standard_exponential((n, s))
-    prior = rng.standard_exponential(n) if with_prior else None
-    return members, prior
+def _ensembles(rng: np.random.Generator, trials: int, n_max: int, s_max: int) -> tuple:
+    """``trials`` random ensembles as one padded block: the member counts
+    n in [2, n_max] and the point counts s in [2, s_max] (T,), one
+    ``rng.integers`` call each, then the flat-Dirichlet members
+    (T, n_max, s_max) from one block of standard exponentials, zero past
+    each trial's n members and s points (:func:`_flat_dirichlet`)."""
+    ns = rng.integers(2, n_max + 1, size=trials)
+    ss = rng.integers(2, s_max + 1, size=trials)
+    raw = rng.standard_exponential((trials, n_max, s_max))
+    return ns, ss, _flat_dirichlet(raw, ss, ns)
 
 
-def _draw_family(rng: np.random.Generator, m: int, s: int, rows: int) -> np.ndarray:
-    """m raw flat-Dirichlet candidates on s points (see :func:`_draw_arrays`),
-    padded to ``rows`` rows by repeating the first, so that families of
-    different sizes stack (see :func:`.informativity.covering_errors`)."""
-    cands = rng.standard_exponential((m, s))
-    return np.concatenate([cands, np.repeat(cands[:1], rows - m, axis=0)])
-
-
-def _by_shape(arrays) -> list:
-    """(shape, trial indices) for each shape among ``arrays``, in order of
-    first appearance."""
-    groups: dict = {}
-    for i, arr in enumerate(arrays):
-        groups.setdefault(arr.shape, []).append(i)
-    return [(shape, np.array(idx)) for shape, idx in groups.items()]
-
-
-def _stacked(arrays, idx) -> np.ndarray:
-    """The raw draws ``arrays`` at ``idx``, which share one shape, stacked
-    and normalized (:func:`_normalized`), every row checked as the
-    distribution classes check a pmf or a prior (``check_mass_rows``).
-    The checks whose library calls average over the member axis stack
-    each (members x points) shape group (:func:`_by_shape`); the others
-    use :func:`_by_support`."""
-    return check_mass_rows(_normalized(np.stack([arrays[i] for i in idx])))
-
-
-class _SupportGroup(NamedTuple):
-    """The trials of one support size s, from :func:`_by_support`."""
-
-    #: the trials' indices, in draw order
-    idx: np.ndarray
-    #: each trial's member count n
-    counts: np.ndarray
-    #: every member row, normalized and checked, trial after trial (R, s)
-    rows: np.ndarray
-    #: True at each trial's real members (B, n_max)
-    live: np.ndarray
-    #: each trial's rows, zero past its count (B, n_max, s)
-    members: np.ndarray
-
-    def divergences(self, gen: DivergenceGenerator, qs) -> np.ndarray:
-        """D_f(P_theta||Q) of every member row against its trial's
-        reference, ``qs`` (B, s), in one kernel call on the flat rows,
-        laid out per trial (B, n_max), zero past each trial's count."""
-        paired = np.repeat(qs, self.counts, axis=0)[:, None]
-        out = np.zeros(self.live.shape)
-        out[self.live] = divergence_matrix(gen, self.rows[:, None], paired)[:, 0, 0]
-        return out
-
-    def priors(self, arrays) -> np.ndarray:
-        """Raw per-trial draws ``arrays`` (..., n) zero-padded to n_max
-        entries (B, ..., n_max), then normalized and checked as
-        :func:`_stacked` does.  The zeros leave each row's total, and so
-        its normalized entries, with the bits of the unpadded row."""
-        lead = np.shape(arrays[self.idx[0]])[:-1]
-        raw = np.zeros((len(self.idx),) + lead + self.live.shape[1:])
-        for j, (i, n) in enumerate(zip(self.idx, self.counts)):
-            raw[j, ..., :n] = arrays[i]
-        return check_mass_rows(_normalized(raw), "prior")
-
-
-def _by_support(members) -> list:
-    """The raw member draws ``members`` (each n x s) grouped by support
-    size s alone, in order of first appearance, as :class:`_SupportGroup`:
-    at most 11 groups in verify's sweeps, where (n, s) shapes give up to
-    55, each paying its own stacking, row check and library calls.
-
-    Every member row is normalized and checked once, as the flat rows
-    (R, s) that the divergence kernel reads paired with its trial's
-    reference (:meth:`_SupportGroup.divergences`), and laid out per trial
-    with zero rows past each count (B, n_max, s) for the maxima,
-    argmaxima and member sums.  A check reads the same bits as one (n, s)
-    group would give it, because
-    - the kernel reduces over points only, so each row's divergence is
-      that of its own call;
-    - the zero rows come after the real members, so they change no max
-      of the non-negative w_theta p_theta(x) and no first-index argmax;
-    - a sum over the member axis adds them last, and adding 0 to a sum
-      of fewer than 8 terms (added left to right) changes no bit.
-    The weights of a weighted sum are not padded: a zero weight sends
-    :func:`.mixture_bounds.weighted_sums` down its per-instance loop, one
-    dot product per trial, to redo the 0 * inf = NaN of a padded row."""
-    groups: dict = {}
-    for i, arr in enumerate(members):
-        groups.setdefault(arr.shape[-1], []).append(i)
-    out = []
-    for idx in groups.values():
-        counts = np.array([len(members[i]) for i in idx])
-        rows = check_mass_rows(_normalized(np.concatenate([members[i] for i in idx])))
-        live = np.arange(counts.max()) < counts[:, None]
-        padded = np.zeros(live.shape + rows.shape[1:])
-        padded[live] = rows
-        out.append(_SupportGroup(np.array(idx), counts, rows, live, padded))
-    return out
+def _families(rng: np.random.Generator, shape: tuple, points, counts) -> np.ndarray:
+    """Covering families (T, M, S): ``counts`` (T,) flat-Dirichlet
+    candidates per trial, zero past its ``points``, from one block of
+    standard exponentials, the rows past each count repeating the first
+    (the ``counts`` contract of :func:`.informativity.covering_errors`)."""
+    fams = _flat_dirichlet(rng.standard_exponential(shape), points, counts)
+    return np.where(np.arange(shape[1])[:, None] < counts[:, None, None], fams, fams[:, :1])
 
 
 def _fold_min(start: float, values) -> float:
@@ -235,7 +158,7 @@ def check_product_marginals(seed: int, trials: int) -> dict:
     for _ in range(trials):
         s = int(rng.integers(2, 5))
         n = int(rng.integers(1, 4))
-        base = DiscreteDistribution(_normalized(rng.standard_exponential(s)))
+        base = DiscreteDistribution(rng.dirichlet(np.ones(s)))
         prod = product_distribution(base, n)
         cube = prod.pmf.reshape((s,) * n)
         for axis in range(n):
@@ -248,21 +171,16 @@ def check_product_marginals(seed: int, trials: int) -> dict:
 
 def check_map_achieves_bayes(seed: int, trials: int) -> dict:
     """The MAP test's error equals the Bayes risk, with and without a
-    prior.  Trials are drawn one by one and scored by shape; the uniform
-    prior is kept raw as ones, which normalize to exactly 1/n."""
+    prior (a trial without one gets the uniform prior), all trials in one
+    padded block and one call of each function."""
     rng = np.random.default_rng([seed, 11])
-    members, priors = [], []
-    for _ in range(trials):
-        with_prior = bool(rng.integers(0, 2))
-        pmat, prior = _draw_arrays(rng, with_prior=with_prior)
-        members.append(pmat)
-        priors.append(np.ones(len(pmat)) if prior is None else prior)
-    gaps = np.empty(trials)
-    for group in _by_support(members):
-        pmats, w = group.members, group.priors(priors)
-        errors = error_probabilities(w, pmats, map_tests(w, pmats))
-        gaps[group.idx] = np.abs(errors - bayes_risks(w, pmats))
-    worst = _fold_max(0.0, gaps)
+    ns, _, pmats = _ensembles(rng, trials, 6, 12)
+    uniform = rng.integers(0, 2, size=trials) == 0
+    raw = rng.standard_exponential((trials, 6))
+    raw[uniform] = 1.0
+    w = _flat_dirichlet(raw, ns, name="prior")
+    errors = error_probabilities(w, pmats, map_tests(w, pmats))
+    worst = _fold_max(0.0, np.abs(errors - bayes_risks(w, pmats)))
     return _record("map_achieves_bayes", worst <= 1e-12, trials=trials, worst_error=worst)
 
 
@@ -270,19 +188,11 @@ def check_bayes_concavity(seed: int, trials: int) -> dict:
     """The Bayes risk is concave in the prior: at the midpoint of two
     drawn priors it is at least the mean of theirs."""
     rng = np.random.default_rng([seed, 12])
-    members, firsts, seconds = [], [], []
-    for _ in range(trials):
-        pmat, _ = _draw_arrays(rng)
-        members.append(pmat)
-        firsts.append(rng.standard_exponential(len(pmat)))
-        seconds.append(rng.standard_exponential(len(pmat)))
-    slacks = np.empty(trials)
-    for group in _by_support(members):
-        pmats = group.members
-        w1, w2 = group.priors(firsts), group.priors(seconds)
-        mid = check_mass_rows((w1 + w2) / 2.0, "prior")
-        halves = (bayes_risks(w1, pmats) + bayes_risks(w2, pmats)) / 2.0
-        slacks[group.idx] = bayes_risks(mid, pmats) - halves
+    ns, _, pmats = _ensembles(rng, trials, 6, 12)
+    w = _flat_dirichlet(rng.standard_exponential((trials, 2, 6)), ns, name="prior")
+    mid = check_mass_rows((w[:, 0] + w[:, 1]) / 2.0, "prior")
+    risks = bayes_risks(w, pmats[:, None])
+    slacks = bayes_risks(mid, pmats) - (risks[:, 0] + risks[:, 1]) / 2.0
     worst = _fold_min(math.inf, slacks)
     return _record("bayes_concavity", worst >= -1e-12, trials=trials, worst_slack=worst)
 
@@ -290,31 +200,24 @@ def check_bayes_concavity(seed: int, trials: int) -> dict:
 def check_minimax_dominates_priors(seed: int, trials: int) -> dict:
     """The certified minimax risk dominates every drawn prior's Bayes risk,
     the uniform one included, stays below 1 - 1/N, and its certificate's
-    gap is at most 1e-9.  All member matrices go to one ``minimax_risks``
-    call, in draw order, which sorts the two-member ones and solves the
-    rest as one block-diagonal LP; the six priors of each trial (the
-    uniform one kept raw as ones) are scored with one Bayes-risk call per
-    support size."""
+    gap is at most 1e-9.  The unpadded member matrices go to one
+    ``minimax_risks`` call, in draw order, which sorts the two-member ones
+    and solves the rest as one block-diagonal LP; the six priors of every
+    trial are scored in one Bayes-risk call."""
     rng = np.random.default_rng([seed, 13])
     tol = 1e-6
-    members, priors = [], []
-    for _ in range(trials):
-        pmat, _ = _draw_arrays(rng, n_max=4, support_max=8)
-        members.append(pmat)
-        priors.append(np.vstack([rng.standard_exponential((5, len(pmat))), np.ones(len(pmat))]))
-    groups = _by_support(members)
-    for group in groups:  # the normalized members, in draw order
-        for j, (i, n) in enumerate(zip(group.idx, group.counts)):
-            members[i] = group.members[j, :n]
-    results = minimax_risks(members, tol=tol)
+    ns, ss, pmats = _ensembles(rng, trials, 4, 8)
+    raw = rng.standard_exponential((trials, 6, 4))
+    raw[:, 5] = 1.0  # the uniform prior
+    priors = _flat_dirichlet(raw, ns, name="prior")
+    results = minimax_risks([p[:n, :s] for p, n, s in zip(pmats, ns, ss)], tol=tol)
     values = np.array([res.value for res in results])
-    slacks = np.empty((trials, 7))
-    for group in groups:
-        risks = bayes_risks(group.priors(priors), group.members[:, None])
-        at = values[group.idx]
-        slacks[group.idx, :5] = at[:, None] + tol - risks[:, :5]
-        slacks[group.idx, 5] = at - risks[:, 5]
-        slacks[group.idx, 6] = 1.0 - 1.0 / group.counts + 1e-12 - at
+    risks = bayes_risks(priors, pmats[:, None])
+    slacks = np.column_stack([
+        values[:, None] + tol - risks[:, :5],
+        values - risks[:, 5],
+        1.0 - 1.0 / ns + 1e-12 - values,
+    ])
     worst = _fold_min(math.inf, slacks)
     worst_gap = _fold_max(0.0, [res.duality_gap for res in results])
     return _record(
@@ -335,50 +238,28 @@ def check_weighted_soundness(seed: int, trials: int) -> dict:
     """The central sweep: random ensembles, priors, references, and every
     built-in generator; the weighted divergence sum must dominate the floor.
     Trials whose MAP reference mass W is 0 or 1 are skipped, and an
-    infinite sum is counted as checked.  One kernel call per support size
-    and generator on the member rows (:func:`_by_support`), one
-    weighted-sum call per member count and generator, and one floor call
-    per generator."""
+    infinite sum is counted as checked.  W and the Bayes risks take one
+    call over the padded block, the divergences and their weighted sums
+    one call per member count and generator, and the floors one call per
+    generator."""
     rng = np.random.default_rng([seed, 20])
     gens = default_generators()
-    members, priors, refs = [], [], []
-    dead = np.zeros(trials, dtype=bool)
-    for t in range(trials):
-        pmat, prior = _draw_arrays(rng, with_prior=True)
-        s = pmat.shape[1]
-        q = rng.standard_exponential(s)
-        if t % 7 == 0 and s > 2:
-            # exercise references with a dead point; the sum may be infinite
-            q = _normalized(q)
-            q[int(rng.integers(0, s))] = 0.0
-            q = q / q.sum()
-            dead[t] = True
-        members.append(pmat)
-        priors.append(prior)
-        refs.append(q)
-    # per trial: W, the Bayes risk, the prior and each member's divergence
-    # per generator, padded past the member count; then each generator's
-    # sums per member count, unpadded; the floor is elementwise, so each
-    # generator gets one floor call over all trials
-    ns = np.array([len(pmat) for pmat in members])
-    w_mass, rbar = np.empty(trials), np.empty(trials)
-    weights = np.zeros((trials, ns.max()))
-    divs = np.zeros((len(gens), trials, ns.max()))
-    for group in _by_support(members):
-        idx, pmats, w = group.idx, group.members, group.priors(priors)
-        qs, raw = np.stack([refs[i] for i in idx]), ~dead[idx]
-        qs[raw] = _normalized(qs[raw])  # dead-point references came normalized
-        check_mass_rows(qs)
-        w_mass[idx] = map_reference_masses(w, pmats, qs)
-        rbar[idx] = bayes_risks(w, pmats)
-        weights[idx, : w.shape[1]] = w
-        for g, gen in enumerate(gens):
-            divs[g, idx, : w.shape[1]] = group.divergences(gen, qs)
+    ns, ss, pmats = _ensembles(rng, trials, 6, 12)
+    w = _flat_dirichlet(rng.standard_exponential((trials, 6)), ns, name="prior")
+    raw = rng.standard_exponential((trials, 12))
+    # every seventh reference on more than two points gets a dead point, so
+    # the sum may be infinite
+    dead = (np.arange(trials) % 7 == 0) & (ss > 2)
+    raw[dead, rng.integers(0, ss)[dead]] = 0.0
+    qs = _flat_dirichlet(raw, ss)
+    w_mass = map_reference_masses(w, pmats, qs)
+    rbar = bayes_risks(w, pmats)
     sums = np.empty((trials, len(gens)))
-    for n in np.unique(ns):
+    for n in np.unique(ns).tolist():
         at = ns == n
-        for g in range(len(gens)):
-            sums[at, g] = weighted_sums(weights[at, :n], divs[g, at, :n])
+        for g, gen in enumerate(gens):
+            divs = divergence_matrix(gen, pmats[at, :n], qs[at, None])[..., 0]
+            sums[at, g] = weighted_sums(w[at, :n], divs)
     valid = (0.0 < w_mass) & (w_mass < 1.0)
     # slack per (trial, generator); NaN where nothing is checked
     slacks = np.full((trials, len(gens)), math.nan)
@@ -394,24 +275,34 @@ def check_weighted_soundness(seed: int, trials: int) -> dict:
 
 
 def check_uniform_floor_shape(seed: int, trials: int) -> dict:
-    """The uniform divergence floor is non-increasing and midpoint convex.
-    Each generator's trials are evaluated in two floor calls."""
+    """The uniform divergence floor is non-increasing and midpoint convex,
+    and it is sound: at a random ensemble's uniform-prior Bayes risk it
+    stays below the ensemble's divergence sum to its uniform mixture (for
+    two members under total variation it equals that sum).  Each trial
+    draws a generator and an ensemble; each generator's trials take two
+    floor calls on the grids, one kernel call and one floor call."""
     rng = np.random.default_rng([seed, 21])
     gens = default_generators()
-    picks, ns = np.empty(trials, dtype=int), np.empty(trials, dtype=int)
-    for t in range(trials):
-        picks[t] = int(rng.integers(0, len(gens)))
-        ns[t] = int(rng.integers(2, 7))
-    grids = np.stack([np.linspace(0.0, 1.0 - 1.0 / n, 33) for n in ns])
+    ns, _, pmats = _ensembles(rng, trials, 6, 8)
+    picks = rng.integers(0, len(gens), size=trials)
+    live = np.arange(6) < ns[:, None]
+    rbar = bayes_risks(_flat_dirichlet(np.ones((trials, 6)), ns, name="prior"), pmats)
+    mixes = check_mass_rows(pmats.sum(axis=1) / ns[:, None])
+    grids = np.linspace(0.0, 1.0 - 1.0 / ns, 33, axis=1)
     vals = np.empty_like(grids)
     # midpoints of grid points i and i + 2 for i = 0, 3, ..., 27
     mid_vals = np.empty((trials, 10))
-    for g in np.unique(picks):
+    sums, floors = np.empty(trials), np.empty(trials)
+    for g in np.unique(picks).tolist():
         sel = picks == g
         n = ns[sel, None]
         vals[sel] = uniform_divergence_floor(gens[g], n, grids[sel])
         mids = (grids[sel, 0:28:3] + grids[sel, 2:30:3]) / 2.0
         mid_vals[sel] = uniform_divergence_floor(gens[g], n, mids)
+        # the zero rows past each count are no members: their terms are dropped
+        divs = divergence_matrix(gens[g], pmats[sel], mixes[sel, None])[..., 0]
+        sums[sel] = np.where(live[sel], divs, 0.0).sum(axis=1)
+        floors[sel] = uniform_divergence_floor(gens[g], ns[sel], rbar[sel])
     chords = (vals[:, 0:28:3] + vals[:, 2:30:3]) / 2.0
     with np.errstate(invalid="ignore"):  # inf - inf where a value is infinite
         gaps = chords - mid_vals
@@ -424,8 +315,13 @@ def check_uniform_floor_shape(seed: int, trials: int) -> dict:
         if finite.size > 1:
             slacks[t, 0] = float((finite[:-1] - finite[1:]).min())
     worst = _fold_min(math.inf, slacks)
+    floor_slack = _fold_min(math.inf, sums - floors)
     return _record(
-        "uniform_floor_shape", worst >= -1e-10, trials=trials, worst_slack=worst
+        "uniform_floor_shape",
+        worst >= -1e-10 and floor_slack >= -1e-9,
+        trials=trials,
+        worst_slack=worst,
+        worst_floor_slack=floor_slack,
     )
 
 
@@ -502,30 +398,24 @@ def check_two_point_sharpness(seed: int) -> dict:
 
 def check_pair_inequalities(seed: int, trials: int) -> dict:
     """Pinsker, the mixture-KL/total-variation inequality, and the
-    Hellinger/total-variation inequality on random pairs, scored by
-    support size."""
+    Hellinger/total-variation inequality on random pairs, all in one
+    padded block."""
     rng = np.random.default_rng([seed, 22])
     kl = builtin_generator("kl")
-    pairs = []
-    for _ in range(trials):
-        s = int(rng.integers(2, 17))
-        pairs.append(rng.standard_exponential((2, s)))
+    ss = rng.integers(2, 17, size=trials)
+    both = _flat_dirichlet(rng.standard_exponential((trials, 2, 16)), ss)
+    p1, p2 = both[:, 0], both[:, 1]
+    v = total_variations(p1, p2)
     # per trial: Pinsker, the mixture inequality (NaN where vacuous), Hellinger
     slacks = np.full((trials, 3), math.nan)
-    for _, idx in _by_shape(pairs):
-        both = _stacked(pairs, idx)
-        p1, p2 = both[:, 0], both[:, 1]
-        v = total_variations(p1, p2)
-        slacks[idx, 0] = divergence_matrix(kl, p1[:, None], p2[:, None])[:, 0, 0] - 2.0 * v * v
-        mix = check_mass_rows((p1 + p2) / 2.0)
-        to_mix = divergence_matrix(kl, both, mix[:, None])
-        lhs = to_mix[:, 0, 0] + to_mix[:, 1, 0]
-        for i, t in enumerate(idx):
-            if v[i] < 1:
-                rhs = (1 + v[i]) * math.log1p(v[i]) + (1 - v[i]) * math.log1p(-v[i])
-                slacks[t, 1] = lhs[i] - rhs
-        h_sq = squared_hellingers(p1, p2)
-        slacks[idx, 2] = np.sqrt(h_sq) * np.sqrt(1 - h_sq / 4.0) - v
+    slacks[:, 0] = divergence_matrix(kl, p1[:, None], p2[:, None])[:, 0, 0] - 2.0 * v * v
+    mix = check_mass_rows((p1 + p2) / 2.0)
+    to_mix = divergence_matrix(kl, both, mix[:, None])[..., 0].sum(axis=1)
+    below = v < 1.0
+    u = v[below]
+    slacks[below, 1] = to_mix[below] - ((1 + u) * np.log1p(u) + (1 - u) * np.log1p(-u))
+    h_sq = squared_hellingers(p1, p2)
+    slacks[:, 2] = np.sqrt(h_sq) * np.sqrt(1 - h_sq / 4.0) - v
     worst = _fold_min(math.inf, slacks)
     return _record(
         "pair_inequalities", worst >= -1e-12, trials=trials, worst_slack=worst
@@ -550,20 +440,21 @@ def check_pinsker_constant(seed: int) -> dict:
 def check_named_bound_soundness(seed: int, trials: int) -> dict:
     """Every named bound fed exact ensemble statistics stays below the exact
     uniform-prior Bayes risk; the chi2 bound is tight on identical members.
-    Statistics and bounds are computed per shape, one family at a time."""
+    The Bayes risks take one call over the padded block, the statistics
+    and bounds one call per member count and family."""
     rng = np.random.default_rng([seed, 23])
     families = ("fano", "chi2", "hellinger", "tv", "power_l")
-    members = [_draw_arrays(rng, n_max=5, support_max=8)[0] for _ in range(trials)]
+    ns, _, pmats = _ensembles(rng, trials, 5, 8)
+    rbar = bayes_risks(_flat_dirichlet(np.ones((trials, 5)), ns, name="prior"), pmats)
     slacks = np.empty((trials, len(families)))
-    for (n, _), idx in _by_shape(members):
-        pmats = _stacked(members, idx)
-        rbar = bayes_risks(np.full(n, 1.0 / n), pmats)
+    for n in np.unique(ns).tolist():
+        at = ns == n
         for f, fam in enumerate(families):
-            stat, minimizers = ensemble_statistics(fam, pmats)
+            stat, minimizers = ensemble_statistics(fam, pmats[at, :n])
             if minimizers is not None:
                 check_mass_rows(minimizers)
             bound = np.minimum(np.maximum(named_risk_bounds(fam, n, stat), 0.0), 1.0)
-            slacks[idx, f] = rbar - bound
+            slacks[at, f] = rbar[at] - bound
     worst = _fold_min(math.inf, slacks)
     member = DiscreteDistribution(np.array([0.3, 0.7]))
     ident = Ensemble(members=(member, member, member))
@@ -581,27 +472,23 @@ def check_named_bound_soundness(seed: int, trials: int) -> dict:
 def check_implicit_vs_oracle(seed: int, trials: int) -> dict:
     """Inverting the uniform floor at the exact informativity never beats the
     exact Bayes risk; the tangent relaxation never beats the inversion.
-    The generator cycles with the trial; informativities are computed per
-    shape and generator, and each generator's bisections run together."""
+    The generator cycles with the trial; informativities take one
+    closed-form call per member count and generator, and each generator's
+    bisections run together."""
     rng = np.random.default_rng([seed, 24])
     names = ("kl", "chi2", "hellinger_half", "power:3")
-    members, anchors = [], np.empty(trials)
-    for t in range(trials):
-        pmat, _ = _draw_arrays(rng, n_max=5, support_max=8)
-        members.append(pmat)
-        anchors[t] = float(rng.uniform(0.0, 1.0 - 1.0 / len(pmat) - 1e-6))
+    ns, _, pmats = _ensembles(rng, trials, 5, 8)
+    anchors = rng.uniform(0.0, 1.0 - 1.0 / ns - 1e-6)
     cycle = np.arange(trials) % len(names)
-    ns = np.array([len(pmat) for pmat in members])
-    rbar, totals = np.empty(trials), np.empty(trials)
-    for (n, _), idx in _by_shape(members):
-        pmats = _stacked(members, idx)
-        rbar[idx] = bayes_risks(np.full(n, 1.0 / n), pmats)
+    rbar = bayes_risks(_flat_dirichlet(np.ones((trials, 5)), ns, name="prior"), pmats)
+    totals = np.empty(trials)
+    for n in np.unique(ns).tolist():
         for k, name in enumerate(names):
-            sel = cycle[idx] == k
+            sel = (ns == n) & (cycle == k)
             if sel.any():
-                minimizers, values = closed_forms(name, pmats[sel])
+                minimizers, values = closed_forms(name, pmats[sel, :n])
                 check_mass_rows(minimizers)
-                totals[idx[sel]] = n * values
+                totals[sel] = n * values
     bounds, tangents = np.empty(trials), np.empty(trials)
     for k, name in enumerate(names):
         sel = cycle == k
@@ -784,18 +671,11 @@ def _grid_columns(s: int, step: float) -> tuple:
     return tuple(leading), tuple(gathered)
 
 
-def informativity_oracle_draws(seed: int, trials: int) -> list:
-    """The seeded members of :func:`check_informativity_oracles` as
-    arrays: 2 to 4 flat-Dirichlet members on 2 to 4 points, an n x s array
-    per trial, each normalized on its own (:func:`_normalized`), since the
-    grid oracle reads single trials."""
-    rng = np.random.default_rng([seed, 30])
-    draws = []
-    for _ in range(trials):
-        s = int(rng.integers(2, 5))
-        n = int(rng.integers(2, 5))
-        draws.append(_normalized(rng.standard_exponential((n, s))))
-    return draws
+def informativity_oracle_draws(seed: int, trials: int) -> tuple:
+    """The seeded ensembles of :func:`check_informativity_oracles`: the
+    member counts n and point counts s in [2, 4] and the members
+    (T, 4, 4), zero past them (:func:`_ensembles`)."""
+    return _ensembles(np.random.default_rng([seed, 30]), trials, 4, 4)
 
 
 def check_informativity_oracles(
@@ -804,22 +684,25 @@ def check_informativity_oracles(
     """Closed forms match the KKT solver to 1e-6 (all three standard
     generators per ensemble) and the grid-search oracle to 2e-3 (one
     generator per ensemble, cycling; every ensemble when grid_stride=1).
-    The ensembles of each shape are solved together, with one closed-form
-    call and one batched KKT solve per generator."""
+    The ensembles of each member count are solved together, with one
+    closed-form call and one batched KKT solve per generator (the solver
+    drops the zero points with the rest of each support pattern); the grid
+    oracle reads each unpadded ensemble alone."""
     names = ("kl", "chi2", "hellinger_half")
-    members = informativity_oracle_draws(seed, trials)
+    ns, ss, pmats = informativity_oracle_draws(seed, trials)
     closed = np.empty((trials, len(names)))
     numeric = np.empty((trials, len(names)))
-    for _, idx in _by_shape(members):
-        pmats = check_mass_rows(np.stack([members[i] for i in idx]))
+    for n in np.unique(ns).tolist():
+        at = ns == n
         for j, name in enumerate(names):
-            closed[idx, j] = closed_forms(name, pmats)[1]
-            numeric[idx, j] = kkt_solutions(builtin_generator(name), pmats, tol=1e-9)[1]
+            closed[at, j] = closed_forms(name, pmats[at, :n])[1]
+            numeric[at, j] = kkt_solutions(builtin_generator(name), pmats[at, :n], tol=1e-9)[1]
     worst_numeric = _fold_max(0.0, np.abs(closed - numeric))
     worst_grid = 0.0
     for t in range(0, trials, grid_stride):
         j = t % len(names)
-        oracle = grid_informativity(builtin_generator(names[j]), members[t], step=1e-3)
+        pmat = pmats[t, : ns[t], : ss[t]]
+        oracle = grid_informativity(builtin_generator(names[j]), pmat, step=1e-3)
         worst_grid = max(worst_grid, abs(float(closed[t, j]) - oracle))
     passed = worst_numeric <= 1e-6 and worst_grid <= 2e-3
     return _record(
@@ -833,28 +716,21 @@ def check_informativity_oracles(
 
 def check_compensation_identity(seed: int, trials: int) -> dict:
     """sum KL(P_theta||Q) = sum KL(P_theta||mixture) + N KL(mixture||Q),
-    with three kernel calls per support size (:func:`_by_support`); each
-    sum over members, the mixture's included, is added in member order."""
+    with one kernel call per member count for the members against Q and
+    the mixture, and one over the padded block for the mixtures against
+    Q."""
     rng = np.random.default_rng([seed, 31])
     kl = builtin_generator("kl")
-    members, refs = [], []
-    for _ in range(trials):
-        pmat, _ = _draw_arrays(rng, n_max=5, support_max=8)
-        members.append(pmat)
-        refs.append(rng.standard_exponential(pmat.shape[1]))
+    ns, ss, pmats = _ensembles(rng, trials, 5, 8)
+    qs = _flat_dirichlet(rng.standard_exponential((trials, 8)), ss)
+    mix = check_mass_rows(pmats.sum(axis=1) / ns[:, None])
+    across = ns * divergence_matrix(kl, mix[:, None], qs[:, None])[:, 0, 0]
     errors = np.empty(trials)
-    for group in _by_support(members):
-        pmats, counts, qs = group.members, group.counts, _stacked(refs, group.idx)
-        total = pmats[:, 0]
-        for i in range(1, pmats.shape[1]):
-            total = total + pmats[:, i]
-        mix = check_mass_rows(total / counts[:, None])
-        to_q, to_mix = group.divergences(kl, qs), group.divergences(kl, mix)
-        lhs, rhs = to_q[:, 0], to_mix[:, 0]
-        for i in range(1, pmats.shape[1]):
-            lhs, rhs = lhs + to_q[:, i], rhs + to_mix[:, i]
-        rhs = rhs + counts * divergence_matrix(kl, mix[:, None], qs[:, None])[:, 0, 0]
-        errors[group.idx] = np.abs(lhs - rhs)
+    for n in np.unique(ns).tolist():
+        at = ns == n
+        refs = np.stack([qs[at], mix[at]], axis=1)
+        to_q, to_mix = divergence_matrix(kl, pmats[at, :n], refs).sum(axis=1).T
+        errors[at] = np.abs(to_q - (to_mix + across[at]))
     worst = _fold_max(0.0, errors)
     return _record(
         "compensation_identity", worst <= 1e-10, trials=trials, worst_error=worst
@@ -864,33 +740,32 @@ def check_compensation_identity(seed: int, trials: int) -> dict:
 def check_upper_chain(seed: int, trials: int) -> dict:
     """The three simple upper bounds are nested and sit above the
     informativity (the first one is exactly it for KL).  The generator
-    cycles with the trial; each shape and generator takes one chain call
-    (:func:`.informativity.simple_upper_chains`) and one closed-form
+    cycles with the trial; each member count and generator takes one chain
+    call (:func:`.informativity.simple_upper_chains`) and one closed-form
     call."""
     rng = np.random.default_rng([seed, 32])
     names = ("kl", "chi2", "hellinger_half", "power:3")
-    members = [_draw_arrays(rng, n_max=5, support_max=8)[0] for _ in range(trials)]
+    ns, _, pmats = _ensembles(rng, trials, 5, 8)
     cycle = np.arange(trials) % len(names)
     # per trial: the two nesting slacks (NaN past an infinite bound), then
     # the slack to the informativity
     slacks = np.full((trials, 3), math.nan)
     kl_gaps = np.full(trials, math.nan)
-    for _, idx in _by_shape(members):
-        pmats = _stacked(members, idx)
+    for n in np.unique(ns).tolist():
         for k, name in enumerate(names):
-            sel = cycle[idx] == k
+            sel = (ns == n) & (cycle == k)
             if not sel.any():
                 continue
-            at = idx[sel]
-            chain = np.stack(simple_upper_chains(builtin_generator(name), pmats[sel]), axis=1)
-            minimizers, values = closed_forms(name, pmats[sel])
+            group = pmats[sel, :n]
+            chain = np.stack(simple_upper_chains(builtin_generator(name), group), axis=1)
+            minimizers, values = closed_forms(name, group)
             check_mass_rows(minimizers)
             with np.errstate(invalid="ignore"):  # inf - inf past an infinite bound
                 nested = chain[:, 1:] - chain[:, :-1]
-            slacks[at, :2] = np.where(np.isfinite(chain[:, 1:]), nested, math.nan)
-            slacks[at, 2] = chain[:, 0] - values
+            slacks[sel, :2] = np.where(np.isfinite(chain[:, 1:]), nested, math.nan)
+            slacks[sel, 2] = chain[:, 0] - values
             if name == "kl":
-                kl_gaps[at] = np.abs(chain[:, 0] - values)
+                kl_gaps[sel] = np.abs(chain[:, 0] - values)
     worst = _fold_min(math.inf, slacks)
     kl_gap = _fold_max(0.0, kl_gaps)
     return _record(
@@ -907,7 +782,7 @@ def check_covering_validity(seed: int, trials: int) -> dict:
     informativity on random (ensemble, family) instances, and for KL the
     generic bound is log M plus the mean assigned divergence.  The kind
     cycles with the trial, and each family is padded to 4 candidates, so
-    each shape and kind takes one closed-form call, one
+    each member count and kind takes one closed-form call, one
     :func:`.informativity.covering_bounds` call (two kernel calls) and, for
     KL, one kernel call for the assigned divergences."""
     rng = np.random.default_rng([seed, 33])
@@ -917,39 +792,32 @@ def check_covering_validity(seed: int, trials: int) -> dict:
         ("power_l", "power:3", 3.0),
         ("hellinger_sq", "hellinger_sq", 2.0),
     )
-    members, families, counts = [], [], np.empty(trials, dtype=int)
-    for t in range(trials):
-        pmat, _ = _draw_arrays(rng, n_max=5, support_max=6)
-        counts[t] = int(rng.integers(1, 5))
-        members.append(pmat)
-        families.append(_draw_family(rng, counts[t], pmat.shape[1], 4))
+    ns, ss, pmats = _ensembles(rng, trials, 5, 6)
+    counts = rng.integers(1, 5, size=trials)
+    families = _families(rng, (trials, 4, 6), ss, counts)
     cycle = np.arange(trials) % len(kinds)
     # per trial: generic and specialized bound less the informativity
     slacks = np.empty((trials, 2))
     relations = np.empty(trials)
     kl_errors = np.full(trials, math.nan)
-    for _, idx in _by_shape(members):
-        pmats = _stacked(members, idx)
+    for n in np.unique(ns).tolist():
         for k, (kind, gen_name, l) in enumerate(kinds):
-            sel = cycle[idx] == k
+            sel = (ns == n) & (cycle == k)
             if not sel.any():
                 continue
-            at, group = idx[sel], pmats[sel]
+            group, qmats, m = pmats[sel, :n], families[sel], counts[sel]
             gen = builtin_generator(gen_name)
             minimizers, exact = closed_forms(gen_name, group)
             check_mass_rows(minimizers)
-            qmats = _stacked(families, at)
-            errors, assignment, generic = covering_bounds(gen, group, qmats, counts[at])
-            special = covering_specializations(kind, counts[at], errors, l=l)
-            slacks[at, 0], slacks[at, 1] = generic - exact, special - exact
-            relations[at] = special - generic
+            errors, assignment, generic = covering_bounds(gen, group, qmats, m)
+            special = covering_specializations(kind, m, errors, l=l)
+            slacks[sel, 0], slacks[sel, 1] = generic - exact, special - exact
+            relations[sel] = special - generic
             if kind == "kl":
-                chosen = qmats[np.arange(len(at))[:, None], assignment]
+                chosen = qmats[np.arange(len(m))[:, None], assignment]
                 assigned = divergence_matrix(gen, group[:, :, None], chosen[:, :, None])
-                identity = covering_specializations(
-                    "kl", counts[at], assigned[..., 0, 0].mean(axis=-1)
-                )
-                kl_errors[at] = np.abs(generic - identity)
+                identity = covering_specializations("kl", m, assigned[..., 0, 0].mean(axis=-1))
+                kl_errors[sel] = np.abs(generic - identity)
     worst = _fold_min(math.inf, slacks)
     worst_relation = _fold_min(math.inf, relations)
     kl_identity = _fold_max(0.0, kl_errors)
@@ -1020,27 +888,23 @@ def check_entropy_finite_chain(seed: int, trials: int) -> dict:
     """Soundness of the chi2 entropy bound reproduced stepwise on explicit
     finite instances: with exact packing count, covering count, and max-min
     error, every link of the chain holds against exact oracle values.
-    Each family is padded to 3 candidates, so each shape takes one
-    max-min error call (:func:`.informativity.covering_errors`), one
-    closed-form call and one Bayes-risk call; the entropy bound is
-    evaluated trial by trial."""
+    Each family is padded to 3 candidates, so each member count takes one
+    max-min error call (:func:`.informativity.covering_errors`) and one
+    closed-form call, and the padded block one Bayes-risk call; the
+    entropy bound is evaluated trial by trial."""
     rng = np.random.default_rng([seed, 40])
     chi2 = builtin_generator("chi2")
     loss = power_loss(1.0)
-    members, families, counts = [], [], np.empty(trials, dtype=int)
-    for t in range(trials):
-        pmat, _ = _draw_arrays(rng, n_max=6, support_max=8)
-        counts[t] = int(rng.integers(1, 4))
-        members.append(pmat)
-        families.append(_draw_family(rng, counts[t], pmat.shape[1], 3))
-    ns = np.array([len(pmat) for pmat in members])
-    errors, j_exact, rbar = np.empty(trials), np.empty(trials), np.empty(trials)
-    for (n, _), idx in _by_shape(members):
-        pmats = _stacked(members, idx)
-        errors[idx] = covering_errors(chi2, pmats, _stacked(families, idx), counts[idx])[0]
-        minimizers, j_exact[idx] = closed_forms("chi2", pmats)
+    ns, ss, pmats = _ensembles(rng, trials, 6, 8)
+    counts = rng.integers(1, 4, size=trials)
+    families = _families(rng, (trials, 3, 8), ss, counts)
+    rbar = bayes_risks(_flat_dirichlet(np.ones((trials, 6)), ns, name="prior"), pmats)
+    errors, j_exact = np.empty(trials), np.empty(trials)
+    for n in np.unique(ns).tolist():
+        at = ns == n
+        errors[at] = covering_errors(chi2, pmats[at, :n], families[at], counts[at])[0]
+        minimizers, j_exact[at] = closed_forms("chi2", pmats[at, :n])
         check_mass_rows(minimizers)
-        rbar[idx] = bayes_risks(np.full(n, 1.0 / n), pmats)
     cover_j = covering_specializations("chi2", counts, errors)
     points = np.array([
         entropy_risk_bound(
@@ -1192,10 +1056,8 @@ def check_code_invariants(seed: int) -> dict:
 
 def _distinct_pairs(rng: np.random.Generator, k: int, count: int) -> tuple:
     """``count`` seeded pairs of words in {0,1}^k as two (B, k) arrays of
-    the B pairs that differ: equal pairs are dropped.  One ``rng.integers``
-    call draws them all; it takes the same bits from the stream, and leaves
-    it in the same state, as one call per word would (the bit generator
-    keeps the unused half of a 64-bit draw for the next call)."""
+    the B pairs that differ, drawn in one ``rng.integers`` call: equal
+    pairs are dropped."""
     pairs = rng.integers(0, 2, size=(count, 2, k))
     kept = pairs[(pairs[:, 0] != pairs[:, 1]).any(axis=1)]
     return kept[:, 0], kept[:, 1]

@@ -198,6 +198,17 @@ class TestSubcommands:
             if key != "d":
                 assert f"{key}={float(number)!r}" in captured.err
 
+    def test_entropy_schedule_underflow_names_inputs(self, capsys):
+        """This once printed "c": 0.0 and "eta": 0.0 and exited 0."""
+        code = main(
+            ["entropy-bound", "--kind", "chi2", "--model", "support_function",
+             "--schedule-n", "100", "--params", "c_prime=1e-300,d=2"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "n=100, d=2: c = (c'/(2 + 2c''))" in captured.err
+        assert "underflows to 0" in captured.err and "c_prime=1e-300" in captured.err
+
     def test_jf_closed_and_numeric(self, files, capsys):
         code, out = run_cli(
             capsys, "jf", str(files["ens"]), "--gen", "chi2", "--method", "closed"

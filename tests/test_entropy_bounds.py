@@ -739,6 +739,26 @@ class TestBuiltinProfiles:
         with pytest.raises(ValueError, match=r"n=1000000000000, d=3: eps .* leaves the float range"):
             support_function_schedule(10**12, 3, 1.0, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "d, c_prime, gamma, sigma, value",
+        [
+            (2, 1e-300, 1.0, 1.0, "c = (c'/(2 + 2c''))^(2/(d-1))"),
+            (2, 1e-150, 1.0, 1e-100, "eta = c sigma^(4/(d+3))"),
+            (3, 1.0, 1e-300, 1e300, "u = (gamma sqrt(n)/sigma)"),
+            (40, 1.0, 1e-300, 1.0, "eps = sqrt(e^(u^2) - 1)"),
+        ],
+    )
+    def test_schedule_underflow_names_inputs(self, d, c_prime, gamma, sigma, value):
+        """c = (c'/(2 + 2c''))^2 underflowed to 0 at c' = 1e-300, and the
+        schedule gave c = eta = 0."""
+        with pytest.raises(ValueError) as err:
+            support_function_schedule(100, d, c_prime, 1.0, gamma, sigma)
+        message = str(err.value)
+        assert message.startswith(f"support-function schedule at n=100, d={d}: {value}")
+        assert "underflows to 0" in message
+        for key, number in (("c_prime", c_prime), ("gamma", gamma), ("sigma", sigma)):
+            assert f"{key}={number!r}" in message
+
 
 class TestSoundnessChain:
     def test_finite_instance_chain(self):

@@ -1,9 +1,9 @@
-"""Golden verify reports: the batched sweeps, grouped by shape or by support
-size, give the exact records of the per-trial loops they replaced.
+"""Golden verify reports: every record of every suite, bit for bit.
 
 ``data/verify_all_seed0.json`` is ``fdivbounds verify --suite all --seed 0``
-as the per-trial implementation printed it (``json.dumps`` with sorted keys
-and indent 2), and ``data/verify_all_sha256.json`` holds, for suite seeds
+as printed (``json.dumps`` with sorted keys and indent 2) when each sweep
+drew its trials as one padded block and called the library once per
+member count, and ``data/verify_all_sha256.json`` holds, for suite seeds
 1-15, the sha256 of ``json.dumps(run_suite("all", seed), sort_keys=True)``
 from the same implementation.  Any moved bit in any record fails here.
 """

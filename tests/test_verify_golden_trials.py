@@ -1,10 +1,10 @@
-"""Golden verify reports at a trial override of 1000: larger shape and
-support-size groups, more dead-point references and the 200- and 100-trial
-caps than the default counts reach.
+"""Golden verify reports at a trial override of 1000: larger blocks, more
+dead-point references and the 200- and 100-trial caps than the default
+counts reach.
 
 ``data/verify_all_seed0_trials1000.json`` is
-``fdivbounds verify --suite all --seed 0 --trials 1000`` as printed when the
-trials were drawn with one ``rng.dirichlet`` call each, and
+``fdivbounds verify --suite all --seed 0 --trials 1000`` as printed when
+each sweep drew its trials as one padded block, and
 ``data/verify_all_trials1000_sha256.json`` holds, for suite seeds 1-3, the
 sha256 of ``json.dumps(run_suite("all", seed, trials=1000), sort_keys=True)``
 from the same implementation.  Any moved bit in any record fails here.
