@@ -9,6 +9,7 @@ packings of the sphere with the support-function distance integral.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from typing import Optional
 import numpy as np
 from scipy import integrate, linalg, special
 
-from .distributions import check_finite
+from .distributions import check_finite, check_integer
 from .report import BoundReport
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -103,14 +104,6 @@ def _code_size(k: int) -> Optional[int]:
     return math.ceil(math.exp(k / 8.0)) if k / 8.0 <= _LOG_FLOAT_MAX else None
 
 
-#: candidate-kept pairs compared per step of the block filter; each pair
-#: costs 9 bytes of temporaries, so a step holds about 20 MB
-_PAIRS_PER_STEP = 1 << 21
-
-#: most candidates filtered at once; the block's own pairs cost _BLOCK^2
-_BLOCK = 256
-
-
 def _candidate_blocks(k: int, seed: int, target: int):
     """The seeded candidate stream of :func:`varshamov_gilbert_code`, as
     packed blocks: every word of {0,1}^k in random order for k <= 16, else
@@ -130,39 +123,23 @@ def _candidate_blocks(k: int, seed: int, target: int):
             yield _pack_rows(rng.integers(0, 2, size=(size, k), dtype=np.uint8))
 
 
-def _distances(rows: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """Hamming distances between packed rows, (len(rows), len(others)) as
-    uint8 (the builder's lengths stay below 256)."""
-    dist = np.bitwise_count(rows[:, None, 0] ^ others[None, :, 0])
-    for w in range(1, rows.shape[1]):
-        dist += np.bitwise_count(rows[:, None, w] ^ others[None, :, w])
-    return dist
-
-
-def _nearest(rows: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """Each row's least Hamming distance to any of ``kept``, compared
-    against a slice of ``kept`` at a time to bound the temporaries."""
-    chunk = max(1, _PAIRS_PER_STEP // len(rows))
-    return np.minimum.reduce(
-        [_distances(rows, kept[s : s + chunk]).min(axis=1) for s in range(0, len(kept), chunk)]
-    )
-
-
 def varshamov_gilbert_code(k: int, seed: int = 0) -> BinaryCode:
     """Greedy code over {0,1}^k: words arrive in seeded-random order and are
     kept when at Hamming distance >= k/4 from everything kept so far; the
     build stops at ceil(exp(k/8)) words.
 
-    Candidates are filtered a block at a time: first against every word kept
-    before the block, then the block's survivors against each other in
-    arrival order, so the words are those of the one-at-a-time build.  The
-    pairwise property holds by construction, and the exact minimum pairwise
-    distance is recorded on the result.  ``_gilbert_varshamov`` shows a code
-    of this size exists; if the random order is unlucky within the candidate
-    budget, a retry with a different seed is signalled by RuntimeError.
-    Codes above 2^16 words (k >= 89; the applications never built one past
-    k = 88) are refused with ValueError.
+    Candidates are taken one at a time.  The kept words are stored as one
+    row per 64-bit slot, so a candidate's distances to all of them take one
+    XOR and one popcount per slot.  The pairwise property holds by
+    construction, and the exact minimum pairwise distance is recorded on the
+    result.  ``_gilbert_varshamov`` shows a code of this size exists; if the
+    random order is unlucky within the candidate budget, a retry with a
+    different seed is signalled by RuntimeError.  Codes above 2^16 words
+    (k >= 89; the applications never built one past k = 88) are refused
+    with ValueError.
     """
+    check_integer("k", k, 8)
+    check_integer("seed", seed, 0)
     log_target, needed = _gilbert_varshamov(k)
     if log_target > 16.0 * math.log(2.0):
         raise ValueError(
@@ -170,36 +147,28 @@ def varshamov_gilbert_code(k: int, seed: int = 0) -> BinaryCode:
             "65536 this builder allows"
         )
     target = _code_size(k)
-    kept = np.zeros((target, (k + 63) // 64), dtype=np.uint64)
+    slots = (k + 63) // 64
+    kept = np.zeros((slots, target), dtype=np.uint64)
+    # reused buffers; the builder's lengths stay below 256, so uint8 holds a distance
+    xor = np.empty(target, dtype=np.uint64)
+    dist = np.empty(target, dtype=np.uint8)
+    slot_dist = np.empty(target, dtype=np.uint8)
     count = 0
     min_dist = k
-    for block in _candidate_blocks(k, seed, target):
-        start = 0
-        while start < len(block) and count < target:
-            # about as many candidates as words still wanted: few are refused
-            rows = block[start : start + min(max(target - count, 32), _BLOCK)]
-            start += len(rows)
-            near = _nearest(rows, kept[:count]) if count else np.full(len(rows), k)
-            alive = near >= needed
-            rows, near = rows[alive], near[alive]
-            dist = _distances(rows, rows)
-            np.fill_diagonal(dist, k)
-            close = dist < needed
-            # only a row with a close partner that arrived before it can be
-            # refused, and only once the build still wants words at that row
-            first = close.argmax(axis=1)
-            accept = np.ones(len(rows), dtype=bool)
-            wanted = target - count
-            for i in np.flatnonzero(close.any(axis=1) & (first < np.arange(len(rows)))):
-                if i - np.count_nonzero(~accept[:i]) >= wanted:
-                    break
-                accept[i] = not np.any(close[i, :i] & accept[:i])
-            take = np.flatnonzero(accept)[:wanted]
-            if take.size == 0:
+    for word in itertools.chain.from_iterable(_candidate_blocks(k, seed, target)):
+        if count:
+            near = dist[:count]
+            np.bitwise_count(np.bitwise_xor(kept[0, :count], word[0], out=xor[:count]), out=near)
+            for w in range(1, slots):
+                near += np.bitwise_count(
+                    np.bitwise_xor(kept[w, :count], word[w], out=xor[:count]), out=slot_dist[:count]
+                )
+            nearest = int(near.min())
+            if nearest < needed:
                 continue
-            min_dist = min(min_dist, int(near[take].min()), int(dist[np.ix_(take, take)].min()))
-            kept[count : count + take.size] = rows[take]
-            count += take.size
+            min_dist = min(min_dist, nearest)
+        kept[:, count] = word
+        count += 1
         if count == target:
             break
     if count < target:
@@ -207,7 +176,7 @@ def varshamov_gilbert_code(k: int, seed: int = 0) -> BinaryCode:
             f"greedy code build found {count} of {target} words within the "
             f"candidate budget; retry with another seed"
         )
-    words = np.unpackbits(kept.view(np.uint8), axis=1)[:, :k]
+    words = np.unpackbits(np.ascontiguousarray(kept.T).view(np.uint8), axis=1)[:, :k]
     words.setflags(write=False)
     return BinaryCode(length=k, words=words, min_distance=int(min_dist))
 
@@ -298,13 +267,15 @@ def build_cov_family(
     """The family of order p split at k (delta defaults to default_delta).
     A positive Gershgorin floor certifies all 2^k members positive definite
     at once; a family without one raises ValueError."""
+    check_integer("p", p, 1)
+    check_integer("k", k, 1)
     _check_decay(alpha, delta)
     if delta is None:
         delta = float(default_delta(alpha))
     if 2 * k > p:
         raise ValueError("family needs 2k <= p")
-    if k < 1 or alpha <= 0:
-        raise ValueError("need k >= 1 and alpha > 0")
+    if alpha <= 0:
+        raise ValueError("need alpha > 0")
     if delta < 1.0:
         raise ValueError("delta below 1 puts the family outside the decay class")
     fam = CovarianceFamily(p=p, k=k, alpha=alpha, delta=float(delta))
@@ -428,8 +399,9 @@ def kl_frobenius_check(fam: CovarianceFamily, tau, m: int) -> KlFrobeniusReport:
     A(tau') and the eigenvalues of the whitened B = L^-1 A(tau) L^-T
     (:func:`_whitened_eigenvalues`).
     """
+    check_integer("m", m, 1)
     tau = np.asarray(tau, dtype=float)
-    if not 1 <= m < fam.k:
+    if m >= fam.k:
         raise ValueError("need 1 <= m < k")
     tau_prime = tau.copy()
     tau_prime[: m - 1] = 0.0
@@ -473,8 +445,9 @@ def covariance_minimax_bound(
     working.
     """
     _check_decay(alpha, delta)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    check_integer("n", n, 1)
+    if p is not None:
+        check_integer("p", p, 1)
     if not (math.isfinite(delta_report) and delta_report > 0):
         raise ValueError(
             f"delta_report must be a positive finite number, got {delta_report}"
@@ -620,6 +593,7 @@ def sphere_packing_points(d: int, epsilon: float, seed: int = 0) -> np.ndarray:
     (:func:`_farthest_point_selection`).  The pairwise property is
     re-verified exhaustively before returning.
     """
+    check_integer("seed", seed, 0)
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     threshold = 2.0 * math.sqrt(2.0) * math.sqrt(epsilon)

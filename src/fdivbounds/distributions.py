@@ -76,6 +76,13 @@ def check_finite(name: str, value) -> float:
     return value
 
 
+def check_integer(name: str, value, least: int) -> None:
+    """Refuse, by ``name``, a ``value`` that is not an integer (a bool is
+    not one; a numpy integer is) or is below ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def check_param_names(what: str, keys: Sequence[str], params) -> None:
     """Refuse ``params`` unless its names are exactly ``keys``, the
     parameters ``what`` reads: a missing one first, then any other one,

@@ -27,6 +27,7 @@ import numpy as np
 from .distributions import (
     DiscreteDistribution,
     Ensemble,
+    check_integer,
     check_mass_rows,
     product_distribution,
 )
@@ -678,12 +679,10 @@ def informativity_oracle_draws(seed: int, trials: int) -> tuple:
     return _ensembles(np.random.default_rng([seed, 30]), trials, 4, 4)
 
 
-def check_informativity_oracles(
-    seed: int, trials: int, grid_stride: int = 5
-) -> dict:
+def check_informativity_oracles(seed: int, trials: int) -> dict:
     """Closed forms match the KKT solver to 1e-6 (all three standard
     generators per ensemble) and the grid-search oracle to 2e-3 (one
-    generator per ensemble, cycling; every ensemble when grid_stride=1).
+    generator per ensemble, cycling).
     The ensembles of each member count are solved together, with one
     closed-form call and one batched KKT solve per generator (the solver
     drops the zero points with the rest of each support pattern); the grid
@@ -699,7 +698,7 @@ def check_informativity_oracles(
             numeric[at, j] = kkt_solutions(builtin_generator(name), pmats[at, :n], tol=1e-9)[1]
     worst_numeric = _fold_max(0.0, np.abs(closed - numeric))
     worst_grid = 0.0
-    for t in range(0, trials, grid_stride):
+    for t in range(0, trials, 5):
         j = t % len(names)
         pmat = pmats[t, : ns[t], : ss[t]]
         oracle = grid_informativity(builtin_generator(names[j]), pmat, step=1e-3)
@@ -1269,9 +1268,9 @@ def run_suite(name: str = "all", seed: int = 0, trials=None, timings=None) -> di
         names = (name,)
     else:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
-    _check_integer("seed", seed, 0)
+    check_integer("seed", seed, 0)
     if trials is not None:
-        _check_integer("trials", trials, 1)
+        check_integer("trials", trials, 1)
     suites = {}
     for suite_name in names:
         checks = []
@@ -1298,11 +1297,6 @@ def run_suite(name: str = "all", seed: int = 0, trials=None, timings=None) -> di
         "suites": suites,
         "pass": all(s["pass"] for s in suites.values()),
     }
-
-
-def _check_integer(name: str, value, least: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 #: the first record of each seed-free check, keyed on the check alone

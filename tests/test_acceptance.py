@@ -15,7 +15,9 @@ from scipy.optimize import minimize_scalar
 
 from fdivbounds import constructions as cons
 from fdivbounds import verify
+from fdivbounds.divergences import builtin_generator
 from fdivbounds.entropy_bounds import builtin_profile, optimize_entropy_bound, power_loss
+from fdivbounds.informativity import closed_forms
 
 
 def announce(criterion: str, ok: bool, detail: str = "") -> None:
@@ -81,15 +83,25 @@ def test_criterion_03_classical_inequality_chain():
 def test_criterion_04_informativity_oracle_equivalence():
     """200 random ensembles with support <= 4: closed forms match the
     certified numeric solver within 1e-6 and the step-1e-3 grid oracle
-    within 2e-3."""
-    result = verify.check_informativity_oracles(seed=0, trials=200, grid_stride=1)
+    within 2e-3.  The verify check runs the grid on every fifth ensemble;
+    this test runs it on all 200, cycling the generator as the check does."""
+    result = verify.check_informativity_oracles(seed=0, trials=200)
+    names = ("kl", "chi2", "hellinger_half")
+    ns, ss, pmats = verify.informativity_oracle_draws(0, 200)
+    worst_grid = 0.0
+    for t, (pmat, n, s) in enumerate(zip(pmats, ns, ss)):
+        name = names[t % len(names)]
+        closed = closed_forms(name, pmat[None, :n])[1][0]
+        oracle = verify.grid_informativity(builtin_generator(name), pmat[:n, :s], step=1e-3)
+        worst_grid = max(worst_grid, abs(float(closed) - oracle))
+    ok = result["pass"] and worst_grid <= 2e-3
     announce(
         "criterion 4: informativity oracle equivalence",
-        result["pass"],
-        f"numeric {result['worst_numeric_error']:.2e}, "
-        f"grid {result['worst_grid_error']:.2e}",
+        ok,
+        f"numeric {result['worst_numeric_error']:.2e}, grid {worst_grid:.2e}",
     )
     assert result["pass"], result
+    assert worst_grid <= 2e-3, worst_grid
 
 
 def test_criterion_05_covering_bound_validity():

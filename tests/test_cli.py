@@ -605,6 +605,21 @@ class TestSubcommands:
         assert code == 1
         assert f"k={k}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("vg", "--k", "16", "--seed", "-1"),
+            ("cap-packing", "--d", "2", "--p", "1", "--eps", "0.01", "--seed", "-1"),
+        ],
+    )
+    def test_negative_seed_exit_1_by_name(self, capsys, argv):
+        """A negative seed once stopped with numpy's "expected non-negative
+        integer", which names no flag."""
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: seed must be an integer >= 0, got -1\n"
+
     def test_covmat_bound_past_float_range_runs(self, capsys):
         """e^(k/8) past the float range no longer stops covmat-bound: the
         bound reads the log count and code_size is null."""

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -85,24 +86,21 @@ class TestBinaryCodes:
 
     @pytest.mark.parametrize("k", [8, 12, 16, 20, 24, 32])
     @pytest.mark.parametrize("seed", range(4))
-    def test_block_filter_matches_sequential_build(self, k, seed):
+    def test_words_and_min_distance_match_sequential_reference(self, k, seed):
         code = varshamov_gilbert_code(k, seed=seed)
         words, min_dist = sequential_code(k, seed)
         assert np.array_equal(code.words, words)
         assert code.min_distance == min_dist
 
-    @pytest.mark.parametrize("k", [40, 70])  # one and two 64-bit words a row
-    def test_nearest_kept_word_a_slice_at_a_time(self, monkeypatch, k):
-        # a tiny step compares each block against two kept words at a time
-        monkeypatch.setattr(cons, "_PAIRS_PER_STEP", 16)
-        rng = np.random.default_rng(k)
-        rows = cons._pack_rows(rng.integers(0, 2, size=(7, k), dtype=np.uint8))
-        kept = cons._pack_rows(rng.integers(0, 2, size=(51, k), dtype=np.uint8))
-        kept[37] = rows[4]
-        kept[37, 0] ^= np.uint64(0b1011)  # one word at distance 3, far in
-        brute = [int(np.bitwise_count(kept ^ row).sum(axis=1).min()) for row in rows]
-        assert cons._nearest(rows, kept).tolist() == brute
-        assert brute[4] == 3
+    def test_two_slot_words_pinned(self):
+        """k = 72 packs each word into two 64-bit slots; the digest pins the
+        words the seeded stream gives."""
+        code = varshamov_gilbert_code(72, seed=0)
+        assert code.words.shape == (8104, 72)
+        assert code.min_distance == 18
+        assert verify_code(code)
+        digest = hashlib.sha256(code.words.tobytes()).hexdigest()
+        assert digest == "499284b46cc136aeb6c3d4c7116593cb449fc16435ebae3acaa0ad9a0d5777fa"
 
     def test_exhaustive_distance_check_by_independent_loop(self):
         code = varshamov_gilbert_code(16, seed=3)
@@ -763,3 +761,59 @@ class TestSupportPacking:
         assert res.min_distance == pytest.approx(
             res.code_min_distance * res.cap_dist, rel=1e-15
         )
+
+
+class TestIntegerInputs:
+    """Sizes and seeds are refused by name unless they are integers; numpy
+    integers are integers and give the same outputs."""
+
+    def test_code_length_and_seed(self):
+        """k = 16.0 once failed with numpy's TypeError and seed = -1 with
+        numpy's "expected non-negative integer"."""
+        with pytest.raises(ValueError, match=r"^k must be an integer >= 8, got 16\.0$"):
+            varshamov_gilbert_code(16.0)
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got -1$"):
+            varshamov_gilbert_code(16, seed=-1)
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got True$"):
+            varshamov_gilbert_code(16, seed=True)
+        a = varshamov_gilbert_code(np.int64(16), seed=np.uint8(3))
+        b = varshamov_gilbert_code(16, seed=3)
+        assert np.array_equal(a.words, b.words) and a.min_distance == b.min_distance
+
+    def test_packing_seed(self):
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got 1\.5$"):
+            sphere_packing_points(2, 0.01, seed=1.5)
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got -1$"):
+            support_packing_bound(2, 1.0, 0.01, seed=-1)
+        assert np.array_equal(
+            sphere_packing_points(2, 0.01, seed=np.int64(4)), sphere_packing_points(2, 0.01, seed=4)
+        )
+
+    def test_family_order_and_split(self):
+        """k = 2.5 once gave a family with k = 2.5."""
+        with pytest.raises(ValueError, match=r"^k must be an integer >= 1, got 2\.5$"):
+            build_cov_family(8, 2.5, 1.0)
+        with pytest.raises(ValueError, match=r"^p must be an integer >= 1, got 8\.0$"):
+            build_cov_family(8.0, 2, 1.0)
+        fam = build_cov_family(np.int32(8), np.int64(2), 1.0)
+        assert np.array_equal(fam.base, build_cov_family(8, 2, 1.0).base)
+
+    def test_covariance_sample_size_and_order(self):
+        """n = 64.5 once returned 8.68e-05 and p = 200.5 ran."""
+        with pytest.raises(ValueError, match=r"^n must be an integer >= 1, got 64\.5$"):
+            covariance_minimax_bound(64.5, 1.0)
+        with pytest.raises(ValueError, match=r"^p must be an integer >= 1, got 200\.5$"):
+            covariance_minimax_bound(64, 1.0, p=200.5)
+        a = covariance_minimax_bound(np.int64(64), 1.0, p=np.int64(200))
+        b = covariance_minimax_bound(64, 1.0, p=200)
+        assert a.lower_bound == b.lower_bound and a.intermediates == b.intermediates
+
+    def test_truncation_index(self):
+        """m = 1.5 once failed with a TypeError from a slice."""
+        fam = build_cov_family(12, 5, 1.0)
+        tau = np.ones(5)
+        with pytest.raises(ValueError, match=r"^m must be an integer >= 1, got 1\.5$"):
+            kl_frobenius_check(fam, tau, 1.5)
+        with pytest.raises(ValueError, match=r"^m must be an integer >= 1, got 0$"):
+            kl_frobenius_check(fam, tau, 0)
+        assert kl_frobenius_check(fam, tau, np.int64(3)) == kl_frobenius_check(fam, tau, 3)
