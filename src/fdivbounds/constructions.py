@@ -256,7 +256,8 @@ class CovarianceFamily:
 
 
 def _check_decay(alpha: float, delta: Optional[float]) -> None:
-    check_finite("alpha", alpha)
+    if check_finite("alpha", alpha) <= 0.0:
+        raise ValueError(f"alpha must be > 0, got {alpha}")
     if delta is not None:
         check_finite("delta", delta)
 
@@ -274,8 +275,6 @@ def build_cov_family(
         delta = float(default_delta(alpha))
     if 2 * k > p:
         raise ValueError("family needs 2k <= p")
-    if alpha <= 0:
-        raise ValueError("need alpha > 0")
     if delta < 1.0:
         raise ValueError("delta below 1 puts the family outside the decay class")
     fam = CovarianceFamily(p=p, k=k, alpha=alpha, delta=float(delta))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -234,18 +235,31 @@ def product_distribution(base: DiscreteDistribution, n: int) -> DiscreteDistribu
     return DiscreteDistribution(out)
 
 
+def _json_floats(entries, field: str) -> np.ndarray:
+    """A JSON list of numbers as a float array, after refusing by ``field``
+    an entry that is not a number (a string, a bool or null is not one; a
+    nested list is left to the shape checks).  A list of plain ints and
+    floats passes on one pass over the entry types."""
+    if not set(map(type, entries)) <= {int, float}:
+        for x in entries:
+            if isinstance(x, bool) or not isinstance(x, (numbers.Real, list)):
+                raise ValueError(f"{field} entry {x!r} is not a number")
+    return np.array(entries, dtype=float)
+
+
 def distribution_from_json(obj: dict) -> DiscreteDistribution:
     if not isinstance(obj, dict) or "pmf" not in obj:
         raise ValueError('distribution JSON must be an object with a "pmf" key')
-    return DiscreteDistribution(np.array(obj["pmf"], dtype=float))
+    check_json_lists(obj, "distribution", ("pmf",))
+    return DiscreteDistribution(_json_floats(obj["pmf"], "pmf"))
 
 
 def ensemble_from_json(obj: dict) -> Ensemble:
     if not isinstance(obj, dict) or "members" not in obj:
         raise ValueError('ensemble JSON must be an object with a "members" key')
-    check_json_lists(obj, "ensemble", ("members", "labels"))
+    check_json_lists(obj, "ensemble", ("members", "labels", "prior"))
     members = tuple(distribution_from_json(m) for m in obj["members"])
-    prior = np.array(obj["prior"], dtype=float) if "prior" in obj else None
+    prior = _json_floats(obj["prior"], "prior") if "prior" in obj else None
     labels = tuple(obj["labels"]) if "labels" in obj else None
     return Ensemble(members=members, prior=prior, labels=labels)
 

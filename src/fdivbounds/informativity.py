@@ -6,9 +6,9 @@ power mean of the densities; Hellinger at the squared sum of root densities;
 reverse KL at the normalized geometric mean).  The objective separates over
 points, so differentiable generators in general are solved through their
 KKT conditions (one scalar equation per point, its root bracketed by a
-k-ary search that later multiplier steps resume, and safeguarded Newton
-steps on the multiplier, certified by the Lagrangian dual), a stack of
-ensembles at once in the array operations of one solve, and the
+k-ary search from [floor, 1] at each multiplier step, and safeguarded
+Newton steps on the multiplier, certified by the Lagrangian dual), a stack
+of ensembles at once in the array operations of one solve, and the
 total-variation case is solved exactly by sorting each point's member
 masses (a fractional knapsack over the breakpoints).  Covering families
 give upper bounds that need no optimization at all; they and the simple
@@ -278,15 +278,6 @@ def _bracket_arity(cells: int) -> tuple[int, int]:
     return 1 << bits, -(-40 // bits)
 
 
-def _reset_ends(ends: np.ndarray, stale: np.ndarray, fresh: np.ndarray) -> None:
-    """Move the stale ends of the root brackets back to their fresh values.
-    ``ends`` and ``fresh`` (3, 2, B, S) hold log v, v and the slope
-    (planes 0-2) at the bottom and top end (rows 0 and 1) of the bracket of
-    each ensemble's points; ``stale`` marks the (end, ensemble, point)
-    cells to reset."""
-    np.copyto(ends, fresh, where=stale)
-
-
 def informativity_numeric(
     gen: DivergenceGenerator, ens: Ensemble, tol: float = 1e-8
 ) -> InformativityResult:
@@ -354,11 +345,8 @@ def kkt_solutions(
     and slope differences (0 while that bracket still reaches down to the
     floor, and where the slope at 1 is below lambda, so v_x is clamped at
     1); the midpoint is taken whenever the Newton point is not strictly
-    inside the bracket.  After the step each point keeps its top end while
-    that end's slope is still at least the new lambda and its bottom end
-    while that slope is still below it, and resets the other to 1 or the
-    floor, so the next search resumes from the last bracket; every kept
-    slope is an exact evaluation.
+    inside the bracket.  Every step searches each point's root from the
+    full bracket [floor, 1].
 
     The reference is restricted to the union support of the members (mass
     elsewhere can only increase every term); generators with an infinite
@@ -420,21 +408,12 @@ def _bracket_views(bracket: np.ndarray, k: int) -> tuple:
 
 
 def _member_layout(pmats: np.ndarray) -> tuple:
-    """The members of a stack (B, N, S) laid out for sums over them, the
-    axis those sums run along, and the mask of their zero masses (None
-    when there is none).
-
-    From 8 terms on numpy adds pairwise along a contiguous axis, so from 8
-    members on they go innermost, (B, S, N), and each sum over them is
-    that pairwise sum, whose bits the solutions are held to.  Fewer terms
-    add in order whatever the layout, so fewer members go outermost,
-    (N, 1, B, S), and each sum over them is a run of vector adds."""
-    if pmats.shape[1] < 8:
-        members, axis = np.ascontiguousarray(pmats.transpose(1, 0, 2))[:, None], 0
-    else:
-        members, axis = np.ascontiguousarray(pmats.transpose(0, 2, 1)), -1
+    """The members of a stack (B, N, S) laid out outermost, (N, 1, B, S),
+    so each sum over them is a run of vector adds in member order, and the
+    mask of their zero masses (None when there is none)."""
+    members = np.ascontiguousarray(pmats.transpose(1, 0, 2))[:, None]
     zero = members == 0.0
-    return members, axis, zero if zero.any() else None
+    return members, zero if zero.any() else None
 
 
 def _kkt_group(gen: DivergenceGenerator, pmats: np.ndarray, tol: float) -> tuple:
@@ -448,19 +427,14 @@ def _kkt_group(gen: DivergenceGenerator, pmats: np.ndarray, tol: float) -> tuple
         # the only reference left is the point mass: nothing to solve
         q = np.ones((b, 1))
         return q, np.maximum(_objectives(gen, pmats, q), 0.0), np.zeros(b), none, none
-    members, axis, zero = _member_layout(pmats)
-
-    def ratios(v: np.ndarray) -> np.ndarray:
-        """p_theta / v at the masses v, an (m, B, S) array, the members
-        along ``axis``."""
-        return members / (v if axis == 0 else v[..., None])
+    members, zero = _member_layout(pmats)
 
     def slope(v: np.ndarray, out=None) -> np.ndarray:
         """phi'_x at the masses v, an (m, B, S) array."""
-        return np.divide(_h(gen, ratios(v), zero).sum(axis=axis), n, out=out)
+        return np.divide(_h(gen, members / v, zero).sum(axis=0), n, out=out)
 
     log_floor = np.log(np.maximum(1e-12 * pmats.max(axis=1), np.finfo(float).tiny))
-    mix = members.sum(axis=axis).reshape(b, s)
+    mix = members.sum(axis=0).reshape(b, s)
     mix /= mix.sum(axis=-1, keepdims=True)
     probe = np.empty((3, b, s))
     probe[0], probe[1], probe[2] = 1.0, 1.0 / s, mix
@@ -478,10 +452,10 @@ def _kkt_group(gen: DivergenceGenerator, pmats: np.ndarray, tol: float) -> tuple
     frac = (np.arange(1, k) / k)[:, None, None]
     # each point's root bracket: log v, v and the slope (planes 0-2) at its
     # bottom end (row 0), its top end (row k) and the k - 1 candidates
-    # between.  A fresh bottom end is the floor held as v = 0, so the
-    # tangent at the top also covers a root below the floor, with slope
-    # -inf, so the point adds no rate to the Newton step; a fresh top end
-    # is v = 1
+    # between, set to the fresh ends at each multiplier step.  A fresh
+    # bottom end is the floor held as v = 0, so the tangent at the top also
+    # covers a root below the floor, with slope -inf, so the point adds no
+    # rate to the Newton step; a fresh top end is v = 1
     fresh = np.empty((3, 2, b, s))
     fresh[0, 0], fresh[0, 1] = log_floor, 0.0
     fresh[1, 0], fresh[1, 1] = 0.0, 1.0
@@ -489,7 +463,6 @@ def _kkt_group(gen: DivergenceGenerator, pmats: np.ndarray, tol: float) -> tuple
     bracket = np.empty((3, k + 1, b, s))
     ends, (logv_mid, v_mid, s_mid), flat, cells, size = _bracket_views(bracket, k)
     (lo, hi), (v_lo, v), (s_lo, s_hi) = ends
-    ends[...] = fresh
     reached = np.ones((k, b, s), dtype=bool)
     below = reached[:-1]
     q_out, value_out, gap_out = np.empty((b, s)), np.empty(b), np.empty(b)
@@ -499,6 +472,7 @@ def _kkt_group(gen: DivergenceGenerator, pmats: np.ndarray, tol: float) -> tuple
     iteration = 0
     while True:
         iteration += 1
+        ends[...] = fresh
         live_count = len(live)
         # one ensemble's multiplier as a float, cheaper to broadcast than a column
         lam_col = float(lam[0]) if live_count == 1 else lam[:, None]
@@ -534,7 +508,7 @@ def _kkt_group(gen: DivergenceGenerator, pmats: np.ndarray, tol: float) -> tuple
                 ends[...] = moved
                 full_rounds += 1
         rounds += full_rounds
-        phi = v * (apply_generator(gen, ratios(v[None])).sum(axis=axis)[0] / n)
+        phi = v * (apply_generator(gen, members[:, 0] / v).sum(axis=0) / n)
         dual = lam + (phi - lam_col * v).sum(axis=-1) - slack
         total = v.sum(axis=-1)
         q = v / total[:, None]
@@ -556,7 +530,7 @@ def _kkt_group(gen: DivergenceGenerator, pmats: np.ndarray, tol: float) -> tuple
             # the ensembles still solving leave the finished ones behind
             keep = ~done
             live, rounds, pmats = live[keep], rounds[keep], pmats[keep]
-            members, axis, zero = _member_layout(pmats)
+            members, zero = _member_layout(pmats)
             lam, lam_lo, lam_hi = lam[keep], lam_lo[keep], lam_hi[keep]
             lam_col = lam[:, None]
             total, gap = total[keep], gap[keep]
@@ -588,10 +562,6 @@ def _kkt_group(gen: DivergenceGenerator, pmats: np.ndarray, tol: float) -> tuple
                     f"informativity solver's multiplier bracket collapsed at gap "
                     f"{gap[collapsed][0]} above tol {tol}"
                 )
-        # keep each end whose slope still lies on its side of the new
-        # multiplier, so the next step resumes from this bracket
-        lam_col = lam[:, None]
-        _reset_ends(ends, np.array([s_lo >= lam_col, s_hi < lam_col]), fresh)
     return q_out, np.maximum(value_out, 0.0), np.maximum(gap_out, 0.0), iterations, rounds_out
 
 

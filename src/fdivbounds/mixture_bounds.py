@@ -368,15 +368,19 @@ def named_bound(family: str, **params) -> BoundReport:
                                  (an upper bound, not a risk lower bound)
 
     A missing parameter, then one the family does not read, is refused by
-    name (:func:`check_param_names`).
+    name (:func:`check_param_names`), and so is an ``n`` that is not
+    integral (an integral float such as 16.0 is accepted; a bool is not).
     """
     keys = ("divergence_sum",) if family == "reverse_kl_tv" else _family(family)[0]
     check_param_names(family, keys, params)
     stat = float(params[keys[-1]])
     if family == "reverse_kl_tv":
         return _reverse_kl_tv_report(stat, {})
+    n = params["n"]
+    if isinstance(n, (bool, np.bool_)) or not float(n).is_integer():
+        raise ValueError(f"n must be an integer, got {n!r}")
     exponent = check_finite("exponent", params["exponent"]) if family == "power_l" else 3.0
-    return _clamp_report(family, int(params["n"]), stat, exponent, {})
+    return _clamp_report(family, int(n), stat, exponent, {})
 
 
 def ensemble_statistics(family: str, pmats, exponent: float = 3.0):

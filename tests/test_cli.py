@@ -620,6 +620,15 @@ class TestSubcommands:
         assert code == 1 and captured.out == ""
         assert captured.err == "error: seed must be an integer >= 0, got -1\n"
 
+    @pytest.mark.parametrize("alpha", ["-0.5", "-1", "0"])
+    def test_covmat_bound_non_positive_alpha_exit_1_by_name(self, capsys, alpha):
+        """alpha = -0.5 once ended in a ZeroDivisionError traceback and
+        alpha = -1 blamed delta_report."""
+        code = main(["covmat-bound", "--n", "64", "--alpha", alpha])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: alpha must be > 0, got {float(alpha)}\n"
+
     def test_covmat_bound_past_float_range_runs(self, capsys):
         """e^(k/8) past the float range no longer stops covmat-bound: the
         bound reads the log count and code_size is null."""
@@ -932,6 +941,42 @@ class TestEntryChecks:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
         code = main([a.format(ens=files["ens"], bad=bad) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv,payload,message",
+        [
+            (("divergence", "--gen", "kl", "{bad}", "{q}"),
+             {"pmf": ["0.25", "0.75"]}, "pmf entry '0.25' is not a number"),
+            (("divergence", "--gen", "kl", "{q}", "{bad}"),
+             {"pmf": [True, False]}, "pmf entry True is not a number"),
+            (("bayes-risk", "{bad}"),
+             {"members": [{"pmf": [0.5, "0.5"]}, {"pmf": [0.25, 0.75]}]},
+             "pmf entry '0.5' is not a number"),
+            (("bayes-risk", "{bad}"),
+             {"members": [{"pmf": [0.5, 0.5]}, {"pmf": [0.25, 0.75]}], "prior": ["0.5", 0.5]},
+             "prior entry '0.5' is not a number"),
+            (("minimax-risk", "{bad}"),
+             {"members": [{"pmf": [0.5, 0.5]}, {"pmf": [0.25, 0.75]}], "prior": [True, False]},
+             "prior entry True is not a number"),
+            (("jf-cover", "{ens}", "--gen", "kl", "--candidates", "{bad}"),
+             {"candidates": [{"pmf": [False, True]}]}, "pmf entry False is not a number"),
+            (("divergence", "--gen", "kl", "{bad}", "{q}"),
+             {"pmf": {"a": 0.5}}, 'distribution JSON "pmf" must be a list'),
+            (("bayes-risk", "{bad}"),
+             {"members": [{"pmf": [0.5, 0.5]}, {"pmf": [0.25, 0.75]}], "prior": {"a": 1.0}},
+             'ensemble JSON "prior" must be a list'),
+        ],
+    )
+    def test_non_number_mass_and_prior_entries_exit_1(self, files, capsys, tmp_path, argv, payload, message):
+        """A string or bool mass or prior entry was once read as a number,
+        and ``divergence`` exited 0 on it; a mass or prior given as an
+        object ended in a TypeError traceback."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        code = main([a.format(ens=files["ens"], q=files["q"], bad=bad) for a in argv])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err == f"error: {message}\n"

@@ -554,6 +554,16 @@ class TestCovarianceBound:
         with pytest.raises(ValueError, match="delta_report must be a positive finite"):
             covariance_minimax_bound(64, 1.0, delta_report=bad)
 
+    @pytest.mark.parametrize("alpha", [-0.5, -1.0, 0.0])
+    def test_non_positive_alpha_refused_by_name(self, alpha):
+        """alpha = -0.5 once divided by zero computing the rate and
+        alpha = -1 blamed delta_report."""
+        message = rf"^alpha must be > 0, got {alpha}$"
+        with pytest.raises(ValueError, match=message):
+            covariance_minimax_bound(64, alpha)
+        with pytest.raises(ValueError, match=message):
+            build_cov_family(12, 4, alpha)
+
     def test_seed_is_inert(self):
         a = covariance_minimax_bound(64, 1.0, seed=0).to_json()
         b = covariance_minimax_bound(64, 1.0, seed=5).to_json()

@@ -156,6 +156,23 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError):
             ensemble_from_json({"members": []})
 
+    @pytest.mark.parametrize(
+        "entries,shown", [(["0.25", "0.75"], "'0.25'"), ([True, False], "True"), ([0.5, None], "None")]
+    )
+    def test_non_number_entries_refused_by_field(self, entries, shown):
+        """A string or bool mass or prior entry was once read as a number."""
+        with pytest.raises(ValueError, match=rf"^pmf entry {shown} is not a number$"):
+            distribution_from_json({"pmf": entries})
+        members = [{"pmf": [0.5, 0.5]}, {"pmf": [0.25, 0.75]}]
+        with pytest.raises(ValueError, match=rf"^prior entry {shown} is not a number$"):
+            ensemble_from_json({"members": members, "prior": entries})
+
+    def test_numpy_and_integer_entries_accepted(self):
+        dist = distribution_from_json({"pmf": [np.float64(0.25), 0.75]})
+        assert dist.pmf.tolist() == [0.25, 0.75]
+        ens = ensemble_from_json({"members": [{"pmf": [1, 0]}, {"pmf": [0, 1]}], "prior": [1, 0]})
+        assert ens.prior.tolist() == [1.0, 0.0]
+
 
 # ---------------------------------------------------------------------------
 # Rejection behaviour, pinned against the plain check sequence

@@ -191,6 +191,19 @@ class TestNamedBounds:
         rep = named_bound("chi2", n=2, divergence_sum=0.0)
         assert rep.lower_bound == 0.5
 
+    @pytest.mark.parametrize("n", [2.5, True, math.nan, math.inf])
+    def test_non_integral_n_refused_by_name(self, n):
+        """n = 2.5 once gave the n = 2 bound and reported "n": 2."""
+        with pytest.raises(ValueError, match=r"^n must be an integer, got "):
+            named_bound("chi2", n=n, divergence_sum=0.5)
+
+    def test_integral_float_n_accepted(self):
+        """The CLI hands N=16 over as 16.0."""
+        as_float = named_bound("chi2", n=16.0, divergence_sum=0.5).to_json()
+        assert as_float == named_bound("chi2", n=16, divergence_sum=0.5).to_json()
+        assert as_float["inputs"]["n"] == 16
+        assert named_bound("fano", n=np.int64(16), avg_kl=1.0).inputs["n"] == 16
+
     @pytest.mark.parametrize(
         "h_sq,expected",
         [(1.0, 0.0), (0.5, 0.5 - 0.5 * math.sqrt(0.75)), (0.0, 0.5)],
